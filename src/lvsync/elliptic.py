@@ -20,7 +20,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .grid import Field, Grid, GridMismatchError, assemble_operator, l2_norm
-from .spectral import principal_eigenpair
+from .spectral import DEFAULT_TOL, principal_eigenpair
 
 __all__ = [
     "LogisticSolution",
@@ -32,7 +32,6 @@ __all__ = [
     "UniquenessReport",
 ]
 
-DEFAULT_TOL = 1e-10
 MAX_NEWTON = 60
 MAX_HALVINGS = 30
 

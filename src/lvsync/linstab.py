@@ -43,7 +43,7 @@ import scipy.sparse.linalg as spla
 from .elliptic import SubcriticalError, NewtonDivergenceError, solve_logistic
 from .grid import Field, Grid, GridMismatchError, assemble_operator, fmt_g17
 from .model import ModelParams, ratio_coefficients, synchronized_state
-from .spectral import EigenPair, EigenSolveError, eigenpairs
+from .spectral import DEFAULT_TOL, EigenPair, EigenSolveError, eigenpairs
 
 __all__ = [
     "CoupledJacobian",
@@ -63,13 +63,13 @@ __all__ = [
     "write_eigentable_csv",
     "DEGENERATE_TOL",
     "DEGENERATE_WARN_BAND",
-    "COUPLED_DENSE_CUTOFF",
 ]
 
 DEGENERATE_TOL = 1e-12
 DEGENERATE_WARN_BAND = 1e-4
-COUPLED_DENSE_CUTOFF = 1000
-DEFAULT_TOL = 1e-10
+COUPLED_START_SEED = 0xC0
+# extra Ritz values ARPACK is asked for beyond the k kept (see coupled_eigenpairs)
+COUPLED_EXTRA_VALUES = 2
 
 
 def s_parameter(b: float, c: float) -> float:
@@ -146,34 +146,44 @@ def _l2_scale(grid: Grid) -> float:
 
 
 def coupled_eigenpairs(
-    J: CoupledJacobian, k: int, tol: float = DEFAULT_TOL, method: str = "auto"
+    J: CoupledJacobian, k: int, tol: float = DEFAULT_TOL, method: str = "shift_invert"
 ) -> tuple[np.ndarray, np.ndarray]:
     """k eigenvalues of -J with smallest real parts, plus eigenvectors.
 
     Returns (values, vectors) with values sorted ascending by (Re, Im) and
     vectors normalized to unit combined L2 norm. Residuals are validated
     against tol * max(1, |μ|).
+
+    method: "shift_invert" (ARPACK eigs, the production route) or "dense"
+    (LAPACK eig, the test oracle). k >= 2N - 1 always runs dense, since
+    ARPACK cannot. The shift sits one unit below the Gershgorin lower bound
+    on the real parts, and the Arnoldi start vector is a fixed seeded
+    Gaussian (COUPLED_START_SEED). ARPACK runs to machine precision: an
+    ARPACK tolerance of 1e-12 leaves residuals up to 4e-10 on the defective
+    eigenvalues of the degenerate locus in 2D, above the default gate.
+
+    A single-vector Krylov space can miss one copy of an exactly double
+    eigenvalue (the 2D square's (i,j)/(j,i) pairs, or I₂⊗(Δ+a) at the
+    zero state) when it sits at the edge of the requested window, so
+    ARPACK is asked for COUPLED_EXTRA_VALUES more values than k and only
+    the k smallest are kept.
     """
     n2 = J.size
     if not 1 <= k <= n2:
         raise ValueError(f"k must be in [1, {n2}], got {k}")
+    if method not in ("shift_invert", "dense"):
+        raise ValueError(f"unknown method {method!r}")
     M = (-J.matrix).tocsr()
 
-    if method == "auto":
-        method = "dense" if n2 <= COUPLED_DENSE_CUTOFF else "shift_invert"
-    if method == "shift_invert" and k >= n2 - 1:
-        method = "dense"  # ARPACK requires k < n - 1
-    if method == "dense":
+    if method == "dense" or k >= n2 - 1:
         vals, vecs = sla.eig(M.toarray())
-    elif method == "shift_invert":
-        # Gershgorin lower bound on the real parts keeps the shift outside
+    else:
         diag = M.diagonal()
         offsum = np.asarray(np.abs(M).sum(axis=1)).ravel() - np.abs(diag)
         sigma = float((diag - offsum).min()) - 1.0
-        v0 = np.ones(n2)
-        vals, vecs = spla.eigs(M, k=k, sigma=sigma, which="LM", tol=1e-12, v0=v0)
-    else:
-        raise ValueError(f"unknown method {method!r}")
+        v0 = np.random.default_rng(COUPLED_START_SEED).standard_normal(n2)
+        kk = min(k + COUPLED_EXTRA_VALUES, n2 - 2)
+        vals, vecs = spla.eigs(M, k=kk, sigma=sigma, which="LM", v0=v0)
 
     order = np.lexsort((vals.imag, vals.real))[:k]
     vals = vals[order]
@@ -194,23 +204,14 @@ def coupled_eigenpairs(
     return vals, out_vecs
 
 
-def coupled_spectrum(
-    J: CoupledJacobian, k: int, tol: float = DEFAULT_TOL, method: str = "auto"
-) -> list[complex]:
+def coupled_spectrum(J: CoupledJacobian, k: int, tol: float = DEFAULT_TOL) -> list[complex]:
     """k eigenvalues μ of JΦ = -μΦ with smallest real parts, ascending."""
-    vals, _ = coupled_eigenpairs(J, k, tol, method)
+    vals, _ = coupled_eigenpairs(J, k, tol)
     return [complex(v) for v in vals]
 
 
 def predicted_spectrum(
-    grid: Grid,
-    a: Field,
-    theta: Field,
-    b: float,
-    c: float,
-    k: int,
-    tol: float = DEFAULT_TOL,
-    method: str = "auto",
+    grid: Grid, a: Field, theta: Field, b: float, c: float, k: int, tol: float = DEFAULT_TOL
 ) -> tuple[list[tuple[float, str]], dict[str, "object"]]:
     """k smallest predicted coupled eigenvalues as (value, family) pairs.
 
@@ -227,14 +228,14 @@ def predicted_spectrum(
     spectra: dict[str, object] = {}
     if degenerate:
         kk = min((k + 1) // 2, n)
-        spec2 = eigenpairs(assemble_operator(grid, a - 2.0 * theta), kk, tol, method)
+        spec2 = eigenpairs(assemble_operator(grid, a - 2.0 * theta), kk, tol)
         spectra["degenerate"] = spec2
         tagged = [(p.lam, "degenerate") for p in spec2.pairs for _ in range(2)]
         return tagged[:k], spectra
 
     kk = min(k, n)
-    spec1 = eigenpairs(assemble_operator(grid, a - s1 * theta), kk, tol, method)
-    spec2 = eigenpairs(assemble_operator(grid, a - 2.0 * theta), kk, tol, method)
+    spec1 = eigenpairs(assemble_operator(grid, a - s1 * theta), kk, tol)
+    spec2 = eigenpairs(assemble_operator(grid, a - 2.0 * theta), kk, tol)
     spectra["s1"] = spec1
     spectra["two"] = spec2
     tagged = [(p.lam, "s1") for p in spec1.pairs] + [(p.lam, "two") for p in spec2.pairs]
@@ -322,11 +323,7 @@ def _inconclusive(params: ModelParams, k: int, cause: str) -> StabilityReport:
 
 
 def verify_theorem(
-    params: ModelParams,
-    grid: Grid,
-    k: int,
-    tol: float = DEFAULT_TOL,
-    method: str = "auto",
+    params: ModelParams, grid: Grid, k: int, tol: float = DEFAULT_TOL
 ) -> StabilityReport:
     """Full stability verification pipeline at the synchronized steady state.
 
@@ -346,10 +343,8 @@ def verify_theorem(
         steady = synchronized_state(params, logistic)
         J = assemble_jacobian(steady.u, steady.v, params, grid)
         a = logistic.a
-        predicted, _ = predicted_spectrum(
-            grid, a, logistic.theta, b, c, 2 * k, tol=tol, method=method
-        )
-        coupled_vals, coupled_vecs = coupled_eigenpairs(J, 2 * k, tol=tol, method=method)
+        predicted, _ = predicted_spectrum(grid, a, logistic.theta, b, c, 2 * k, tol=tol)
+        coupled_vals, coupled_vecs = coupled_eigenpairs(J, 2 * k, tol=tol)
     except SubcriticalError as exc:
         return _inconclusive(params, k, f"no positive steady state: {exc}")
     except (NewtonDivergenceError, EigenSolveError) as exc:

@@ -176,18 +176,28 @@ class TestSpectralEquivalence:
         rel = np.abs(np.sort(mus.real) - pred_vals) / np.abs(pred_vals)
         assert rel.max() <= 1e-8
 
-    def test_iterative_coupled_solver_matches_dense_oracle(self):
-        g = grid1d(120)
-        params = ModelParams(a=2.0, b=0.5, c=1.0)
-        sol = solve_logistic(g, 2.0, tol=1e-10)
+    @pytest.mark.parametrize(
+        "domain, a, k",
+        [
+            (Domain("interval", (math.pi,), (120,)), 2.0, 8),
+            # the square's (i,j)/(j,i) modes give exactly double eigenvalues;
+            # k=14 cuts the window between the two copies of one of them
+            (Domain("rectangle", (math.pi, math.pi), (12, 12)), 4.0, 14),
+        ],
+        ids=["1d-120", "2d-12x12"],
+    )
+    def test_iterative_coupled_solver_matches_dense_oracle(self, domain, a, k):
+        g = build_grid(domain)
+        params = ModelParams(a=a, b=0.5, c=1.0)
+        sol = solve_logistic(g, a, tol=1e-10)
         steady = synchronized_state(params, sol)
         J = assemble_jacobian(steady.u, steady.v, params, g)
-        dense, _ = coupled_eigenpairs(J, 8, tol=1e-10, method="dense")
-        arnoldi, _ = coupled_eigenpairs(J, 8, tol=1e-10, method="shift_invert")
+        dense, _ = coupled_eigenpairs(J, k, tol=1e-10, method="dense")
+        arnoldi, _ = coupled_eigenpairs(J, k, tol=1e-10, method="shift_invert")
         assert np.allclose(arnoldi.real, dense.real, rtol=1e-8)
         # independent oracle: raw LAPACK on the negated block matrix
         raw = np.sort_complex(sla.eigvals((-J.matrix).toarray()))
-        assert np.allclose(dense.real, np.sort(raw.real)[:8], rtol=1e-9)
+        assert np.allclose(dense.real, np.sort(raw.real)[:k], rtol=1e-9)
 
     def test_degenerate_locus_spectrum_duplicated(self):
         g = grid1d(150)
@@ -297,6 +307,34 @@ class TestVerifyTheorem:
         assert report.degenerate is False
         assert report.band_warning is True
         assert report.verdict == "stable"
+
+    def test_square_edge_pair_not_missed(self):
+        # s1 = 3.73 puts one copy of the a-2θ family's exactly double
+        # (2,3)/(3,2) eigenvalue at the edge of the 12 requested values
+        g = build_grid(Domain("rectangle", (math.pi, math.pi), (30, 30)))
+        params = ModelParams(a=4.0, b=0.0887739738730586, c=3.1962470317855978)
+        report = verify_theorem(params, g, 6)
+        assert report.verdict == "stable"
+        assert report.max_rel_mismatch <= report.mismatch_threshold
+
+    @pytest.mark.parametrize("b, c", [(0.5, 1.0), (1.0 / 3.0, 1.0)], ids=["generic", "locus"])
+    @pytest.mark.parametrize(
+        "domain, a",
+        [
+            (Domain("interval", (math.pi,), (200,)), 2.0),
+            (Domain("interval", (math.pi,), (600,)), 2.0),
+            (Domain("rectangle", (math.pi, math.pi), (60, 60)), 4.0),
+        ],
+        ids=["1d-200", "1d-600", "2d-60x60"],
+    )
+    def test_grid_ladder_default_tol_without_dense(self, monkeypatch, domain, a, b, c):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("dense LAPACK eigensolver called")
+
+        monkeypatch.setattr(sla, "eig", forbidden)
+        monkeypatch.setattr(sla, "eigh", forbidden)
+        report = verify_theorem(ModelParams(a=a, b=b, c=c), build_grid(domain), 6)
+        assert report.verdict == "stable", report.cause
 
     def test_subcritical_inconclusive(self, grid200):
         report = verify_theorem(ModelParams(a=0.5, b=0.5, c=1.0), grid200, 3, tol=1e-10)
