@@ -17,9 +17,9 @@ import numpy as np
 from lvsync import (
     Domain,
     Field,
+    Grid,
     ModelParams,
     assemble_operator,
-    build_grid,
     eigenpairs,
     interpolate,
     solve_logistic,
@@ -31,7 +31,7 @@ from lvsync.linstab import s_parameter
 
 
 def grid1d(n, length=math.pi):
-    return build_grid(Domain("interval", (length,), (n,)))
+    return Grid(Domain("interval", (length,), (n,)))
 
 
 def main():

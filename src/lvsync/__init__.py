@@ -9,7 +9,6 @@ from .grid import (
     GridMismatchError,
     WeightedOperator,
     assemble_operator,
-    build_grid,
     interpolate,
     l2_inner,
     l2_norm,
@@ -35,8 +34,6 @@ from .model import (
 from .linstab import (
     CoupledJacobian,
     StabilityReport,
-    assemble_jacobian,
-    coupled_spectrum,
     mode_ratios,
     s_parameter,
     verify_theorem,

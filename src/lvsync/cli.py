@@ -3,10 +3,15 @@
 Configuration comes from an optional JSON file (--config) whose keys mirror
 RunConfig field names; command-line flags override file values and the
 merged effective config is echoed into the output directory as config.json.
-All validation happens before any numerical work starts.
 
-Exit codes: 0 success, 1 usage or solver error, 2 mathematically expected
-negative result (subcritical growth rate).
+Every command runs one path: parse, merge, validate every outside input
+(config values and types, the growth-rate spec including a field file's
+contents, and every sweep job), create --out, run. A config error exits 1
+before --out is created. A rectangle sweep runs on n x n grids, so it needs
+a square --n or a --sweep-n axis.
+
+Exit codes: 0 success, 1 usage, config or solver error, 2 mathematically
+expected negative result (subcritical growth rate).
 
 Determinism: identical config + seed produce bit-identical output files.
 The only exception is sweep's timing.jsonl, a wall-clock diagnostic kept
@@ -17,10 +22,12 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import math
 import sys
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -30,31 +37,35 @@ import numpy as np
 from .dynamics import decay_rate, evolve, random_perturbation, write_trajectory_csv
 from .elliptic import NewtonDivergenceError, SubcriticalError, solve_logistic
 from .grid import (
+    _KIND_NDIM,
     Domain,
     Field,
     Grid,
-    build_grid,
+    assemble_operator,
     field_from_csv,
-    fmt_g17,
     write_field_csv,
 )
 from .linstab import (
     DEGENERATE_WARN_BAND,
     degenerate_distance,
+    inconclusive_report,
     s_parameter,
     stability_report_dict,
     verify_theorem,
     write_eigentable_csv,
 )
-from .grid import assemble_operator
 from .model import ModelParams, synchronized_state, system_residual
 from .spectral import EigenSolveError, eigenpairs, principal_eigenpair, write_spectrum_csv
 
-__all__ = ["main", "RunConfig", "SweepSpec"]
+__all__ = ["main", "RunConfig"]
 
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_SUBCRITICAL = 2
+
+SWEEP_AXES = ("a", "b", "c", "resolution")
+# accepted JSON types of the scalar RunConfig fields, by annotation
+_SCALAR_TYPES = {"bool": bool, "int": int, "float": (int, float), "str": str}
 
 
 class ConfigError(ValueError):
@@ -87,14 +98,6 @@ class RunConfig:
     workers: int = 1
 
 
-@dataclass
-class SweepSpec:
-    """Cartesian sweep axes over a, b, c, resolution; the template fixes the rest."""
-
-    axes: dict
-    template: RunConfig
-
-
 def _parse_number(tok: str) -> float:
     t = tok.strip().lower()
     if t == "pi":
@@ -105,33 +108,25 @@ def _parse_number(tok: str) -> float:
         raise ConfigError(f"cannot parse number {tok!r} (use a float or 'pi')")
 
 
+def _as_int(value) -> int:
+    """An integral number as int: a fractional value is rejected, not truncated."""
+    if int(value) != value:
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
 def parse_domain(spec: str) -> tuple[str, tuple]:
     """'interval:0:pi' / 'interval:pi' / 'rectangle:0:1:0:2' / 'rectangle:1:2'."""
-    parts = spec.split(":")
-    kind = parts[0]
-    vals = [_parse_number(p) for p in parts[1:]]
-    if kind == "interval":
-        if len(vals) == 1:
-            return kind, (vals[0],)
-        if len(vals) == 2:
-            if vals[0] != 0.0:
-                raise ConfigError("domains are anchored at 0: interval must start at 0")
-            return kind, (vals[1] - vals[0],)
-    elif kind == "rectangle":
-        if len(vals) == 2:
-            return kind, (vals[0], vals[1])
-        if len(vals) == 4:
-            if vals[0] != 0.0 or vals[2] != 0.0:
-                raise ConfigError("domains are anchored at 0: rectangle must start at (0, 0)")
-            return kind, (vals[1] - vals[0], vals[3] - vals[2])
+    kind, *parts = spec.split(":")
+    vals = [_parse_number(p) for p in parts]
+    ndim = _KIND_NDIM.get(kind)
+    if ndim and len(vals) == ndim:
+        return kind, tuple(vals)
+    if ndim and len(vals) == 2 * ndim:
+        if any(vals[0::2]):
+            raise ConfigError(f"domains are anchored at 0: {kind} must start at the origin")
+        return kind, tuple(vals[1::2])
     raise ConfigError(f"cannot parse domain spec {spec!r}")
-
-
-def parse_resolution(spec: str) -> tuple:
-    try:
-        return tuple(int(p) for p in str(spec).split(","))
-    except ValueError:
-        raise ConfigError(f"cannot parse resolution {spec!r}")
 
 
 def parse_value_list(spec: str) -> list[float]:
@@ -150,7 +145,8 @@ def parse_value_list(spec: str) -> list[float]:
 
 
 def build_growth_field(cfg: RunConfig, grid: Grid) -> tuple[object, Field]:
-    """Resolve the a-spec into (params_a, field): const, sin profile, or file."""
+    """Resolve the a-spec into (params_a, field): const, sin profile, or file.
+    An unknown profile, a bad growth-rate file or a non-finite a is a ConfigError."""
     a = cfg.a
     if isinstance(a, str) and a.startswith("profile:"):
         name = a.split(":", 1)[1]
@@ -171,66 +167,63 @@ def build_growth_field(cfg: RunConfig, grid: Grid) -> tuple[object, Field]:
             return fld, fld
         raise ConfigError(f"unknown profile {name!r} (known: const, sin)")
     if isinstance(a, str) and a.startswith("file:"):
-        path = a.split(":", 1)[1]
-        fld = field_from_csv(path, grid)
+        path = Path(a.split(":", 1)[1])
+        if not path.exists():
+            raise ConfigError(f"growth-rate file not found: {path}")
+        try:
+            fld = field_from_csv(path, grid)
+        except (OSError, ValueError, IndexError, StopIteration) as exc:
+            raise ConfigError(f"cannot use growth-rate file {path}: {exc!r}")
         return fld, fld
-    val = float(a)
+    try:
+        val = float(a)
+    except TypeError:
+        raise ConfigError(f"cannot parse growth rate {a!r}")
+    if not math.isfinite(val):
+        raise ConfigError(f"growth rate must be finite, got {val}")
     return val, Field.constant(grid, val)
 
 
 def _merge_config(file_cfg: dict, cli_overrides: dict) -> RunConfig:
     cfg = RunConfig()
-    known = {f.name for f in dataclasses.fields(RunConfig)}
+    types = {f.name: f.type for f in dataclasses.fields(RunConfig)}
     for source, label in ((file_cfg, "config file"), (cli_overrides, "flag")):
         for key, val in source.items():
-            if key in ("axes",):
-                continue
-            if key not in known:
+            if key not in types:
                 raise ConfigError(f"unknown {label} option {key!r}")
+            allowed = _SCALAR_TYPES.get(types[key])
+            if allowed and not isinstance(val, allowed):
+                raise ConfigError(f"{label} option {key!r} must be {types[key]}, got {val!r}")
             setattr(cfg, key, val)
-    cfg.extents = tuple(float(e) for e in cfg.extents)
-    cfg.resolution = tuple(int(n) for n in cfg.resolution)
-    cfg.snapshot_times = tuple(float(t) for t in cfg.snapshot_times)
+    try:
+        cfg.extents = tuple(float(e) for e in cfg.extents)
+        cfg.resolution = tuple(_as_int(n) for n in cfg.resolution)
+        cfg.snapshot_times = tuple(float(t) for t in cfg.snapshot_times)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"bad extents, resolution or snapshot_times: {exc}")
     if isinstance(cfg.a, str) and not cfg.a.startswith(("profile:", "file:")):
-        try:
-            cfg.a = _parse_number(cfg.a)
-        except ConfigError:
-            raise ConfigError(f"cannot parse growth rate {cfg.a!r}")
+        cfg.a = _parse_number(cfg.a)
     return cfg
 
 
 def validate_config(cfg: RunConfig, command: str) -> None:
-    """Check every numeric range and referenced file before any solve."""
+    """Check every numeric range before any solve (the a-spec is checked by
+    build_growth_field, which reads it)."""
     try:
         Domain(cfg.kind, cfg.extents, cfg.resolution)
     except ValueError as exc:
         raise ConfigError(str(exc))
-    if isinstance(cfg.a, str):
-        if cfg.a.startswith("file:"):
-            path = Path(cfg.a.split(":", 1)[1])
-            if not path.exists():
-                raise ConfigError(f"growth-rate file not found: {path}")
-        elif cfg.a.startswith("profile:"):
-            if cfg.a.split(":", 1)[1] not in ("const", "sin"):
-                raise ConfigError(f"unknown profile in {cfg.a!r}")
-        else:
-            try:
-                float(cfg.a)
-            except ValueError:
-                raise ConfigError(f"cannot parse growth rate {cfg.a!r}")
     if command in ("steady", "verify", "evolve", "sweep"):
         if not 0.0 < cfg.b < 1.0:
             raise ConfigError(f"b must lie in (0, 1), got {cfg.b}")
-        if cfg.c <= 0.0:
-            raise ConfigError(f"c must be positive, got {cfg.c}")
+        if not 0.0 < cfg.c < math.inf:
+            raise ConfigError(f"c must be positive and finite, got {cfg.c}")
     if cfg.tol <= 0:
         raise ConfigError(f"tol must be positive, got {cfg.tol}")
     if cfg.k < 1:
         raise ConfigError(f"k must be >= 1, got {cfg.k}")
     n_nodes = int(np.prod(cfg.resolution))
-    if command == "spectrum" and cfg.k > n_nodes:
-        raise ConfigError(f"k = {cfg.k} exceeds interior node count {n_nodes}")
-    if command in ("verify", "sweep") and 2 * cfg.k > 2 * n_nodes:
+    if command in ("spectrum", "verify", "sweep") and cfg.k > n_nodes:
         raise ConfigError(f"k = {cfg.k} exceeds interior node count {n_nodes}")
     if command == "evolve":
         if cfg.dt <= 0:
@@ -251,56 +244,54 @@ def validate_config(cfg: RunConfig, command: str) -> None:
         raise ConfigError(f"seed must be a u64, got {cfg.seed}")
 
 
+def _sweep_jobs(cfg: RunConfig, axes: dict) -> list[RunConfig]:
+    """Expand the sweep axes into one validated RunConfig per job, sorted by
+    (a, b, c, n); an axis left out takes its value from cfg."""
+    if not axes:
+        raise ConfigError("empty sweep: no axes given")
+    if set(axes) - set(SWEEP_AXES):
+        raise ConfigError(f"unknown sweep axes {sorted(set(axes) - set(SWEEP_AXES))}")
+    if "resolution" not in axes and len(set(cfg.resolution)) > 1:
+        raise ConfigError("a rectangle sweep runs on n x n grids: give a square --n or --sweep-n")
+    values = []
+    for name in SWEEP_AXES:
+        vals = axes.get(name, [cfg.resolution[0] if name == "resolution" else getattr(cfg, name)])
+        if not isinstance(vals, list):
+            raise ConfigError(f"sweep axis {name!r} must be a list")
+        if not vals:
+            raise ConfigError(f"empty sweep: axis {name!r} has no values")
+        try:
+            values.append([_as_int(v) if name == "resolution" else float(v) for v in vals])
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"sweep axis {name!r}: {exc}")
+    jobs = []
+    for a, b, c, n in sorted(itertools.product(*values)):
+        job = dataclasses.replace(cfg, a=a, b=b, c=c, resolution=(n,) * len(cfg.resolution))
+        try:
+            validate_config(job, "sweep")
+            ModelParams(a=a, b=b, c=c)
+        except ValueError as exc:
+            raise ConfigError(f"sweep job a={a} b={b} c={c} n={n}: {exc}")
+        jobs.append(job)
+    return jobs
+
+
 def _json_dump(obj, path: Path) -> None:
     with open(path, "w") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def _echo_config(cfg: RunConfig, out: Path) -> None:
-    _json_dump(dataclasses.asdict(cfg), out / "config.json")
-
-
 def _write_field(fld: Field, base: Path, fmt: str) -> None:
     if fmt == "csv":
         write_field_csv(fld, base.with_suffix(".csv"))
     else:
-        coords = fld.grid.coords()
-        _json_dump(
-            {
-                "coords": [[c for c in row] for row in coords.tolist()],
-                "values": fld.values.tolist(),
-            },
-            base.with_suffix(".json"),
-        )
+        _json_dump({"coords": fld.grid.coords().tolist(), "values": fld.values.tolist()},
+                   base.with_suffix(".json"))
 
 
-def _outdir(cfg: RunConfig) -> Path:
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _subcritical_message(cfg: RunConfig, exc: SubcriticalError) -> str:
-    if not isinstance(cfg.a, str):
-        critical = float(cfg.a) + exc.lambda1
-        return f"subcritical: a <= lambda1 ~= {critical:.6g}"
-    return f"subcritical: lambda1(a) = {exc.lambda1:.6g} >= 0"
-
-
-def cmd_theta(cfg: RunConfig) -> int:
-    out = _outdir(cfg)
-    _echo_config(cfg, out)
-    grid = build_grid(Domain(cfg.kind, cfg.extents, cfg.resolution))
-    _, a_field = build_growth_field(cfg, grid)
-    try:
-        sol = solve_logistic(grid, a_field, tol=cfg.tol)
-    except SubcriticalError as exc:
-        print(_subcritical_message(cfg, exc), file=sys.stderr)
-        return EXIT_SUBCRITICAL
-    except NewtonDivergenceError as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+def cmd_theta(cfg: RunConfig, out: Path, grid: Grid, a, a_field: Field) -> int:
+    sol = solve_logistic(grid, a_field, tol=cfg.tol)
     _write_field(sol.theta, out / "theta", cfg.format)
     _json_dump(
         {
@@ -314,20 +305,9 @@ def cmd_theta(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_steady(cfg: RunConfig) -> int:
-    out = _outdir(cfg)
-    _echo_config(cfg, out)
-    grid = build_grid(Domain(cfg.kind, cfg.extents, cfg.resolution))
-    a_param, a_field = build_growth_field(cfg, grid)
-    params = ModelParams(a=a_param, b=cfg.b, c=cfg.c)
-    try:
-        sol = solve_logistic(grid, a_field, tol=cfg.tol)
-    except SubcriticalError as exc:
-        print(_subcritical_message(cfg, exc), file=sys.stderr)
-        return EXIT_SUBCRITICAL
-    except NewtonDivergenceError as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+def cmd_steady(cfg: RunConfig, out: Path, grid: Grid, a, a_field: Field) -> int:
+    params = ModelParams(a=a, b=cfg.b, c=cfg.c)
+    sol = solve_logistic(grid, a_field, tol=cfg.tol)
     steady = synchronized_state(params, sol)
     r_u, r_v = system_residual(steady.u, steady.v, params)
     _write_field(steady.u, out / "u", cfg.format)
@@ -341,16 +321,8 @@ def cmd_steady(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_spectrum(cfg: RunConfig) -> int:
-    out = _outdir(cfg)
-    _echo_config(cfg, out)
-    grid = build_grid(Domain(cfg.kind, cfg.extents, cfg.resolution))
-    _, weight = build_growth_field(cfg, grid)
-    try:
-        spec = eigenpairs(assemble_operator(grid, weight), cfg.k, tol=cfg.tol)
-    except EigenSolveError as exc:
-        print(f"eigensolver failure: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+def cmd_spectrum(cfg: RunConfig, out: Path, grid: Grid, a, a_field: Field) -> int:
+    spec = eigenpairs(assemble_operator(grid, a_field), cfg.k, tol=cfg.tol)
     if cfg.format == "csv":
         write_spectrum_csv(spec, out / "spectrum.csv")
     else:
@@ -368,12 +340,8 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    out = _outdir(cfg)
-    _echo_config(cfg, out)
-    grid = build_grid(Domain(cfg.kind, cfg.extents, cfg.resolution))
-    a_param, _ = build_growth_field(cfg, grid)
-    params = ModelParams(a=a_param, b=cfg.b, c=cfg.c)
+def cmd_verify(cfg: RunConfig, out: Path, grid: Grid, a, a_field: Field) -> int:
+    params = ModelParams(a=a, b=cfg.b, c=cfg.c)
     report = verify_theorem(params, grid, cfg.k, tol=cfg.tol)
     _json_dump(stability_report_dict(report), out / "report.json")
     if report.coupled_eigs:
@@ -396,20 +364,9 @@ def cmd_verify(cfg: RunConfig) -> int:
     return EXIT_ERROR
 
 
-def cmd_evolve(cfg: RunConfig) -> int:
-    out = _outdir(cfg)
-    _echo_config(cfg, out)
-    grid = build_grid(Domain(cfg.kind, cfg.extents, cfg.resolution))
-    a_param, a_field = build_growth_field(cfg, grid)
-    params = ModelParams(a=a_param, b=cfg.b, c=cfg.c)
-    try:
-        sol = solve_logistic(grid, a_field, tol=cfg.tol)
-    except SubcriticalError as exc:
-        print(_subcritical_message(cfg, exc), file=sys.stderr)
-        return EXIT_SUBCRITICAL
-    except NewtonDivergenceError as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+def cmd_evolve(cfg: RunConfig, out: Path, grid: Grid, a, a_field: Field) -> int:
+    params = ModelParams(a=a, b=cfg.b, c=cfg.c)
+    sol = solve_logistic(grid, a_field, tol=cfg.tol)
     steady = synchronized_state(params, sol)
     u0, v0 = random_perturbation(steady, cfg.amplitude, seed=cfg.seed)
     traj = evolve(u0, v0, params, dt=cfg.dt, t_end=cfg.t_end, store_every=cfg.store_every)
@@ -447,113 +404,48 @@ def cmd_evolve(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _sweep_axes(cfg_dict: dict, args) -> dict:
-    axes = {}
-    file_axes = cfg_dict.get("axes", {}) if cfg_dict else {}
-    for name in ("a", "b", "c", "resolution"):
-        flag = getattr(args, f"sweep_{name}", None)
-        if flag is not None:
-            axes[name] = (
-                [int(v) for v in parse_value_list(flag)]
-                if name == "resolution"
-                else parse_value_list(flag)
-            )
-        elif name in file_axes:
-            vals = file_axes[name]
-            if not isinstance(vals, list):
-                raise ConfigError(f"sweep axis {name!r} must be a list")
-            axes[name] = [int(v) for v in vals] if name == "resolution" else [float(v) for v in vals]
-    return axes
-
-
-def _sweep_job(payload: tuple) -> dict:
+def _sweep_job(job: RunConfig) -> dict:
     """One verify job; returns the deterministic record plus wall time."""
-    (a, b, c, n), kind, extents, k, tol = payload
     t0 = time.perf_counter()
+    params = ModelParams(a=job.a, b=job.b, c=job.c)
     try:
-        resolution = (n,) if kind == "interval" else (n, n)
-        grid = build_grid(Domain(kind, extents, resolution))
-        params = ModelParams(a=a, b=b, c=c)
-        report = verify_theorem(params, grid, k, tol=tol)
-        record = {
-            "a": a,
-            "b": b,
-            "c": c,
-            "resolution": n,
-            "s": report.s_value,
-            "degenerate": report.degenerate,
-            "degenerate_band": report.band_warning,
-            "mu1": report.mu1,
-            "max_rel_mismatch": report.max_rel_mismatch,
-            "max_imag": report.max_imag,
-            "verdict": report.verdict,
-            "cause": report.cause,
-        }
+        grid = Grid(Domain(job.kind, job.extents, job.resolution))
+        report = verify_theorem(params, grid, job.k, tol=job.tol)
     except Exception as exc:  # any failure becomes an inconclusive record
-        record = {
-            "a": a,
-            "b": b,
-            "c": c,
-            "resolution": n,
-            "s": s_parameter(b, c) if 0 < b < 1 and c > 0 else math.nan,
-            "degenerate": False,
-            "degenerate_band": False,
-            "mu1": math.nan,
-            "max_rel_mismatch": math.nan,
-            "max_imag": math.nan,
-            "verdict": "inconclusive",
-            "cause": f"job failure: {exc}",
-        }
+        report = inconclusive_report(params, job.k, f"job failure: {exc}")
+    record = {
+        "a": job.a,
+        "b": job.b,
+        "c": job.c,
+        "resolution": job.resolution[0],
+        "s": report.s_value,
+        "degenerate": report.degenerate,
+        "degenerate_band": report.band_warning,
+        "mu1": report.mu1,
+        "max_rel_mismatch": report.max_rel_mismatch,
+        "max_imag": report.max_imag,
+        "verdict": report.verdict,
+        "cause": report.cause,
+    }
     wall_ms = 1000.0 * (time.perf_counter() - t0)
     return {"record": record, "wall_time_ms": wall_ms}
 
 
-def cmd_sweep(cfg: RunConfig, axes: dict) -> int:
-    out = _outdir(cfg)
-    _echo_config(cfg, out)
-    for name, vals in axes.items():
-        if len(vals) == 0:
-            print(f"empty sweep: axis {name!r} has no values", file=sys.stderr)
-            return EXIT_ERROR
-    if not axes:
-        print("empty sweep: no axes given", file=sys.stderr)
-        return EXIT_ERROR
-
-    a_vals = axes.get("a", [float(cfg.a)])
-    b_vals = axes.get("b", [cfg.b])
-    c_vals = axes.get("c", [cfg.c])
-    n_vals = axes.get("resolution", [cfg.resolution[0]])
-    for b in b_vals:
-        if not 0 < b < 1:
-            raise ConfigError(f"sweep b value {b} outside (0, 1)")
-    for c in c_vals:
-        if c <= 0:
-            raise ConfigError(f"sweep c value {c} must be positive")
-    for n in n_vals:
-        if int(n) < 3:
-            raise ConfigError(f"sweep resolution {n} too small")
-
-    jobs = sorted(
-        (float(a), float(b), float(c), int(n))
-        for a in a_vals
-        for b in b_vals
-        for c in c_vals
-        for n in n_vals
-    )
-    print(f"sweep: {len(jobs)} jobs "
-          f"({len(a_vals)} a x {len(b_vals)} b x {len(c_vals)} c x {len(n_vals)} n)")
+def cmd_sweep(cfg: RunConfig, out: Path, jobs: list[RunConfig]) -> int:
+    keys = [(job.a, job.b, job.c, job.resolution[0]) for job in jobs]
+    na, nb, nc, nn = (len(set(axis)) for axis in zip(*keys))
+    print(f"sweep: {len(jobs)} jobs ({na} a x {nb} b x {nc} c x {nn} n)")
     near_degenerate = sum(
-        1 for (_, b, c, _) in jobs if degenerate_distance(b, c) <= DEGENERATE_WARN_BAND
+        degenerate_distance(job.b, job.c) <= DEGENERATE_WARN_BAND for job in jobs
     )
     if near_degenerate:
         print(f"note: {near_degenerate} job(s) in the degenerate-locus band")
 
-    payloads = [(job, cfg.kind, cfg.extents, cfg.k, cfg.tol) for job in jobs]
     if cfg.workers > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            outputs = list(pool.map(_sweep_job, payloads))
+            outputs = list(pool.map(_sweep_job, jobs))
     else:
-        outputs = [_sweep_job(p) for p in payloads]
+        outputs = [_sweep_job(job) for job in jobs]
 
     records = [o["record"] for o in outputs]
     with open(out / "results.jsonl", "w") as fh:
@@ -561,28 +453,36 @@ def cmd_sweep(cfg: RunConfig, axes: dict) -> int:
             fh.write(json.dumps(rec, sort_keys=True))
             fh.write("\n")
     with open(out / "timing.jsonl", "w") as fh:
-        for job, o in zip(jobs, outputs):
-            fh.write(json.dumps({"job": list(job), "wall_time_ms": o["wall_time_ms"]}))
+        for key, o in zip(keys, outputs):
+            fh.write(json.dumps({"job": list(key), "wall_time_ms": o["wall_time_ms"]}))
             fh.write("\n")
 
-    verdicts: dict[str, int] = {}
-    for rec in records:
-        verdicts[rec["verdict"]] = verdicts.get(rec["verdict"], 0) + 1
+    verdicts = dict(Counter(rec["verdict"] for rec in records))
     mu1s = [rec["mu1"] for rec in records if not math.isnan(rec["mu1"])]
     summary = {
         "n_jobs": len(records),
         "min_mu1": min(mu1s) if mu1s else None,
         "verdicts": verdicts,
         "non_stable_jobs": [
-            {"a": r["a"], "b": r["b"], "c": r["c"], "resolution": r["resolution"],
-             "verdict": r["verdict"], "cause": r["cause"]}
+            {key: r[key] for key in ("a", "b", "c", "resolution", "verdict", "cause")}
             for r in records
             if r["verdict"] != "stable"
         ],
     }
     _json_dump(summary, out / "summary.json")
     print(f"sweep done: {verdicts}")
-    return EXIT_OK if records else EXIT_ERROR
+    return EXIT_OK
+
+
+# name -> (help, handler); every handler gets (cfg, out, *inputs) from main
+COMMANDS = {
+    "theta": ("solve the logistic steady state", cmd_theta),
+    "steady": ("build the synchronized steady state", cmd_steady),
+    "spectrum": ("eigenpairs of the weighted operator for the given a-field", cmd_spectrum),
+    "verify": ("verify linear stability via spectral equivalence", cmd_verify),
+    "evolve": ("integrate a perturbed state and fit the decay rate", cmd_evolve),
+    "sweep": ("verify over a Cartesian parameter grid", cmd_sweep),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -615,18 +515,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="lvsync", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, help_text in (
-        ("theta", "solve the logistic steady state"),
-        ("steady", "build the synchronized steady state"),
-        ("spectrum", "eigenpairs of the weighted operator for the given a-field"),
-        ("verify", "verify linear stability via spectral equivalence"),
-        ("evolve", "integrate a perturbed state and fit the decay rate"),
-        ("sweep", "verify over a Cartesian parameter grid"),
-    ):
-        p = sub.add_parser(name, help=help_text)
+    for name, (help_text, _) in COMMANDS.items():
+        # SUPPRESS: the namespace holds only the flags the user gave
+        p = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
         _add_common(p)
         if name == "spectrum":
-            p.add_argument("--functions", action="store_true", default=None,
+            p.add_argument("--functions", action="store_true",
                            help="also write one field file per eigenfunction")
         if name == "evolve":
             p.add_argument("--dt", type=float, help="time step")
@@ -636,62 +530,66 @@ def build_parser() -> argparse.ArgumentParser:
                            help="store every k-th step")
             p.add_argument("--snapshots", help="comma list of snapshot times")
         if name == "sweep":
-            p.add_argument("--sweep-a", help="axis values: comma list or start:stop:step")
-            p.add_argument("--sweep-b", help="axis values: comma list or start:stop:step")
-            p.add_argument("--sweep-c", help="axis values: comma list or start:stop:step")
-            p.add_argument("--sweep-n", dest="sweep_resolution",
-                           help="resolution axis: comma list or start:stop:step")
+            for axis in SWEEP_AXES:
+                flag = "n" if axis == "resolution" else axis
+                p.add_argument(f"--sweep-{flag}", dest=f"sweep_{axis}",
+                               help=f"{flag} axis values: comma list or start:stop:step")
     return parser
 
 
-def _collect_overrides(args: argparse.Namespace) -> dict:
-    overrides: dict = {}
-    if args.domain is not None:
-        overrides["kind"], overrides["extents"] = parse_domain(args.domain)
-    if args.n is not None:
-        overrides["resolution"] = parse_resolution(args.n)
-    for name in ("a", "a0", "a1", "b", "c", "tol", "k", "seed", "out", "format", "workers"):
-        val = getattr(args, name, None)
-        if val is not None:
-            overrides[name] = val
-    for name in ("dt", "t_end", "amplitude", "store_every", "functions"):
-        val = getattr(args, name, None)
-        if val is not None:
-            overrides[name] = val
-    snapshots = getattr(args, "snapshots", None)
-    if snapshots is not None:
-        overrides["snapshot_times"] = tuple(parse_value_list(snapshots))
-    return overrides
+def _load_config(args: argparse.Namespace) -> tuple[RunConfig, dict]:
+    """Merge the --config file and the given flags; returns (config, sweep axes)."""
+    flags = {k: v for k, v in vars(args).items() if k != "command"}
+    file_cfg: dict = {}
+    if "config" in flags:
+        path = Path(flags.pop("config"))
+        try:
+            with open(path) as fh:
+                file_cfg = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cannot read config file {path}: {exc}")
+        if not isinstance(file_cfg, dict):
+            raise ConfigError(f"config file {path} must hold a JSON object")
+    axes = file_cfg.pop("axes", {})
+    if not isinstance(axes, dict):
+        raise ConfigError("sweep axes must be a JSON object")
+    for axis in SWEEP_AXES:
+        if f"sweep_{axis}" in flags:
+            axes[axis] = parse_value_list(flags.pop(f"sweep_{axis}"))
+    if "domain" in flags:
+        flags["kind"], flags["extents"] = parse_domain(flags.pop("domain"))
+    for flag, key in (("n", "resolution"), ("snapshots", "snapshot_times")):
+        if flag in flags:
+            flags[key] = parse_value_list(flags.pop(flag))
+    return _merge_config(file_cfg, flags), axes
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        file_cfg: dict = {}
-        if args.config:
-            path = Path(args.config)
-            if not path.exists():
-                raise ConfigError(f"config file not found: {path}")
-            with open(path) as fh:
-                file_cfg = json.load(fh)
-        cfg = _merge_config(file_cfg, _collect_overrides(args))
+        cfg, axes = _load_config(args)
         validate_config(cfg, args.command)
-        if args.command == "theta":
-            return cmd_theta(cfg)
-        if args.command == "steady":
-            return cmd_steady(cfg)
-        if args.command == "spectrum":
-            return cmd_spectrum(cfg)
-        if args.command == "verify":
-            return cmd_verify(cfg)
-        if args.command == "evolve":
-            return cmd_evolve(cfg)
-        if args.command == "sweep":
-            axes = _sweep_axes(file_cfg, args)
-            return cmd_sweep(cfg, axes)
-        raise ConfigError(f"unknown command {args.command!r}")
+        grid = Grid(Domain(cfg.kind, cfg.extents, cfg.resolution))
+        a, a_field = build_growth_field(cfg, grid)
+        inputs = (_sweep_jobs(cfg, axes),) if args.command == "sweep" else (grid, a, a_field)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+
+    out = Path(cfg.out)
+    out.mkdir(parents=True, exist_ok=True)
+    _json_dump(dataclasses.asdict(cfg), out / "config.json")
+    try:
+        return COMMANDS[args.command][1](cfg, out, *inputs)
+    except SubcriticalError as exc:
+        if isinstance(cfg.a, str):
+            print(f"subcritical: lambda1(a) = {exc.lambda1:.6g} >= 0", file=sys.stderr)
+        else:
+            print(f"subcritical: a <= lambda1 ~= {float(cfg.a) + exc.lambda1:.6g}",
+                  file=sys.stderr)
+        return EXIT_SUBCRITICAL
+    except (NewtonDivergenceError, EigenSolveError) as exc:
+        print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
 

@@ -28,7 +28,6 @@ __all__ = [
     "Field",
     "WeightedOperator",
     "GridMismatchError",
-    "build_grid",
     "assemble_operator",
     "l2_norm",
     "l2_inner",
@@ -140,11 +139,6 @@ class Grid:
 
     def __repr__(self) -> str:
         return f"Grid({self.domain.kind}, extents={self.domain.extents}, n={self.domain.resolution})"
-
-
-def build_grid(domain: Domain) -> Grid:
-    """Construct the grid for a validated domain."""
-    return Grid(domain)
 
 
 def _check_same_grid(a: "Field | WeightedOperator", b: "Field | WeightedOperator"):

@@ -48,17 +48,16 @@ from .spectral import DEFAULT_TOL, EigenPair, EigenSolveError, eigenpairs
 __all__ = [
     "CoupledJacobian",
     "StabilityReport",
-    "assemble_jacobian",
     "s_parameter",
     "mode_ratios",
     "degenerate_distance",
-    "coupled_spectrum",
     "coupled_eigenpairs",
     "predicted_spectrum",
     "verify_theorem",
     "ansatz_coefficients",
     "ansatz_residual",
     "component_projection",
+    "inconclusive_report",
     "stability_report_dict",
     "write_eigentable_csv",
     "DEGENERATE_TOL",
@@ -136,11 +135,6 @@ class CoupledJacobian:
         return self._matrix
 
 
-def assemble_jacobian(u: Field, v: Field, params: ModelParams, grid: Grid) -> CoupledJacobian:
-    """Coupled linearization at any state (u, v), not only steady states."""
-    return CoupledJacobian(grid, u, v, params)
-
-
 def _l2_scale(grid: Grid) -> float:
     return math.sqrt(grid.cell_volume)
 
@@ -202,12 +196,6 @@ def coupled_eigenpairs(
             )
         out_vecs[:, j] = vec
     return vals, out_vecs
-
-
-def coupled_spectrum(J: CoupledJacobian, k: int, tol: float = DEFAULT_TOL) -> list[complex]:
-    """k eigenvalues μ of JΦ = -μΦ with smallest real parts, ascending."""
-    vals, _ = coupled_eigenpairs(J, k, tol)
-    return [complex(v) for v in vals]
 
 
 def predicted_spectrum(
@@ -301,7 +289,8 @@ class StabilityReport:
     mismatch_threshold: float
 
 
-def _inconclusive(params: ModelParams, k: int, cause: str) -> StabilityReport:
+def inconclusive_report(params: ModelParams, k: int, cause: str) -> StabilityReport:
+    """Report with verdict "inconclusive", the given cause and no spectra."""
     b, c = params.b, params.c
     return StabilityReport(
         s_value=s_parameter(b, c),
@@ -341,14 +330,14 @@ def verify_theorem(
     try:
         logistic = solve_logistic(grid, params.a_field(grid), tol=tol)
         steady = synchronized_state(params, logistic)
-        J = assemble_jacobian(steady.u, steady.v, params, grid)
+        J = CoupledJacobian(grid, steady.u, steady.v, params)
         a = logistic.a
         predicted, _ = predicted_spectrum(grid, a, logistic.theta, b, c, 2 * k, tol=tol)
         coupled_vals, coupled_vecs = coupled_eigenpairs(J, 2 * k, tol=tol)
     except SubcriticalError as exc:
-        return _inconclusive(params, k, f"no positive steady state: {exc}")
+        return inconclusive_report(params, k, f"no positive steady state: {exc}")
     except (NewtonDivergenceError, EigenSolveError) as exc:
-        return _inconclusive(params, k, f"solver failure: {exc}")
+        return inconclusive_report(params, k, f"solver failure: {exc}")
 
     pred_vals = np.array([p[0] for p in predicted])
     pred_fams = tuple(p[1] for p in predicted)

@@ -4,8 +4,8 @@ import pytest
 
 from lvsync import (
     Domain,
+    Grid,
     ModelParams,
-    build_grid,
     solve_logistic,
     synchronized_state,
     verify_theorem,
@@ -14,12 +14,12 @@ from lvsync import (
 
 @pytest.fixture(scope="session")
 def grid200():
-    return build_grid(Domain("interval", (math.pi,), (200,)))
+    return Grid(Domain("interval", (math.pi,), (200,)))
 
 
 @pytest.fixture(scope="session")
 def grid400():
-    return build_grid(Domain("interval", (math.pi,), (400,)))
+    return Grid(Domain("interval", (math.pi,), (400,)))
 
 
 @pytest.fixture(scope="session")

@@ -25,12 +25,12 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from lvsync import (
+    CoupledJacobian,
     Domain,
     Field,
+    Grid,
     ModelParams,
-    assemble_jacobian,
     assemble_operator,
-    build_grid,
     decay_rate,
     eigenpairs,
     evolve,
@@ -63,12 +63,12 @@ def report_line(num, label, ok, detail=""):
 
 
 def grid1d(n, length=math.pi):
-    return build_grid(Domain("interval", (length,), (n,)))
+    return Grid(Domain("interval", (length,), (n,)))
 
 
 @pytest.fixture(scope="module")
 def coupled12(grid200, steady200, params_default):
-    J = assemble_jacobian(steady200.u, steady200.v, params_default, grid200)
+    J = CoupledJacobian(grid200, steady200.u, steady200.v, params_default)
     t0 = time.perf_counter()
     vals, vecs = coupled_eigenpairs(J, 12, tol=1e-10)
     elapsed = time.perf_counter() - t0
@@ -177,7 +177,7 @@ def test_criterion_3_degenerate_case(grid200):
     sol = solve_logistic(grid200, A_DEFAULT, tol=1e-10)
     params = ModelParams(a=A_DEFAULT, b=b, c=c)
     steady = synchronized_state(params, sol)
-    J = assemble_jacobian(steady.u, steady.v, params, grid200)
+    J = CoupledJacobian(grid200, steady.u, steady.v, params)
     vals, vecs = coupled_eigenpairs(J, 12, tol=1e-10)
     scalar = eigenpairs(
         assemble_operator(grid200, sol.a - 2.0 * sol.theta), 6, tol=1e-10
@@ -319,7 +319,7 @@ def test_criterion_7_steady_state_identities(theta200, steady200, params_default
 
 def test_criterion_8_uniqueness_probes(grid200):
     rep1 = uniqueness_probe(grid200, 2.0, 20, tol=1e-10, seed=0)
-    g2 = build_grid(Domain("rectangle", (1.0, 1.0), (24, 24)))
+    g2 = Grid(Domain("rectangle", (1.0, 1.0), (24, 24)))
     rep2 = uniqueness_probe(g2, 25.0, 20, tol=1e-9, seed=0)
     ok = rep1.n_distinct_positive == 1 and rep2.n_distinct_positive == 1
     report_line(8, "uniqueness probes", ok,

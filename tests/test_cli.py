@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -62,14 +63,16 @@ class TestTheta:
         assert code == 0
         summary = json.loads((out / "summary.json").read_text())
         assert summary["residual_norm"] <= 1e-10
+        # b and c are not theta inputs, so an out-of-range b is not an error
+        assert run("theta", "--n", "30", "--b", "1.5", "--out", str(tmp_path / "b")) == 0
 
     def test_file_profile_matches_named_profile(self, tmp_path):
         # write the sin profile as a field file, then solve via file: and via
         # profile:sin; the routes must agree bitwise
-        from lvsync import Domain, Field, build_grid
+        from lvsync import Domain, Field, Grid
         from lvsync.grid import write_field_csv
 
-        g = build_grid(Domain("interval", (math.pi,), (100,)))
+        g = Grid(Domain("interval", (math.pi,), (100,)))
         # same float expression the sin profile evaluates, for a bitwise match
         a = Field.from_function(g, lambda x: 1.5 + 0.5 * np.sin(math.pi * x / math.pi))
         a_path = tmp_path / "a.csv"
@@ -230,6 +233,27 @@ class TestSweep:
         assert code == 1
         assert "empty sweep" in capsys.readouterr().err
 
+    def test_job_failure_record_has_success_keys(self, tmp_path, monkeypatch):
+        import lvsync.cli
+
+        verify = lvsync.cli.verify_theorem
+
+        def failing_verify(params, grid, k, tol):
+            if params.b == 0.3:
+                raise RuntimeError("injected")
+            return verify(params, grid, k, tol=tol)
+
+        monkeypatch.setattr(lvsync.cli, "verify_theorem", failing_verify)
+        out = tmp_path / "o"
+        code = run("sweep", "--domain", "interval:0:pi", "--n", "40", "--a", "2", "--k", "2",
+                   "--sweep-b", "0.3,0.5", "--workers", "1", "--out", str(out))
+        assert code == 0
+        failed, ok = [json.loads(l) for l in (out / "results.jsonl").read_text().splitlines()]
+        assert failed["verdict"] == "inconclusive"
+        assert failed["cause"].startswith("job failure:")
+        assert ok["verdict"] == "stable"
+        assert failed.keys() == ok.keys()
+
     def test_failed_jobs_recorded_inconclusive(self, tmp_path):
         out = tmp_path / "o"
         code = run("sweep", "--domain", "interval:0:pi", "--n", "40", "--k", "2",
@@ -283,3 +307,44 @@ class TestConfigPrecedence:
         assert code == 0
         data = json.loads((out / "theta.json").read_text())
         assert len(data["values"]) == 50
+
+
+FIELD_100_NODES = "index,coord1,value\n" + "".join(f"{i},{i},2\n" for i in range(100))
+
+
+@pytest.mark.parametrize("files, args", [
+    pytest.param({"cfg.json": '{"resolution": 80}'}, ["theta", "--config", "{tmp}/cfg.json"],
+                 id="resolution-not-a-list"),
+    pytest.param({"cfg.json": '{"axes": {"b": ["x"]}}'}, ["sweep", "--config", "{tmp}/cfg.json"],
+                 id="sweep-axis-not-a-number"),
+    pytest.param({"a.csv": FIELD_100_NODES}, ["theta", "--n", "50", "--a", "file:{tmp}/a.csv"],
+                 id="growth-file-wrong-node-count"),
+    pytest.param({}, ["sweep", "--sweep-b", "1.5"], id="sweep-b-out-of-range"),
+    pytest.param({}, ["sweep", "--domain", "rectangle:1:2", "--n", "8,16", "--sweep-b", "0.5"],
+                 id="rectangle-sweep-non-square-n"),
+    pytest.param({}, ["sweep", "--sweep-n", "20.7"], id="sweep-n-not-an-integer"),
+    pytest.param({"cfg.json": '{"b": "x"}'}, ["steady", "--config", "{tmp}/cfg.json"],
+                 id="config-value-wrong-type"),
+    pytest.param({"cfg.json": "{bad"}, ["theta", "--config", "{tmp}/cfg.json"],
+                 id="config-not-json"),
+    pytest.param({}, ["theta", "--n", "20", "--a", "inf"], id="growth-rate-not-finite"),
+    pytest.param({}, ["steady", "--n", "20", "--c", "inf"], id="c-not-finite"),
+    pytest.param({"a.csv": ""}, ["theta", "--n", "20", "--a", "file:{tmp}/a.csv"],
+                 id="growth-file-empty"),
+])
+def test_config_errors_exit_before_out_is_created(files, args, tmp_path, capsys):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    out = tmp_path / "never"
+    assert run(*(a.format(tmp=tmp_path) for a in args), "--out", str(out)) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+EXAMPLE_CONFIG = Path(__file__).resolve().parent.parent / "docs" / "config.example.json"
+
+
+@pytest.mark.parametrize("command", ["theta", "steady", "spectrum", "verify", "evolve", "sweep"])
+def test_example_config_runs(command, tmp_path):
+    extra = ["--t-end", "2"] if command == "evolve" else []
+    assert run(command, "--config", str(EXAMPLE_CONFIG), "--n", "40", *extra,
+               "--out", str(tmp_path / "o")) == 0

@@ -7,11 +7,11 @@ from lvsync import (
     DecayFitError,
     Domain,
     Field,
+    Grid,
     ModelParams,
     PositivityError,
     StepSizeError,
     assemble_operator,
-    build_grid,
     decay_rate,
     evolve,
     random_perturbation,
@@ -21,7 +21,7 @@ from lvsync.linstab import ansatz_coefficients, predicted_spectrum
 
 
 def grid1d(n, length=math.pi):
-    return build_grid(Domain("interval", (length,), (n,)))
+    return Grid(Domain("interval", (length,), (n,)))
 
 
 def sub_trajectory(traj, t0, t1):
@@ -96,7 +96,7 @@ class TestEvolve:
     def test_2d_fixed_point(self):
         from lvsync import ModelParams, solve_logistic, synchronized_state
 
-        g = build_grid(Domain("rectangle", (1.0, 1.0), (14, 14)))
+        g = Grid(Domain("rectangle", (1.0, 1.0), (14, 14)))
         params = ModelParams(a=25.0, b=0.5, c=1.0)
         sol = solve_logistic(g, 25.0, tol=1e-10)
         st = synchronized_state(params, sol)

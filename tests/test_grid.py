@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from lvsync import (
     Domain,
     Field,
+    Grid,
     GridMismatchError,
     assemble_operator,
-    build_grid,
     eigenpairs,
     interpolate,
     l2_inner,
@@ -20,7 +20,7 @@ from lvsync.grid import field_from_csv, fmt_g17, read_field_csv, write_field_csv
 
 
 def grid1d(n, length=math.pi):
-    return build_grid(Domain("interval", (length,), (n,)))
+    return Grid(Domain("interval", (length,), (n,)))
 
 
 def lap_eig_1d(k, h, L):
@@ -34,7 +34,7 @@ class TestDomain:
         assert np.allclose(g.axes[0], [math.pi / 4, math.pi / 2, 3 * math.pi / 4], rtol=1e-15)
 
     def test_rectangle_node_count(self):
-        g = build_grid(Domain("rectangle", (1.0, 2.0), (4, 8)))
+        g = Grid(Domain("rectangle", (1.0, 2.0), (4, 8)))
         assert g.size == 32
         assert g.coords().shape == (32, 2)
 
@@ -59,7 +59,7 @@ class TestDomain:
             Domain("disk", (1.0,), (4,))
 
     def test_lexicographic_order_x_fastest(self):
-        g = build_grid(Domain("rectangle", (1.0, 2.0), (3, 4)))
+        g = Grid(Domain("rectangle", (1.0, 2.0), (3, 4)))
         coords = g.coords()
         # first three nodes share the lowest y and walk x
         assert np.allclose(coords[:3, 1], coords[0, 1])
@@ -83,7 +83,7 @@ class TestOperator:
         assert np.abs(A - (A0 + 3.5 * np.eye(5))).max() == 0.0
 
     def test_2d_five_point_counts(self):
-        g = build_grid(Domain("rectangle", (1.0, 1.0), (3, 3)))
+        g = Grid(Domain("rectangle", (1.0, 1.0), (3, 3)))
         h = g.spacing[0]
         A = assemble_operator(g, Field.constant(g, 0.0)).matrix.toarray()
         assert np.allclose(np.diag(A), -4.0 / h**2, rtol=1e-15)
@@ -94,7 +94,7 @@ class TestOperator:
     def test_symmetry_exact_random_weight(self):
         rng = np.random.default_rng(7)
         for domain in (Domain("interval", (2.0,), (17,)), Domain("rectangle", (1.0, 1.5), (5, 7))):
-            g = build_grid(domain)
+            g = Grid(domain)
             A = assemble_operator(g, Field(g, rng.normal(size=g.size))).matrix
             assert abs(A - A.T).max() == 0.0
 
@@ -184,7 +184,7 @@ class TestFieldArithmeticAndIO:
         assert interpolate(f, [0.0]) == 0.0
 
     def test_interpolate_2d_bilinear(self):
-        g = build_grid(Domain("rectangle", (1.0, 1.0), (7, 7)))
+        g = Grid(Domain("rectangle", (1.0, 1.0), (7, 7)))
         f = Field.from_function(g, lambda x, y: x * y)
         assert interpolate(f, [0.5, 0.5]) == pytest.approx(0.25, rel=1e-12)
 
@@ -199,7 +199,7 @@ class TestFieldArithmeticAndIO:
         assert np.array_equal(back.values, f.values)
 
     def test_field_csv_roundtrip_2d(self, tmp_path):
-        g = build_grid(Domain("rectangle", (1.0, 2.0), (4, 5)))
+        g = Grid(Domain("rectangle", (1.0, 2.0), (4, 5)))
         rng = np.random.default_rng(0)
         f = Field(g, rng.normal(size=g.size))
         path = tmp_path / "f.csv"

@@ -9,13 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lvsync import (
+    CoupledJacobian,
     Domain,
     Field,
+    Grid,
     ModelParams,
-    assemble_jacobian,
     assemble_operator,
-    build_grid,
-    coupled_spectrum,
     eigenpairs,
     mode_ratios,
     s_parameter,
@@ -42,7 +41,7 @@ valid_c = st.floats(0.01, 20.0)
 
 
 def grid1d(n, length=math.pi):
-    return build_grid(Domain("interval", (length,), (n,)))
+    return Grid(Domain("interval", (length,), (n,)))
 
 
 class TestParameterAlgebra:
@@ -101,7 +100,7 @@ class TestJacobianAssembly:
         g = grid1d(50)
         params = ModelParams(a=2.0, b=0.5, c=1.0)
         zero = Field.constant(g, 0.0)
-        J = assemble_jacobian(zero, zero, params, g).matrix.toarray()
+        J = CoupledJacobian(g, zero, zero, params).matrix.toarray()
         block = (_laplacian(g.domain) + sp.diags(np.full(g.size, 2.0))).toarray()
         n = g.size
         assert np.array_equal(J[:n, :n], block)
@@ -113,15 +112,15 @@ class TestJacobianAssembly:
         g = grid1d(200)
         params = ModelParams(a=2.0, b=0.5, c=1.0)
         zero = Field.constant(g, 0.0)
-        J = assemble_jacobian(zero, zero, params, g)
-        mus = coupled_spectrum(J, 4, tol=1e-10)
+        J = CoupledJacobian(g, zero, zero, params)
+        mus = coupled_eigenpairs(J, 4, tol=1e-10)[0]
         scalar = eigenpairs(assemble_operator(g, Field.constant(g, 2.0)), 2, tol=1e-10).values
         expected = np.repeat(scalar, 2)
         assert np.allclose([m.real for m in mus], expected, atol=1e-10)
         assert mus[0].real == pytest.approx(-1.0, abs=1e-3)  # unstable origin
 
     def test_offdiagonal_blocks_are_exact_diagonals(self, grid200, steady200, params_default):
-        J = assemble_jacobian(steady200.u, steady200.v, params_default, grid200).matrix.toarray()
+        J = CoupledJacobian(grid200, steady200.u, steady200.v, params_default).matrix.toarray()
         n = grid200.size
         upper = J[:n, n:]
         lower = J[n:, :n]
@@ -135,7 +134,7 @@ class TestJacobianAssembly:
     ):
         # substituting u = alpha*theta, v = beta*theta collapses the diagonal
         # weights to a - (alpha+1)theta and a - (beta+1)theta
-        J = assemble_jacobian(steady200.u, steady200.v, params_default, grid200).matrix
+        J = CoupledJacobian(grid200, steady200.u, steady200.v, params_default).matrix
         n = grid200.size
         alpha, beta = ratio_coefficients(params_default.b, params_default.c)
         lap = _laplacian(grid200.domain)
@@ -154,7 +153,7 @@ class TestSpectralEquivalence:
     def test_direct_ansatz_per_family(self, grid200, theta200, steady200, params_default):
         # the crown invariant: pure matrix-vector application, no eigensolver
         b, c = params_default.b, params_default.c
-        J = assemble_jacobian(steady200.u, steady200.v, params_default, grid200)
+        J = CoupledJacobian(grid200, steady200.u, steady200.v, params_default)
         _, spectra = predicted_spectrum(
             grid200, theta200.a, theta200.theta, b, c, 12, tol=1e-10
         )
@@ -165,7 +164,7 @@ class TestSpectralEquivalence:
                 assert res <= factor * pair.residual + 1e-11
 
     def test_union_multiset_matches_coupled(self, grid200, theta200, steady200, params_default):
-        J = assemble_jacobian(steady200.u, steady200.v, params_default, grid200)
+        J = CoupledJacobian(grid200, steady200.u, steady200.v, params_default)
         mus, _ = coupled_eigenpairs(J, 12, tol=1e-10)
         predicted, _ = predicted_spectrum(
             grid200, theta200.a, theta200.theta,
@@ -187,11 +186,11 @@ class TestSpectralEquivalence:
         ids=["1d-120", "2d-12x12"],
     )
     def test_iterative_coupled_solver_matches_dense_oracle(self, domain, a, k):
-        g = build_grid(domain)
+        g = Grid(domain)
         params = ModelParams(a=a, b=0.5, c=1.0)
         sol = solve_logistic(g, a, tol=1e-10)
         steady = synchronized_state(params, sol)
-        J = assemble_jacobian(steady.u, steady.v, params, g)
+        J = CoupledJacobian(g, steady.u, steady.v, params)
         dense, _ = coupled_eigenpairs(J, k, tol=1e-10, method="dense")
         arnoldi, _ = coupled_eigenpairs(J, k, tol=1e-10, method="shift_invert")
         assert np.allclose(arnoldi.real, dense.real, rtol=1e-8)
@@ -204,7 +203,7 @@ class TestSpectralEquivalence:
         params = ModelParams(a=2.0, b=1.0 / 3.0, c=1.0)
         sol = solve_logistic(g, 2.0, tol=1e-10)
         steady = synchronized_state(params, sol)
-        J = assemble_jacobian(steady.u, steady.v, params, g)
+        J = CoupledJacobian(g, steady.u, steady.v, params)
         mus, _ = coupled_eigenpairs(J, 8, tol=1e-10)
         scalar = eigenpairs(
             assemble_operator(g, sol.a - 2.0 * sol.theta), 4, tol=1e-10
@@ -223,7 +222,7 @@ class TestSpectralEquivalence:
         params = ModelParams(a=2.0, b=1.0 / 3.0, c=c)
         sol = solve_logistic(g, 2.0, tol=1e-10)
         steady = synchronized_state(params, sol)
-        J = assemble_jacobian(steady.u, steady.v, params, g)
+        J = CoupledJacobian(g, steady.u, steady.v, params)
         vals, vecs = coupled_eigenpairs(J, 8, tol=1e-10)
         M2 = _laplacian(g.domain) + sp.diags(sol.a.values - 2.0 * sol.theta.values)
         scale = math.sqrt(g.cell_volume)
@@ -238,7 +237,7 @@ class TestSpectralEquivalence:
         # (1+c)phi - (1-b)psi lands in the s1 family, c*phi - b*psi in the
         # s=2 family; on eigenvectors of the other family both vanish
         b, c = params_default.b, params_default.c
-        J = assemble_jacobian(steady200.u, steady200.v, params_default, grid200)
+        J = CoupledJacobian(grid200, steady200.u, steady200.v, params_default)
         vals, vecs = coupled_eigenpairs(J, 6, tol=1e-10)
         s1 = s_parameter(b, c)
         lap = _laplacian(grid200.domain)
@@ -260,7 +259,7 @@ class TestSpectralEquivalence:
         b, c = 0.4, 1.5
         params = ModelParams(a=a, b=b, c=c)
         steady = synchronized_state(params, sol)
-        J = assemble_jacobian(steady.u, steady.v, params, g)
+        J = CoupledJacobian(g, steady.u, steady.v, params)
         _, spectra = predicted_spectrum(g, a, sol.theta, b, c, 8, tol=1e-10)
         factor = max(1.0 + c, 2.0)
         for family in ("s1", "two"):
@@ -311,7 +310,7 @@ class TestVerifyTheorem:
     def test_square_edge_pair_not_missed(self):
         # s1 = 3.73 puts one copy of the a-2θ family's exactly double
         # (2,3)/(3,2) eigenvalue at the edge of the 12 requested values
-        g = build_grid(Domain("rectangle", (math.pi, math.pi), (30, 30)))
+        g = Grid(Domain("rectangle", (math.pi, math.pi), (30, 30)))
         params = ModelParams(a=4.0, b=0.0887739738730586, c=3.1962470317855978)
         report = verify_theorem(params, g, 6)
         assert report.verdict == "stable"
@@ -333,7 +332,7 @@ class TestVerifyTheorem:
 
         monkeypatch.setattr(sla, "eig", forbidden)
         monkeypatch.setattr(sla, "eigh", forbidden)
-        report = verify_theorem(ModelParams(a=a, b=b, c=c), build_grid(domain), 6)
+        report = verify_theorem(ModelParams(a=a, b=b, c=c), Grid(domain), 6)
         assert report.verdict == "stable", report.cause
 
     def test_subcritical_inconclusive(self, grid200):
@@ -354,7 +353,7 @@ class TestVerifyTheorem:
             assert report.mu1 > 0
 
     def test_2d_rectangle_pipeline(self):
-        g = build_grid(Domain("rectangle", (1.0, 1.0), (14, 14)))
+        g = Grid(Domain("rectangle", (1.0, 1.0), (14, 14)))
         report = verify_theorem(ModelParams(a=25.0, b=0.5, c=1.0), g, 4, tol=1e-10)
         assert report.verdict == "stable"
         assert report.max_rel_mismatch <= 1e-8

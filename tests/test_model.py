@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 from lvsync import (
     Domain,
     Field,
+    Grid,
     ModelParams,
-    build_grid,
     logistic_residual,
     ratio_coefficients,
     semi_trivial_state,

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from lvsync import (
     Domain,
     Field,
+    Grid,
     assemble_operator,
-    build_grid,
     eigenpairs,
     l2_inner,
     l2_norm,
@@ -35,7 +35,7 @@ GOLDEN_WEIGHTED_EIGS_N400 = [
 
 
 def grid1d(n, length=math.pi):
-    return build_grid(Domain("interval", (length,), (n,)))
+    return Grid(Domain("interval", (length,), (n,)))
 
 
 def lap_eig_1d(k, h, L):
@@ -133,7 +133,7 @@ class TestEigenpairs:
             eigenpairs(op, 11, tol=1e-10)
 
     def test_2d_square_degenerate_cluster(self):
-        g = build_grid(Domain("rectangle", (1.0, 1.0), (20, 20)))
+        g = Grid(Domain("rectangle", (1.0, 1.0), (20, 20)))
         h = g.spacing[0]
         spec = eigenpairs(assemble_operator(g, Field.constant(g, 0.0)), 6, tol=1e-9)
         exact = sorted(
