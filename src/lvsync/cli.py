@@ -34,7 +34,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import decay_rate, evolve, random_perturbation, write_trajectory_csv
+from .dynamics import (
+    PositivityError,
+    StepSizeError,
+    decay_rate,
+    evolve,
+    random_perturbation,
+    write_trajectory_csv,
+)
 from .elliptic import NewtonDivergenceError, SubcriticalError, solve_logistic
 from .grid import (
     _KIND_NDIM,
@@ -172,7 +179,7 @@ def build_growth_field(cfg: RunConfig, grid: Grid) -> tuple[object, Field]:
             raise ConfigError(f"growth-rate file not found: {path}")
         try:
             fld = field_from_csv(path, grid)
-        except (OSError, ValueError, IndexError, StopIteration) as exc:
+        except (OSError, ValueError, IndexError) as exc:
             raise ConfigError(f"cannot use growth-rate file {path}: {exc!r}")
         return fld, fld
     try:
@@ -588,7 +595,7 @@ def main(argv=None) -> int:
             print(f"subcritical: a <= lambda1 ~= {float(cfg.a) + exc.lambda1:.6g}",
                   file=sys.stderr)
         return EXIT_SUBCRITICAL
-    except (NewtonDivergenceError, EigenSolveError) as exc:
+    except (NewtonDivergenceError, EigenSolveError, StepSizeError, PositivityError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -374,7 +374,9 @@ def read_field_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """Read a field file; returns (coords, values) without grid reconstruction."""
     with open(path, newline="") as fh:
         r = csv.reader(fh)
-        header = next(r)
+        header = next(r, None)
+        if header is None:
+            raise ValueError(f"field file {path} is empty")
         ncoord = len(header) - 2
         coords, values = [], []
         for row in r:

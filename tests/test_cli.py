@@ -200,6 +200,14 @@ class TestEvolve:
         decay = json.loads((out / "decay.json").read_text())
         assert "error" in decay
 
+    def test_step_size_failure_exits_1(self, tmp_path, capsys):
+        code = run("evolve", "--domain", "interval:0:pi", "--n", "20", "--a", "2",
+                   "--b", "0.5", "--c", "1", "--t-end", "0.1", "--dt", "10",
+                   "--out", str(tmp_path / "o"))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("solver failure: dt = 1.000e+01 too large")
+
 
 class TestSweep:
     def test_mini_sweep(self, tmp_path):

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
+import lvsync.dynamics
 from lvsync import (
     DecayFitError,
     Domain,
@@ -17,6 +20,7 @@ from lvsync import (
     random_perturbation,
 )
 from lvsync.dynamics import Trajectory, state_distance, write_trajectory_csv
+from lvsync.grid import _laplacian
 from lvsync.linstab import ansatz_coefficients, predicted_spectrum
 
 
@@ -33,6 +37,57 @@ def sub_trajectory(traj, t0, t1):
         params=traj.params,
         dt=traj.dt,
     )
+
+
+def two_solve_evolve(u0, v0, params, dt, t_end, store_every=1):
+    """Reference IMEX loop: one solve and one positivity check per species."""
+    grid = u0.grid
+    lhs = sp.identity(grid.size, format="csr") - dt * _laplacian(grid.domain)
+    solver = spla.splu(lhs.tocsc())
+    a = params.a_field(grid).values
+    a_max = float(np.abs(a).max())
+    b, c = params.b, params.c
+    u, v = u0.values.copy(), v0.values.copy()
+    n_steps = math.ceil(t_end / dt - 1e-12)
+    times, states = [0.0], [(u.copy(), v.copy())]
+    for step in range(1, n_steps + 1):
+        peak = max(float(u.max(initial=0.0)), float(v.max(initial=0.0)))
+        if dt * (a_max + 2.0 * peak * (1.0 + b + c)) > 0.5:
+            raise StepSizeError("too large")
+        ru = u * (a - u - b * v)
+        rv = v * (a - v + c * u)
+        u = solver.solve(u + dt * ru)
+        v = solver.solve(v + dt * rv)
+        t = step * dt
+        floor = -1e-12 * max(1.0, float(np.abs(u).max()), float(np.abs(v).max()))
+        for vals, name in ((u, "u"), (v, "v")):
+            worst = int(vals.argmin())
+            if vals[worst] < floor:
+                raise PositivityError(t, worst, float(vals[worst]), name)
+        np.clip(u, 0.0, None, out=u)
+        np.clip(v, 0.0, None, out=v)
+        if step % store_every == 0 or step == n_steps:
+            times.append(t)
+            states.append((u.copy(), v.copy()))
+    return np.asarray(times), states
+
+
+class LeakySolver:
+    """splu stand-in that overwrites the entries `index` of every solution."""
+
+    def __init__(self, lu, index, value):
+        self.lu, self.index, self.value = lu, index, value
+
+    def solve(self, rhs):
+        x = self.lu.solve(rhs)
+        x[self.index] = self.value
+        return x
+
+
+def leak_solves(monkeypatch, index, value):
+    splu = spla.splu
+    monkeypatch.setattr(lvsync.dynamics.spla, "splu",
+                        lambda A: LeakySolver(splu(A), index, value))
 
 
 class TestEvolve:
@@ -72,6 +127,31 @@ class TestEvolve:
     def test_step_size_rule_enforced(self, steady200, params_default):
         with pytest.raises(StepSizeError, match="too large"):
             evolve(steady200.u, steady200.v, params_default, dt=0.2, t_end=1.0)
+
+    def test_step_size_rule_checked_every_step(self):
+        # admissible for the initial data; the state grows until step 15
+        # breaks the rule, so the peak must be refreshed after every step
+        g = grid1d(20)
+        params = ModelParams(a=2.0, b=0.5, c=1.0)
+        small = Field.constant(g, 0.01)
+        assert len(evolve(small, small, params, dt=0.2, t_end=2.8).times) == 15
+        with pytest.raises(StepSizeError, match="too large"):
+            evolve(small, small, params, dt=0.2, t_end=3.0)
+
+    @pytest.mark.parametrize("index, species, node", [
+        ((7, 1), "v", 7),
+        (([3, 7], [1, 0]), "u", 7),
+    ])
+    def test_positivity_error_names_species_and_node(self, monkeypatch, index, species, node):
+        g = grid1d(20)
+        params = ModelParams(a=2.0, b=0.5, c=1.0)
+        leak_solves(monkeypatch, index, -1e-6)
+        one = Field.constant(g, 1.0)
+        with pytest.raises(PositivityError) as info:
+            evolve(one, one, params, dt=1e-2, t_end=0.1)
+        err = info.value
+        assert (err.species, err.node, err.value, err.t) == (species, node, -1e-6, 1e-2)
+        assert str(err) == f"positivity lost at t=0.01: {species}[{node}] = -1.000e-06"
 
     def test_positivity_preserved_random_data(self):
         g = grid1d(60)
@@ -113,6 +193,33 @@ class TestEvolve:
         assert len(lines) == 1 + len(traj.states)
         row = lines[1].split(",")
         assert math.hypot(float(row[1]), float(row[2])) == pytest.approx(float(row[3]), rel=1e-12)
+
+
+class TestStackedStepMatchesTwoSolves:
+    def assert_same(self, traj, ref):
+        times, states = ref
+        assert np.array_equal(traj.times, times)
+        assert len(traj.states) == len(states)
+        for (u, v), (ru, rv) in zip(traj.states, states):
+            assert np.array_equal(u.values, ru) and np.array_equal(v.values, rv)
+
+    def test_criterion_5_run(self, steady200, params_default):
+        u0, v0 = random_perturbation(steady200, 1e-3, seed=0)
+        args = (u0, v0, params_default, 1e-3, 2.0, 100)
+        self.assert_same(evolve(*args), two_solve_evolve(*args))
+
+    def test_2d_random_data_through_the_clip(self, monkeypatch):
+        # roundoff-level negatives at three nodes of both species, above
+        # the floor, so every step takes the clip
+        g = Grid(Domain("rectangle", (1.0, 1.0), (20, 20)))
+        rng = np.random.default_rng(4)
+        u0 = Field(g, rng.uniform(0.0, 2.0, g.size))
+        v0 = Field(g, rng.uniform(0.0, 2.0, g.size) * (rng.uniform(size=g.size) < 0.5))
+        leak_solves(monkeypatch, [0, 57, 399], -1e-13)
+        args = (u0, v0, ModelParams(a=25.0, b=0.5, c=1.0), 2e-3, 0.1, 5)
+        traj = evolve(*args)
+        self.assert_same(traj, two_solve_evolve(*args))
+        assert traj.states[-1][1].values[57] == 0.0
 
 
 @pytest.fixture(scope="module")

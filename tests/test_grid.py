@@ -218,6 +218,14 @@ class TestFieldArithmeticAndIO:
         with pytest.raises(ValueError, match="nodes"):
             field_from_csv(path, grid1d(8))
 
+    def test_empty_field_file_is_a_value_error(self, tmp_path):
+        path = tmp_path / "f.csv"
+        path.write_text("")
+        with pytest.raises(ValueError, match="is empty"):
+            read_field_csv(path)
+        with pytest.raises(ValueError, match="is empty"):
+            field_from_csv(path, grid1d(7))
+
     def test_fmt_g17_roundtrip(self):
         for x in (math.pi, 1.0 / 3.0, 1e-300, -2.5e17):
             assert float(fmt_g17(x)) == x
