@@ -41,6 +41,7 @@ from .linstab import (
 from .dynamics import (
     DecayFit,
     DecayFitError,
+    InitialDataError,
     PositivityError,
     StepSizeError,
     Trajectory,

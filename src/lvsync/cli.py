@@ -29,12 +29,14 @@ import sys
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .dynamics import (
+    InitialDataError,
     PositivityError,
     StepSizeError,
     decay_rate,
@@ -54,10 +56,13 @@ from .grid import (
 )
 from .linstab import (
     DEGENERATE_WARN_BAND,
+    ThetaHalf,
     degenerate_distance,
     inconclusive_report,
+    mode_ratios,
     s_parameter,
     stability_report_dict,
+    theta_half,
     verify_theorem,
     write_eigentable_csv,
 )
@@ -411,13 +416,28 @@ def cmd_evolve(cfg: RunConfig, out: Path, grid: Grid, a, a_field: Field) -> int:
     return EXIT_OK
 
 
-def _sweep_job(job: RunConfig) -> dict:
-    """One verify job; returns the deterministic record plus wall time."""
+def _sweep_shared(group: list[RunConfig]) -> ThetaHalf | None:
+    """θ and the a - 2θ family of one (a, n) group of jobs, solved once for
+    all of them; the family is skipped if every job is on the degenerate
+    locus, which solves its own. None on a failure outside the solvers, so
+    that each job meets and records it itself."""
+    job = group[0]
+    try:
+        grid = Grid(Domain(job.kind, job.extents, job.resolution))
+        solve_two = not all(mode_ratios(j.b, j.c)[2] for j in group)
+        return theta_half(Field.constant(grid, job.a), grid, job.k, job.tol, solve_two)
+    except Exception:
+        return None
+
+
+def _sweep_job(job: RunConfig, shared: ThetaHalf | None) -> dict:
+    """One verify job on its group's shared half; returns the deterministic
+    record plus the job's own wall time."""
     t0 = time.perf_counter()
     params = ModelParams(a=job.a, b=job.b, c=job.c)
     try:
         grid = Grid(Domain(job.kind, job.extents, job.resolution))
-        report = verify_theorem(params, grid, job.k, tol=job.tol)
+        report = verify_theorem(params, grid, job.k, tol=job.tol, shared=shared)
     except Exception as exc:  # any failure becomes an inconclusive record
         report = inconclusive_report(params, job.k, f"job failure: {exc}")
     record = {
@@ -448,11 +468,18 @@ def cmd_sweep(cfg: RunConfig, out: Path, jobs: list[RunConfig]) -> int:
     if near_degenerate:
         print(f"note: {near_degenerate} job(s) in the degenerate-locus band")
 
-    if cfg.workers > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            outputs = list(pool.map(_sweep_job, jobs))
-    else:
-        outputs = [_sweep_job(job) for job in jobs]
+    # θ and the a - 2θ family depend on (a, n) only: one shared half per
+    # group, solved where the jobs run, so that with a pool the solvers'
+    # memory stays out of this process
+    groups: dict[tuple, list[RunConfig]] = {}
+    for job in jobs:
+        groups.setdefault((job.a, job.resolution), []).append(job)
+    pool_cm = ProcessPoolExecutor(max_workers=cfg.workers) if cfg.workers > 1 else nullcontext()
+    with pool_cm as pool:
+        run = map if pool is None else pool.map
+        shared = dict(zip(groups, run(_sweep_shared, groups.values())))
+        halves = [shared[job.a, job.resolution] for job in jobs]
+        outputs = list(run(_sweep_job, jobs, halves))
 
     records = [o["record"] for o in outputs]
     with open(out / "results.jsonl", "w") as fh:
@@ -595,7 +622,8 @@ def main(argv=None) -> int:
             print(f"subcritical: a <= lambda1 ~= {float(cfg.a) + exc.lambda1:.6g}",
                   file=sys.stderr)
         return EXIT_SUBCRITICAL
-    except (NewtonDivergenceError, EigenSolveError, StepSizeError, PositivityError) as exc:
+    except (NewtonDivergenceError, EigenSolveError, StepSizeError, PositivityError,
+            InitialDataError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

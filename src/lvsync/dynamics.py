@@ -33,6 +33,7 @@ __all__ = [
     "DecayFit",
     "StepSizeError",
     "PositivityError",
+    "InitialDataError",
     "DecayFitError",
     "evolve",
     "decay_rate",
@@ -48,6 +49,10 @@ TRANSIENT_FRACTION = 0.2
 
 class StepSizeError(ValueError):
     """dt violates the reaction step-size rule for the current state."""
+
+
+class InitialDataError(ValueError):
+    """Initial data with a negative or non-finite (NaN, ±inf) value."""
 
 
 class PositivityError(RuntimeError):
@@ -109,8 +114,9 @@ def evolve(
     """Integrate from nonnegative initial data until at least t_end - dt.
 
     States are stored at step 0, every store_every-th step, and the final
-    step. Raises StepSizeError when the admissibility rule fails for the
-    current state and PositivityError on genuine positivity loss.
+    step. Raises InitialDataError when u0 or v0 has a negative or
+    non-finite value, StepSizeError when the admissibility rule fails for
+    the current state and PositivityError on genuine positivity loss.
     """
     if u0.grid != v0.grid:
         raise GridMismatchError("u0 and v0 live on different grids")
@@ -120,8 +126,12 @@ def evolve(
     if int(store_every) < 1:
         raise ValueError("store_every must be a positive integer")
     store_every = int(store_every)
-    if u0.values.min() < 0 or v0.values.min() < 0:
-        raise ValueError("initial data must be nonnegative")
+    for name, w in (("u", u0.values), ("v", v0.values)):
+        bad = np.flatnonzero(~((w >= 0) & (w < np.inf)))  # NaN fails both comparisons
+        if bad.size:
+            raise InitialDataError(
+                f"initial data must be finite and nonnegative: {name}[{bad[0]}] = {w[bad[0]]:.3e}"
+            )
 
     from .grid import _laplacian
 

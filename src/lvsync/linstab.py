@@ -40,10 +40,10 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .elliptic import SubcriticalError, NewtonDivergenceError, solve_logistic
+from .elliptic import LogisticSolution, NewtonDivergenceError, SubcriticalError, solve_logistic
 from .grid import Field, Grid, GridMismatchError, assemble_operator, fmt_g17
 from .model import ModelParams, ratio_coefficients, synchronized_state
-from .spectral import DEFAULT_TOL, EigenPair, EigenSolveError, eigenpairs
+from .spectral import DEFAULT_TOL, EigenPair, EigenSolveError, Spectrum, eigenpairs
 
 __all__ = [
     "CoupledJacobian",
@@ -53,6 +53,8 @@ __all__ = [
     "degenerate_distance",
     "coupled_eigenpairs",
     "predicted_spectrum",
+    "ThetaHalf",
+    "theta_half",
     "verify_theorem",
     "ansatz_coefficients",
     "ansatz_residual",
@@ -199,7 +201,8 @@ def coupled_eigenpairs(
 
 
 def predicted_spectrum(
-    grid: Grid, a: Field, theta: Field, b: float, c: float, k: int, tol: float = DEFAULT_TOL
+    grid: Grid, a: Field, theta: Field, b: float, c: float, k: int, tol: float = DEFAULT_TOL,
+    two: Spectrum | None = None,
 ) -> tuple[list[tuple[float, str]], dict[str, "object"]]:
     """k smallest predicted coupled eigenvalues as (value, family) pairs.
 
@@ -209,6 +212,10 @@ def predicted_spectrum(
     union are found by merging min(k, N) values from each family, which is
     always enough. Also returns the scalar spectra keyed by family for
     reuse (eigenfunctions feed the direct ansatz checks).
+
+    two: the a - 2θ family with exactly min(k, N) values, already solved
+    (it does not depend on b and c); solved here when None. It is not used
+    on the degenerate locus, which solves its own (k+1)//2 values.
     """
     n = grid.size
     _, _, degenerate = mode_ratios(b, c)
@@ -222,8 +229,12 @@ def predicted_spectrum(
         return tagged[:k], spectra
 
     kk = min(k, n)
+    if two is not None and len(two.pairs) != kk:
+        raise ValueError(f"the a - 2θ family holds {len(two.pairs)} values, {kk} needed")
     spec1 = eigenpairs(assemble_operator(grid, a - s1 * theta), kk, tol)
-    spec2 = eigenpairs(assemble_operator(grid, a - 2.0 * theta), kk, tol)
+    spec2 = two
+    if spec2 is None:
+        spec2 = eigenpairs(assemble_operator(grid, a - 2.0 * theta), kk, tol)
     spectra["s1"] = spec1
     spectra["two"] = spec2
     tagged = [(p.lam, "s1") for p in spec1.pairs] + [(p.lam, "two") for p in spec2.pairs]
@@ -311,8 +322,52 @@ def inconclusive_report(params: ModelParams, k: int, cause: str) -> StabilityRep
     )
 
 
+@dataclass(frozen=True)
+class ThetaHalf:
+    """The (b, c)-independent half of verify_theorem on one (a, grid).
+
+    θ solves Δθ + θ(a - θ) = 0 and the a - 2θ family is one of the two
+    predicted families; neither depends on b or c, so a (b, c) sweep
+    solves them once per (a, grid) and hands them to every job. `two` is
+    None when it was not asked for or its solve failed: each job then
+    solves it itself, as verify_theorem alone does. `cause` is the
+    inconclusive cause every job gets when the logistic solve failed, and
+    then `logistic` is None.
+    """
+
+    logistic: LogisticSolution | None
+    two: Spectrum | None
+    cause: str | None
+
+
+def theta_half(
+    a: Field, grid: Grid, k: int, tol: float = DEFAULT_TOL, solve_two: bool = True
+) -> ThetaHalf:
+    """Solve θ for growth rate a and, if `solve_two`, the min(2k, N) smallest
+    values of the a - 2θ family that verify_theorem(…, k) predicts from.
+
+    Solver failures of the logistic solve become the cause verify_theorem
+    reports; a failed a - 2θ solve leaves `two` None.
+    """
+    try:
+        logistic = solve_logistic(grid, a, tol=tol)
+    except SubcriticalError as exc:
+        return ThetaHalf(None, None, f"no positive steady state: {exc}")
+    except (NewtonDivergenceError, EigenSolveError) as exc:
+        return ThetaHalf(None, None, f"solver failure: {exc}")
+    spec2 = None
+    if solve_two:
+        weight = logistic.a - 2.0 * logistic.theta
+        try:
+            spec2 = eigenpairs(assemble_operator(grid, weight), min(2 * k, grid.size), tol)
+        except EigenSolveError:
+            pass  # each job repeats the solve and reports the failure as its own
+    return ThetaHalf(logistic, spec2, None)
+
+
 def verify_theorem(
-    params: ModelParams, grid: Grid, k: int, tol: float = DEFAULT_TOL
+    params: ModelParams, grid: Grid, k: int, tol: float = DEFAULT_TOL,
+    shared: ThetaHalf | None = None,
 ) -> StabilityReport:
     """Full stability verification pipeline at the synchronized steady state.
 
@@ -321,22 +376,35 @@ def verify_theorem(
     against the union of the two predicted scalar families. Solver failures
     (including a subcritical growth rate) yield verdict "inconclusive" with
     a cause instead of propagating.
+
+    shared: the (b, c)-independent half, theta_half(a, grid, k, tol) for
+    this params.a, taken instead of solved; a sweep solves one per (a,
+    grid) for all its jobs. Without it, θ is solved here and the a - 2θ
+    family after the a - s₁θ family. The report is bit-identical either
+    way: the shared family is the same min(2k, N)-value solve, and the
+    degenerate locus always solves its own k values.
     """
     b, c = params.b, params.c
     s1 = s_parameter(b, c)
     z1, z2, degenerate = mode_ratios(b, c)
     band = degenerate_distance(b, c) <= DEGENERATE_WARN_BAND
 
+    a = params.a_field(grid)
+    if shared is None:
+        shared = theta_half(a, grid, k, tol, solve_two=False)
+    if shared.logistic is None:
+        return inconclusive_report(params, k, shared.cause)
+    logistic = shared.logistic
+    if not np.array_equal(logistic.a.values, a.values):
+        raise ValueError("the shared θ was solved for a different growth rate")
     try:
-        logistic = solve_logistic(grid, params.a_field(grid), tol=tol)
         steady = synchronized_state(params, logistic)
         J = CoupledJacobian(grid, steady.u, steady.v, params)
-        a = logistic.a
-        predicted, _ = predicted_spectrum(grid, a, logistic.theta, b, c, 2 * k, tol=tol)
+        predicted, _ = predicted_spectrum(
+            grid, logistic.a, logistic.theta, b, c, 2 * k, tol=tol, two=shared.two
+        )
         coupled_vals, coupled_vecs = coupled_eigenpairs(J, 2 * k, tol=tol)
-    except SubcriticalError as exc:
-        return inconclusive_report(params, k, f"no positive steady state: {exc}")
-    except (NewtonDivergenceError, EigenSolveError) as exc:
+    except EigenSolveError as exc:
         return inconclusive_report(params, k, f"solver failure: {exc}")
 
     pred_vals = np.array([p[0] for p in predicted])

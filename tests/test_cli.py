@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 from pathlib import Path
@@ -208,6 +209,16 @@ class TestEvolve:
         err = capsys.readouterr().err
         assert err.startswith("solver failure: dt = 1.000e+01 too large")
 
+    def test_negative_initial_data_exits_1(self, tmp_path, capsys):
+        # the perturbation outweighs the steady state near the boundary
+        code = run("evolve", "--domain", "rectangle:1:1", "--n", "20,20", "--a", "25",
+                   "--b", "0.5", "--c", "1", "--dt", "2e-3", "--t-end", "1",
+                   "--amplitude", "0.5", "--out", str(tmp_path / "o"))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("solver failure: initial data must be finite and nonnegative: u[")
+        assert err.count("\n") == 1
+
 
 class TestSweep:
     def test_mini_sweep(self, tmp_path):
@@ -246,10 +257,10 @@ class TestSweep:
 
         verify = lvsync.cli.verify_theorem
 
-        def failing_verify(params, grid, k, tol):
+        def failing_verify(params, grid, k, tol, shared):
             if params.b == 0.3:
                 raise RuntimeError("injected")
-            return verify(params, grid, k, tol=tol)
+            return verify(params, grid, k, tol=tol, shared=shared)
 
         monkeypatch.setattr(lvsync.cli, "verify_theorem", failing_verify)
         out = tmp_path / "o"
@@ -261,6 +272,49 @@ class TestSweep:
         assert failed["cause"].startswith("job failure:")
         assert ok["verdict"] == "stable"
         assert failed.keys() == ok.keys()
+
+    # b=0.4, c=2 lies on the degenerate locus, a=0.5 is subcritical
+    ORACLE_ARGS = ("sweep", "--domain", "interval:0:pi", "--n", "40", "--k", "3",
+                   "--sweep-a", "0.5,2", "--sweep-n", "40,60", "--sweep-b", "0.4,0.7",
+                   "--sweep-c", "1,2")
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_shared_half_matches_per_job_verify(self, tmp_path, workers):
+        from lvsync import Domain, Grid, ModelParams, verify_theorem
+
+        out = tmp_path / "o"
+        assert run(*self.ORACLE_ARGS, "--workers", workers, "--out", str(out)) == 0
+        expected = []
+        for a, b, c, n in itertools.product((0.5, 2.0), (0.4, 0.7), (1.0, 2.0), (40, 60)):
+            grid = Grid(Domain("interval", (math.pi,), (n,)))
+            report = verify_theorem(ModelParams(a=a, b=b, c=c), grid, 3, tol=1e-10)
+            expected.append(json.dumps({
+                "a": a, "b": b, "c": c, "resolution": n,
+                "s": report.s_value, "degenerate": report.degenerate,
+                "degenerate_band": report.band_warning, "mu1": report.mu1,
+                "max_rel_mismatch": report.max_rel_mismatch, "max_imag": report.max_imag,
+                "verdict": report.verdict, "cause": report.cause,
+            }, sort_keys=True))
+        assert (out / "results.jsonl").read_text().splitlines() == expected
+        records = [json.loads(line) for line in expected]
+        assert sum(r["degenerate"] for r in records) == 4
+        assert {r["verdict"] for r in records if r["a"] == 0.5} == {"inconclusive"}
+        assert {r["verdict"] for r in records if r["a"] == 2.0} == {"stable"}
+
+    def test_theta_solved_once_per_a_and_n(self, tmp_path, monkeypatch):
+        import lvsync.linstab
+
+        solve = lvsync.linstab.solve_logistic
+        calls = []
+
+        def counting_solve(grid, a, **kwargs):
+            calls.append((float(a.values[0]), grid.size))
+            return solve(grid, a, **kwargs)
+
+        monkeypatch.setattr(lvsync.linstab, "solve_logistic", counting_solve)
+        code = run(*self.ORACLE_ARGS, "--workers", "1", "--out", str(tmp_path / "o"))
+        assert code == 0
+        assert calls == [(0.5, 40), (0.5, 60), (2.0, 40), (2.0, 60)]
 
     def test_failed_jobs_recorded_inconclusive(self, tmp_path):
         out = tmp_path / "o"

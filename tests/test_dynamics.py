@@ -11,6 +11,7 @@ from lvsync import (
     Domain,
     Field,
     Grid,
+    InitialDataError,
     ModelParams,
     PositivityError,
     StepSizeError,
@@ -123,6 +124,16 @@ class TestEvolve:
         bad = Field(g, -0.1 * np.ones(g.size))
         with pytest.raises(ValueError, match="nonnegative"):
             evolve(bad, Field.constant(g, 0.0), params, dt=1e-3, t_end=0.1)
+
+    @pytest.mark.parametrize("species, node, value", [("u", 7, np.nan), ("v", 0, np.inf),
+                                                      ("v", 19, -np.inf)])
+    def test_non_finite_initial_data_rejected(self, species, node, value):
+        g = grid1d(20)
+        params = ModelParams(a=2.0, b=0.5, c=1.0)
+        w = {"u": np.ones(g.size), "v": np.ones(g.size)}
+        w[species][node] = value
+        with pytest.raises(InitialDataError, match=rf"nonnegative: {species}\[{node}\] = "):
+            evolve(Field(g, w["u"]), Field(g, w["v"]), params, dt=1e-3, t_end=0.01)
 
     def test_step_size_rule_enforced(self, steady200, params_default):
         with pytest.raises(StepSizeError, match="too large"):

@@ -32,6 +32,7 @@ from lvsync.linstab import (
     degenerate_distance,
     predicted_spectrum,
     stability_report_dict,
+    theta_half,
     write_eigentable_csv,
 )
 from lvsync.model import ratio_coefficients
@@ -339,6 +340,19 @@ class TestVerifyTheorem:
         report = verify_theorem(ModelParams(a=0.5, b=0.5, c=1.0), grid200, 3, tol=1e-10)
         assert report.verdict == "inconclusive"
         assert "no positive steady state" in report.cause
+
+    def test_shared_half_must_match_a_and_k(self):
+        g = grid1d(40)
+        params = ModelParams(a=2.0, b=0.5, c=1.0)
+        shared = theta_half(Field.constant(g, 2.0), g, 3, tol=1e-10)
+        assert len(shared.two.pairs) == 6
+        assert verify_theorem(params, g, 3, tol=1e-10, shared=shared) == verify_theorem(
+            params, g, 3, tol=1e-10
+        )
+        with pytest.raises(ValueError, match="different growth rate"):
+            verify_theorem(ModelParams(a=3.0, b=0.5, c=1.0), g, 3, tol=1e-10, shared=shared)
+        with pytest.raises(ValueError, match="6 values, 4 needed"):
+            verify_theorem(params, g, 2, tol=1e-10, shared=shared)
 
     def test_randomized_stability_positivity(self):
         # Theorem-level property: every valid supercritical sample is stable
