@@ -13,14 +13,14 @@ import math
 import time
 
 import numpy as np
+import scipy.linalg as sla
 
 from lvsync import (
     Domain,
     Field,
     Grid,
     ModelParams,
-    assemble_operator,
-    eigenpairs,
+    WeightedOperator,
     interpolate,
     solve_logistic,
     synchronized_state,
@@ -51,8 +51,8 @@ def main():
     g = grid1d(400)
     sol = solve_logistic(g, 2.0, tol=1e-10)
     s1 = s_parameter(0.5, 1.0)
-    spec = eigenpairs(assemble_operator(g, sol.a - s1 * sol.theta), 10, tol=1e-10, method="dense")
-    for i, lam in enumerate(spec.values):
+    op = WeightedOperator(g, sol.a - s1 * sol.theta)
+    for i, lam in enumerate(sla.eigh((-op.matrix).toarray(), eigvals_only=True)[:10]):
         print(f"  lambda[{i}] = {lam:.15f}")
 
     print("\n== steady-state identity error, b~U(0.01,0.99), c~U(0.05,4), seed 20260810, n=1000 ==")
@@ -112,7 +112,7 @@ def main():
         sol = solve_logistic(g, a, tol=1e-10)
         from lvsync import principal_eigenpair
 
-        lam = principal_eigenpair(assemble_operator(g, sol.a - sol.theta), tol=1e-10).lam
+        lam = principal_eigenpair(WeightedOperator(g, sol.a - sol.theta), tol=1e-10).lam
         print(f"  a={a}: lambda1(a - theta_a) = {lam:+.3e}")
 
 

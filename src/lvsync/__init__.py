@@ -8,7 +8,6 @@ from .grid import (
     Grid,
     GridMismatchError,
     WeightedOperator,
-    assemble_operator,
     interpolate,
     l2_inner,
     l2_norm,

@@ -25,6 +25,7 @@ import dataclasses
 import itertools
 import json
 import math
+import os
 import sys
 import time
 from collections import Counter
@@ -46,11 +47,11 @@ from .dynamics import (
 )
 from .elliptic import NewtonDivergenceError, SubcriticalError, solve_logistic
 from .grid import (
-    _KIND_NDIM,
+    KIND_NDIM,
     Domain,
     Field,
     Grid,
-    assemble_operator,
+    WeightedOperator,
     field_from_csv,
     write_field_csv,
 )
@@ -131,7 +132,7 @@ def parse_domain(spec: str) -> tuple[str, tuple]:
     """'interval:0:pi' / 'interval:pi' / 'rectangle:0:1:0:2' / 'rectangle:1:2'."""
     kind, *parts = spec.split(":")
     vals = [_parse_number(p) for p in parts]
-    ndim = _KIND_NDIM.get(kind)
+    ndim = KIND_NDIM.get(kind)
     if ndim and len(vals) == ndim:
         return kind, tuple(vals)
     if ndim and len(vals) == 2 * ndim:
@@ -334,7 +335,7 @@ def cmd_steady(cfg: RunConfig, out: Path, grid: Grid, a, a_field: Field) -> int:
 
 
 def cmd_spectrum(cfg: RunConfig, out: Path, grid: Grid, a, a_field: Field) -> int:
-    spec = eigenpairs(assemble_operator(grid, a_field), cfg.k, tol=cfg.tol)
+    spec = eigenpairs(WeightedOperator(grid, a_field), cfg.k, tol=cfg.tol)
     if cfg.format == "csv":
         write_spectrum_csv(spec, out / "spectrum.csv")
     else:
@@ -392,10 +393,10 @@ def cmd_evolve(cfg: RunConfig, out: Path, grid: Grid, a, a_field: Field) -> int:
     s1 = s_parameter(cfg.b, cfg.c)
     eig_tol = max(cfg.tol, 1e-8)
     lam_s1 = principal_eigenpair(
-        assemble_operator(grid, sol.a - s1 * sol.theta), tol=eig_tol
+        WeightedOperator(grid, sol.a - s1 * sol.theta), tol=eig_tol
     ).lam
     lam_2 = principal_eigenpair(
-        assemble_operator(grid, sol.a - 2.0 * sol.theta), tol=eig_tol
+        WeightedOperator(grid, sol.a - 2.0 * sol.theta), tol=eig_tol
     ).lam
     mu1 = min(lam_s1, lam_2)
     try:
@@ -474,7 +475,9 @@ def cmd_sweep(cfg: RunConfig, out: Path, jobs: list[RunConfig]) -> int:
     groups: dict[tuple, list[RunConfig]] = {}
     for job in jobs:
         groups.setdefault((job.a, job.resolution), []).append(job)
-    pool_cm = ProcessPoolExecutor(max_workers=cfg.workers) if cfg.workers > 1 else nullcontext()
+    # the pool starts every worker at once: never more than jobs or cores
+    workers = min(cfg.workers, len(jobs), os.cpu_count() or 1)
+    pool_cm = ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext()
     with pool_cm as pool:
         run = map if pool is None else pool.map
         shared = dict(zip(groups, run(_sweep_shared, groups.values())))

@@ -25,7 +25,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .grid import Field, GridMismatchError, fmt_g17, l2_norm
+from .grid import Field, GridMismatchError, fmt_g17, l2_norm, laplacian
 from .model import ModelParams, SteadyState
 
 __all__ = [
@@ -80,7 +80,6 @@ class Trajectory:
     states: tuple[tuple[Field, Field], ...]
     params: ModelParams
     dt: float
-    method: str = "imex_euler"
 
 
 @dataclass(frozen=True)
@@ -133,9 +132,7 @@ def evolve(
                 f"initial data must be finite and nonnegative: {name}[{bad[0]}] = {w[bad[0]]:.3e}"
             )
 
-    from .grid import _laplacian
-
-    lap = _laplacian(grid.domain)
+    lap = laplacian(grid.domain)
     n = grid.size
     solver = spla.splu((sp.identity(n, format="csr") - dt * lap).tocsc())
 

@@ -19,7 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .grid import Field, Grid, GridMismatchError, assemble_operator, l2_norm
+from .grid import Field, Grid, GridMismatchError, WeightedOperator, l2_norm, laplacian
 from .spectral import DEFAULT_TOL, principal_eigenpair
 
 __all__ = [
@@ -76,7 +76,7 @@ def _as_field(grid: Grid, a) -> Field:
 def logistic_residual(theta: Field, a) -> float:
     """L2 norm of the discrete residual Δθ + θ(a - θ)."""
     a = _as_field(theta.grid, a)
-    op = assemble_operator(theta.grid, a - theta)
+    op = WeightedOperator(theta.grid, a - theta)
     return l2_norm(op.apply(theta))
 
 
@@ -98,9 +98,7 @@ def _newton(
     hitting the damping floor is a hard failure. Without it (uniqueness
     probe), iterates may roam through zero and sign changes.
     """
-    from .grid import _laplacian  # shared cached stencil
-
-    lap = _laplacian(grid.domain)
+    lap = laplacian(grid.domain)
     vol = np.sqrt(grid.cell_volume)
     theta = theta0.copy()
     res = float(np.linalg.norm(_residual_vec(lap, theta, a_vals)) * vol)
@@ -155,7 +153,7 @@ def solve_logistic(
     # eigen tolerance fixed at 1e-7: the gate needs the sign and rough size
     # of lambda1, and the residual floor eps*h^-2 rules out tighter demands
     # on fine oracle grids
-    op_a = assemble_operator(grid, a)
+    op_a = WeightedOperator(grid, a)
     gate = principal_eigenpair(op_a, tol=1e-7)
     lam1 = gate.lam
     if lam1 >= 0:
@@ -263,7 +261,7 @@ def uniqueness_probe(
         amax = 1.0
 
     starts: list[np.ndarray] = []
-    phi1 = principal_eigenpair(assemble_operator(grid, a), tol=1e-7).phi
+    phi1 = principal_eigenpair(WeightedOperator(grid, a), tol=1e-7).phi
     starts.append(phi1.values * (0.5 * amax / phi1.values.max()))
     n_const = max(0, (n_starts - 1) // 2)
     for j in range(n_const):

@@ -28,7 +28,8 @@ __all__ = [
     "Field",
     "WeightedOperator",
     "GridMismatchError",
-    "assemble_operator",
+    "KIND_NDIM",
+    "laplacian",
     "l2_norm",
     "l2_inner",
     "interpolate",
@@ -38,7 +39,7 @@ __all__ = [
     "fmt_g17",
 ]
 
-_KIND_NDIM = {"interval": 1, "rectangle": 2}
+KIND_NDIM = {"interval": 1, "rectangle": 2}
 
 
 class GridMismatchError(ValueError):
@@ -63,11 +64,11 @@ class Domain:
     resolution: tuple[int, ...]
 
     def __post_init__(self):
-        if self.kind not in _KIND_NDIM:
+        if self.kind not in KIND_NDIM:
             raise ValueError(f"unknown domain kind {self.kind!r}")
         object.__setattr__(self, "extents", tuple(float(e) for e in self.extents))
         object.__setattr__(self, "resolution", tuple(int(n) for n in self.resolution))
-        ndim = _KIND_NDIM[self.kind]
+        ndim = KIND_NDIM[self.kind]
         if len(self.extents) != ndim or len(self.resolution) != ndim:
             raise ValueError(
                 f"{self.kind} domain needs {ndim} extent(s) and resolution(s), "
@@ -80,7 +81,7 @@ class Domain:
 
     @property
     def ndim(self) -> int:
-        return _KIND_NDIM[self.kind]
+        return KIND_NDIM[self.kind]
 
 
 class Grid:
@@ -230,7 +231,7 @@ class Field:
 
 
 @lru_cache(maxsize=32)
-def _laplacian(domain: Domain) -> sp.csr_matrix:
+def laplacian(domain: Domain) -> sp.csr_matrix:
     """Discrete Dirichlet Laplacian (negative definite), cached per domain."""
     mats = []
     for h, n in zip(
@@ -257,9 +258,7 @@ class WeightedOperator:
     """Discrete Δ + diag(m) with structural Dirichlet boundary.
 
     The Laplacian and the weight are stored separately; `matrix` materializes
-    their sum on demand. `shifted(m0)` rebuilds from weight+m0 so that
-    assemble_operator(g, m + m0) and assemble_operator(g, m).shifted(m0)
-    produce bitwise-identical matrices.
+    their sum on demand.
     """
 
     __slots__ = ("grid", "weight", "_matrix")
@@ -275,14 +274,10 @@ class WeightedOperator:
     def matrix(self) -> sp.csr_matrix:
         """Sparse symmetric matrix of Δ + diag(weight)."""
         if self._matrix is None:
-            m = (_laplacian(self.grid.domain) + sp.diags(self.weight.values)).tocsr()
+            m = (laplacian(self.grid.domain) + sp.diags(self.weight.values)).tocsr()
             m.sort_indices()
             self._matrix = m
         return self._matrix
-
-    def shifted(self, m0: float) -> "WeightedOperator":
-        """Operator with weight + m0 (exact diagonal shift by construction)."""
-        return WeightedOperator(self.grid, self.weight + float(m0))
 
     def apply(self, f: Field) -> Field:
         _check_same_grid(self, f)
@@ -290,13 +285,6 @@ class WeightedOperator:
 
     def __repr__(self) -> str:
         return f"WeightedOperator({self.grid!r})"
-
-
-def assemble_operator(grid: Grid, weight: Field) -> WeightedOperator:
-    """Discrete Δ + diag(weight) on the interior nodes of grid."""
-    if weight.grid != grid:
-        raise GridMismatchError("weight lives on a different grid")
-    return WeightedOperator(grid, weight)
 
 
 def l2_norm(f: Field) -> float:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, GridMismatchError, assemble_operator, l2_norm
+from .grid import Field, GridMismatchError, WeightedOperator, l2_norm
 from .elliptic import LogisticSolution
 
 __all__ = [
@@ -111,8 +111,8 @@ def system_residual(u: Field, v: Field, params: ModelParams) -> tuple[float, flo
     if u.grid != v.grid:
         raise GridMismatchError("u and v live on different grids")
     a = params.a_field(u.grid)
-    r_u = assemble_operator(u.grid, a - u - params.b * v).apply(u)
-    r_v = assemble_operator(u.grid, a - v + params.c * u).apply(v)
+    r_u = WeightedOperator(u.grid, a - u - params.b * v).apply(u)
+    r_v = WeightedOperator(u.grid, a - v + params.c * u).apply(v)
     return l2_norm(r_u), l2_norm(r_v)
 
 

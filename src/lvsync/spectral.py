@@ -18,14 +18,17 @@ operator and in the refinement that re-evaluates every eigenvalue through
 the shifted inverse. The Lanczos start vector is a fixed seeded Gaussian
 (SCALAR_START_SEED), so results are reproducible run to run.
 
-Dense LAPACK ``eigh`` is the test oracle (``method="dense"``). It is also
-the fallback for k >= n - 1, where ARPACK cannot return (nearly) the whole
-spectrum.
+Dense LAPACK ``eigh`` runs only for k >= n - 1, where ARPACK cannot return
+(nearly) the whole spectrum; elsewhere it is the tests' oracle.
+
+Every eigenpair this package returns, scalar or coupled, passes one gate,
+`check_residuals`: its L2 residual must not exceed tol * max(1, |λ|).
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +36,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .grid import Field, WeightedOperator, fmt_g17
+from .grid import Field, Grid, WeightedOperator, fmt_g17
 
 __all__ = [
     "EigenPair",
@@ -42,6 +45,7 @@ __all__ = [
     "principal_eigenpair",
     "eigenpairs",
     "write_spectrum_csv",
+    "check_residuals",
     "DEFAULT_TOL",
 ]
 
@@ -55,6 +59,26 @@ class EigenSolveError(RuntimeError):
     def __init__(self, message: str, last_residual: float | None = None):
         super().__init__(message)
         self.last_residual = last_residual
+
+
+def check_residuals(
+    A: sp.spmatrix, values: np.ndarray, vectors: np.ndarray, grid: Grid, tol: float,
+    what: str = "eigenpair",
+) -> list[float]:
+    """Discrete L2 residual ‖A x_j - λ_j x_j‖ of each pair (values[j],
+    vectors[:, j]), one norm per vector; raises EigenSolveError for the
+    first pair whose residual exceeds tol * max(1, |λ_j|)."""
+    scale = math.sqrt(grid.cell_volume)
+    residuals = []
+    for j, lam in enumerate(values):
+        vec = vectors[:, j]
+        res = float(np.linalg.norm(A @ vec - lam * vec) * scale)
+        if res > tol * max(1.0, abs(lam)):
+            raise EigenSolveError(
+                f"{what} {j} residual {res:.3e} exceeds tol {tol:.1e}", last_residual=res
+            )
+        residuals.append(res)
+    return residuals
 
 
 @dataclass(frozen=True)
@@ -107,31 +131,25 @@ def principal_eigenpair(op: WeightedOperator, tol: float = DEFAULT_TOL) -> Eigen
     return pair
 
 
-def eigenpairs(
-    op: WeightedOperator, k: int, tol: float = DEFAULT_TOL, method: str = "shift_invert"
-) -> Spectrum:
+def eigenpairs(op: WeightedOperator, k: int, tol: float = DEFAULT_TOL) -> Spectrum:
     """k smallest eigenpairs of -(Δ + diag(m)), ascending, L2-orthonormal.
 
-    method: "shift_invert" (ARPACK eigsh, the production route) or "dense"
-    (LAPACK eigh, the test oracle). k >= n - 1 always runs dense, since
+    ARPACK eigsh in shift-invert mode; k >= n - 1 runs LAPACK eigh, since
     ARPACK cannot. Either way the eigenvalues are refined through the
-    shifted inverse and every residual is checked against
-    tol * max(1, |λ|); a failed check raises EigenSolveError.
+    shifted inverse and every pair passes check_residuals.
     """
     n = op.grid.size
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if method not in ("shift_invert", "dense"):
-        raise ValueError(f"unknown method {method!r}")
     A = (-op.matrix).tocsr()
     # the Rayleigh quotient of -(Δ+m) is bounded below by -max(m), so this
     # shift keeps A - sigma*I positive definite
     sigma = -float(op.weight.values.max()) - 1.0
     lu = spla.splu((A - sigma * sp.identity(n, format="csr")).tocsc())
 
-    if method == "dense" or k >= n - 1:
+    if k >= n - 1:
         w, V = sla.eigh(A.toarray())
         w, V = w[:k], V[:, :k]
     else:
@@ -142,20 +160,13 @@ def eigenpairs(
 
     # normalize in the discrete L2 norm and fix signs
     scale = 1.0 / np.sqrt(op.grid.cell_volume)
-    pairs = []
-    for j in range(k):
-        vec = _sign_normalize(V[:, j]) * scale
-        phi = Field(op.grid, vec)
-        res = float(
-            np.linalg.norm(A @ vec - w[j] * vec) * np.sqrt(op.grid.cell_volume)
-        )
-        if res > tol * max(1.0, abs(w[j])):
-            raise EigenSolveError(
-                f"eigenpair {j} residual {res:.3e} exceeds tol {tol:.1e}",
-                last_residual=res,
-            )
-        pairs.append(EigenPair(lam=float(w[j]), phi=phi, residual=res))
-    return Spectrum(pairs=tuple(pairs), weight=op.weight, tol=tol)
+    V = np.column_stack([_sign_normalize(V[:, j]) * scale for j in range(k)])
+    residuals = check_residuals(A, w, V, op.grid, tol)
+    pairs = tuple(
+        EigenPair(lam=float(w[j]), phi=Field(op.grid, V[:, j]), residual=residuals[j])
+        for j in range(k)
+    )
+    return Spectrum(pairs=pairs, weight=op.weight, tol=tol)
 
 
 def _refine_through_inverse(

@@ -30,7 +30,7 @@ from lvsync import (
     Field,
     Grid,
     ModelParams,
-    assemble_operator,
+    WeightedOperator,
     decay_rate,
     eigenpairs,
     evolve,
@@ -43,7 +43,7 @@ from lvsync import (
     verify_theorem,
 )
 from lvsync.cli import main as cli_main
-from lvsync.grid import _laplacian
+from lvsync.grid import laplacian
 from lvsync.linstab import (
     ansatz_coefficients,
     ansatz_residual,
@@ -77,7 +77,7 @@ def coupled12(grid200, steady200, params_default):
 
 @pytest.fixture(scope="module")
 def scalar_s1_six(grid200, theta200):
-    op = assemble_operator(grid200, theta200.a - S1_DEFAULT * theta200.theta)
+    op = WeightedOperator(grid200, theta200.a - S1_DEFAULT * theta200.theta)
     return eigenpairs(op, 6, tol=1e-10)
 
 
@@ -180,7 +180,7 @@ def test_criterion_3_degenerate_case(grid200):
     J = CoupledJacobian(grid200, steady.u, steady.v, params)
     vals, vecs = coupled_eigenpairs(J, 12, tol=1e-10)
     scalar = eigenpairs(
-        assemble_operator(grid200, sol.a - 2.0 * sol.theta), 6, tol=1e-10
+        WeightedOperator(grid200, sol.a - 2.0 * sol.theta), 6, tol=1e-10
     ).values
     predicted = np.repeat(scalar, 2)
     rel = np.abs(np.sort(vals.real) - predicted) / predicted
@@ -190,7 +190,7 @@ def test_criterion_3_degenerate_case(grid200):
     means_ok = (np.abs(pair_means - scalar) / scalar).max() <= 1e-8
 
     # reduction xi = (2c+1)phi - psi lands in the a-2*theta eigenspace (or 0)
-    M2 = _laplacian(grid200.domain) + sp.diags(sol.a.values - 2.0 * sol.theta.values)
+    M2 = laplacian(grid200.domain) + sp.diags(sol.a.values - 2.0 * sol.theta.values)
     scale = math.sqrt(grid200.cell_volume)
     worst_red = 0.0
     for j in range(vals.size):
@@ -259,7 +259,7 @@ def test_criterion_6_scalar_infrastructure():
         g = grid1d(n)
         h = g.spacing[0]
         k = min(5, n)
-        spec = eigenpairs(assemble_operator(g, Field.constant(g, 0.0)), k, tol=1e-10)
+        spec = eigenpairs(WeightedOperator(g, Field.constant(g, 0.0)), k, tol=1e-10)
         for j in range(k):
             exact = (4.0 / h**2) * math.sin((j + 1) * h / 2.0) ** 2
             closed_ok &= abs(spec.values[j] - exact) / exact <= 1e-12
@@ -271,7 +271,7 @@ def test_criterion_6_scalar_infrastructure():
     for a in (1.5, 2.0, 5.0):
         sol = solve_logistic(g400, a, tol=1e-10)
         lam = principal_eigenpair(
-            assemble_operator(g400, sol.a - sol.theta), tol=1e-9
+            WeightedOperator(g400, sol.a - sol.theta), tol=1e-9
         ).lam
         zero_worst = max(zero_worst, abs(lam))
         zero_ok &= abs(lam) <= 1e-8
@@ -283,8 +283,8 @@ def test_criterion_6_scalar_infrastructure():
     for _ in range(50):
         m1 = rng.uniform(-2.0, 2.0, size=g.size)
         m2 = m1 + rng.uniform(0.0, 1.5, size=g.size)
-        s1 = eigenpairs(assemble_operator(g, Field(g, m1)), 3, tol=1e-10).values
-        s2 = eigenpairs(assemble_operator(g, Field(g, m2)), 3, tol=1e-10).values
+        s1 = eigenpairs(WeightedOperator(g, Field(g, m1)), 3, tol=1e-10).values
+        s2 = eigenpairs(WeightedOperator(g, Field(g, m2)), 3, tol=1e-10).values
         mono_ok &= bool(np.all(s1 >= s2 - 1e-10)) and s1[0] > s2[0]
 
     ok = closed_ok and zero_ok and mono_ok
@@ -337,7 +337,7 @@ def test_criterion_9_grid_convergence():
     for n in (100, 200, 400, 800):
         g = grid1d(n)
         lam_err[n] = abs(
-            principal_eigenpair(assemble_operator(g, Field.constant(g, 0.0)), tol=1e-8).lam
+            principal_eigenpair(WeightedOperator(g, Field.constant(g, 0.0)), tol=1e-8).lam
             - 1.0
         )
         sol = solve_logistic(g, 2.0, tol=1e-9)

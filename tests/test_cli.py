@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -244,6 +245,33 @@ class TestSweep:
         assert run(*args, "--workers", "1", "--out", str(out1)) == 0
         assert run(*args, "--workers", "2", "--out", str(out2)) == 0
         assert (out1 / "results.jsonl").read_bytes() == (out2 / "results.jsonl").read_bytes()
+
+    def test_pool_capped_at_job_count(self, tmp_path, monkeypatch):
+        import lvsync.cli
+
+        seen = []
+
+        class InProcessPool:  # records the pool size, starts no process
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(lvsync.cli, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        out = tmp_path / "o"
+        code = run("sweep", "--domain", "interval:0:pi", "--n", "40", "--a", "2", "--k", "2",
+                   "--sweep-b", "0.3,0.5", "--workers", "2000", "--out", str(out))
+        assert code == 0
+        assert seen == [2]
+        assert len((out / "results.jsonl").read_text().splitlines()) == 2
 
     def test_empty_axis_errors(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -15,13 +15,12 @@ from lvsync import (
     ModelParams,
     PositivityError,
     StepSizeError,
-    assemble_operator,
     decay_rate,
     evolve,
     random_perturbation,
 )
 from lvsync.dynamics import Trajectory, state_distance, write_trajectory_csv
-from lvsync.grid import _laplacian
+from lvsync.grid import laplacian
 from lvsync.linstab import ansatz_coefficients, predicted_spectrum
 
 
@@ -43,7 +42,7 @@ def sub_trajectory(traj, t0, t1):
 def two_solve_evolve(u0, v0, params, dt, t_end, store_every=1):
     """Reference IMEX loop: one solve and one positivity check per species."""
     grid = u0.grid
-    lhs = sp.identity(grid.size, format="csr") - dt * _laplacian(grid.domain)
+    lhs = sp.identity(grid.size, format="csr") - dt * laplacian(grid.domain)
     solver = spla.splu(lhs.tocsc())
     a = params.a_field(grid).values
     a_max = float(np.abs(a).max())

@@ -8,7 +8,7 @@ from lvsync import (
     Field,
     Grid,
     SubcriticalError,
-    assemble_operator,
+    WeightedOperator,
     interpolate,
     logistic_residual,
     principal_eigenpair,
@@ -72,7 +72,7 @@ class TestSolveLogistic:
         for a in (1.5, 2.0, 5.0):
             sol = solve_logistic(g, a, tol=1e-10)
             lam = principal_eigenpair(
-                assemble_operator(g, sol.a - 2.0 * sol.theta), tol=1e-9
+                WeightedOperator(g, sol.a - 2.0 * sol.theta), tol=1e-9
             ).lam
             assert lam > 0.0
 

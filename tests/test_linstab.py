@@ -14,7 +14,7 @@ from lvsync import (
     Field,
     Grid,
     ModelParams,
-    assemble_operator,
+    WeightedOperator,
     eigenpairs,
     mode_ratios,
     s_parameter,
@@ -22,7 +22,7 @@ from lvsync import (
     synchronized_state,
     verify_theorem,
 )
-from lvsync.grid import _laplacian
+from lvsync.grid import laplacian
 from lvsync.linstab import (
     DEGENERATE_TOL,
     ansatz_coefficients,
@@ -102,7 +102,7 @@ class TestJacobianAssembly:
         params = ModelParams(a=2.0, b=0.5, c=1.0)
         zero = Field.constant(g, 0.0)
         J = CoupledJacobian(g, zero, zero, params).matrix.toarray()
-        block = (_laplacian(g.domain) + sp.diags(np.full(g.size, 2.0))).toarray()
+        block = (laplacian(g.domain) + sp.diags(np.full(g.size, 2.0))).toarray()
         n = g.size
         assert np.array_equal(J[:n, :n], block)
         assert np.array_equal(J[n:, n:], block)
@@ -115,10 +115,37 @@ class TestJacobianAssembly:
         zero = Field.constant(g, 0.0)
         J = CoupledJacobian(g, zero, zero, params)
         mus = coupled_eigenpairs(J, 4, tol=1e-10)[0]
-        scalar = eigenpairs(assemble_operator(g, Field.constant(g, 2.0)), 2, tol=1e-10).values
+        scalar = eigenpairs(WeightedOperator(g, Field.constant(g, 2.0)), 2, tol=1e-10).values
         expected = np.repeat(scalar, 2)
         assert np.allclose([m.real for m in mus], expected, atol=1e-10)
         assert mus[0].real == pytest.approx(-1.0, abs=1e-3)  # unstable origin
+
+    @pytest.mark.parametrize(
+        "domain, a",
+        [
+            (Domain("interval", (math.pi,), (60,)), 2.0),
+            (Domain("rectangle", (math.pi, 2.0), (9, 7)), 4.0),
+        ],
+        ids=["1d", "2d"],
+    )
+    def test_kron_assembly_equals_block_matrix(self, domain, a):
+        # kron(I2, lap) + three diagonals against the 2x2 block layout of
+        # the module docstring, entry for entry at the synchronized state
+        g = Grid(domain)
+        params = ModelParams(a=a, b=0.3, c=1.7)
+        steady = synchronized_state(params, solve_logistic(g, a, tol=1e-10))
+        u, v = steady.u.values, steady.v.values
+        lap = laplacian(g.domain)
+        blocks = sp.bmat(
+            [
+                [lap + sp.diags(a - 2.0 * u - params.b * v), sp.diags(-params.b * u)],
+                [sp.diags(params.c * v), lap + sp.diags(a - 2.0 * v + params.c * u)],
+            ],
+            format="csr",
+        )
+        J = CoupledJacobian(g, steady.u, steady.v, params).matrix
+        assert J.shape == blocks.shape
+        assert (J != blocks).nnz == 0
 
     def test_offdiagonal_blocks_are_exact_diagonals(self, grid200, steady200, params_default):
         J = CoupledJacobian(grid200, steady200.u, steady200.v, params_default).matrix.toarray()
@@ -138,7 +165,7 @@ class TestJacobianAssembly:
         J = CoupledJacobian(grid200, steady200.u, steady200.v, params_default).matrix
         n = grid200.size
         alpha, beta = ratio_coefficients(params_default.b, params_default.c)
-        lap = _laplacian(grid200.domain)
+        lap = laplacian(grid200.domain)
         a_vals = theta200.a.values
         th = theta200.theta.values
         w1 = J[:n, :n].toarray() - lap.toarray()
@@ -192,12 +219,35 @@ class TestSpectralEquivalence:
         sol = solve_logistic(g, a, tol=1e-10)
         steady = synchronized_state(params, sol)
         J = CoupledJacobian(g, steady.u, steady.v, params)
-        dense, _ = coupled_eigenpairs(J, k, tol=1e-10, method="dense")
-        arnoldi, _ = coupled_eigenpairs(J, k, tol=1e-10, method="shift_invert")
-        assert np.allclose(arnoldi.real, dense.real, rtol=1e-8)
+        arnoldi, _ = coupled_eigenpairs(J, k, tol=1e-10)
         # independent oracle: raw LAPACK on the negated block matrix
-        raw = np.sort_complex(sla.eigvals((-J.matrix).toarray()))
-        assert np.allclose(dense.real, np.sort(raw.real)[:k], rtol=1e-9)
+        dense = np.sort(sla.eigvals((-J.matrix).toarray()).real)[:k]
+        assert np.allclose(arnoldi.real, dense, rtol=1e-8)
+
+    def test_dense_route_for_nearly_the_whole_spectrum(self):
+        # k >= 2N - 1 is beyond ARPACK and takes the LAPACK route, gated alike
+        g = grid1d(10)
+        params = ModelParams(a=2.0, b=0.5, c=1.0)
+        steady = synchronized_state(params, solve_logistic(g, 2.0, tol=1e-10))
+        J = CoupledJacobian(g, steady.u, steady.v, params)
+        oracle = sla.eigvals((-J.matrix).toarray())
+        oracle = oracle[np.lexsort((oracle.imag, oracle.real))]
+        for k in (2 * g.size - 1, 2 * g.size):
+            vals, vecs = coupled_eigenpairs(J, k, tol=1e-10)
+            assert vecs.shape == (2 * g.size, k)
+            assert np.allclose(vals, oracle[:k], rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("n, k", [(10, 7), (14, 12)], ids=["10x10", "14x14"])
+    def test_zero_state_window_edge_cuts_no_copy(self, n, k):
+        # I2 x (lap + a) on the square makes the (i,j)/(j,i) eigenvalues
+        # fourfold; k cuts the window inside such a cluster, and an Arnoldi
+        # solve for exactly k values returns one copy short
+        g = Grid(Domain("rectangle", (math.pi, math.pi), (n, n)))
+        zero = Field.constant(g, 0.0)
+        J = CoupledJacobian(g, zero, zero, ModelParams(a=4.0, b=0.5, c=1.0))
+        arnoldi, _ = coupled_eigenpairs(J, k, tol=1e-10)
+        dense = np.sort(sla.eigvals((-J.matrix).toarray()).real)[:k]
+        assert np.allclose(arnoldi.real, dense, rtol=1e-8)
 
     def test_degenerate_locus_spectrum_duplicated(self):
         g = grid1d(150)
@@ -207,7 +257,7 @@ class TestSpectralEquivalence:
         J = CoupledJacobian(g, steady.u, steady.v, params)
         mus, _ = coupled_eigenpairs(J, 8, tol=1e-10)
         scalar = eigenpairs(
-            assemble_operator(g, sol.a - 2.0 * sol.theta), 4, tol=1e-10
+            WeightedOperator(g, sol.a - 2.0 * sol.theta), 4, tol=1e-10
         ).values
         coupled = np.sort(mus.real)
         # defective pairs split by ~sqrt(eps*||J||) in an uncontrolled
@@ -225,7 +275,7 @@ class TestSpectralEquivalence:
         steady = synchronized_state(params, sol)
         J = CoupledJacobian(g, steady.u, steady.v, params)
         vals, vecs = coupled_eigenpairs(J, 8, tol=1e-10)
-        M2 = _laplacian(g.domain) + sp.diags(sol.a.values - 2.0 * sol.theta.values)
+        M2 = laplacian(g.domain) + sp.diags(sol.a.values - 2.0 * sol.theta.values)
         scale = math.sqrt(g.cell_volume)
         for j in range(len(vals)):
             xi = component_projection(vecs[:, j], 2.0 * c + 1.0, -1.0, g)
@@ -241,7 +291,7 @@ class TestSpectralEquivalence:
         J = CoupledJacobian(grid200, steady200.u, steady200.v, params_default)
         vals, vecs = coupled_eigenpairs(J, 6, tol=1e-10)
         s1 = s_parameter(b, c)
-        lap = _laplacian(grid200.domain)
+        lap = laplacian(grid200.domain)
         m_s1 = lap + sp.diags(theta200.a.values - s1 * theta200.theta.values)
         m_2 = lap + sp.diags(theta200.a.values - 2.0 * theta200.theta.values)
         scale = math.sqrt(grid200.cell_volume)
@@ -281,7 +331,7 @@ class TestVerifyTheorem:
         # mu1 equals the principal eigenvalue of the s1 weight here (s1 < 2)
         s1 = s_parameter(0.5, 1.0)
         lam = eigenpairs(
-            assemble_operator(grid200, theta200.a - s1 * theta200.theta), 1, tol=1e-10
+            WeightedOperator(grid200, theta200.a - s1 * theta200.theta), 1, tol=1e-10
         ).values[0]
         assert report200.mu1 == pytest.approx(lam, abs=1e-9)
         assert len(report200.coupled_eigs) == 12

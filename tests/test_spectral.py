@@ -10,7 +10,7 @@ from lvsync import (
     Domain,
     Field,
     Grid,
-    assemble_operator,
+    WeightedOperator,
     eigenpairs,
     l2_inner,
     l2_norm,
@@ -18,7 +18,7 @@ from lvsync import (
 )
 from lvsync.spectral import EigenSolveError
 
-# dense-solver oracle values for the weight a - s1*theta (a=2, b=0.5, c=1,
+# dense LAPACK oracle values for the weight a - s1*theta (a=2, b=0.5, c=1,
 # (0,pi), n=400), regenerated by scripts/make_goldens.py
 GOLDEN_WEIGHTED_EIGS_N400 = [
     0.661519298109555,
@@ -44,7 +44,7 @@ def lap_eig_1d(k, h, L):
 
 def zero_weight_op(n):
     g = grid1d(n)
-    return assemble_operator(g, Field.constant(g, 0.0)), g
+    return WeightedOperator(g, Field.constant(g, 0.0)), g
 
 
 class TestPrincipal:
@@ -63,7 +63,7 @@ class TestPrincipal:
         lam0 = principal_eigenpair(op, tol=1e-10).lam
         m0 = 0.75
         lam_shift = principal_eigenpair(
-            assemble_operator(g, Field.constant(g, m0)), tol=1e-10
+            WeightedOperator(g, Field.constant(g, m0)), tol=1e-10
         ).lam
         assert lam_shift == pytest.approx(lam0 - m0, abs=1e-12)
 
@@ -71,23 +71,24 @@ class TestPrincipal:
         rng = np.random.default_rng(5)
         for _ in range(5):
             g = grid1d(60)
-            op = assemble_operator(g, Field(g, rng.uniform(-2, 2, size=g.size)))
+            op = WeightedOperator(g, Field(g, rng.uniform(-2, 2, size=g.size)))
             pair = principal_eigenpair(op, tol=1e-10)
             assert pair.phi.values.min() > 0.0
 
     def test_zero_eigenvalue_at_logistic_weight(self, grid400, theta400):
         # theta solves the weighted problem exactly at the discrete level
-        op = assemble_operator(grid400, theta400.a - theta400.theta)
+        op = WeightedOperator(grid400, theta400.a - theta400.theta)
         pair = principal_eigenpair(op, tol=1e-10)
         assert abs(pair.lam) <= 1e-8
 
 
 class TestEigenpairs:
-    @pytest.mark.parametrize("method", ["dense", "shift_invert"])
-    def test_zero_weight_first_five(self, method):
+    # k >= n - 1 takes the dense LAPACK route, smaller k the ARPACK one
+    @pytest.mark.parametrize("k", [399, 5], ids=["dense", "shift_invert"])
+    def test_zero_weight_first_five(self, k):
         op, g = zero_weight_op(400)
         h = g.spacing[0]
-        spec = eigenpairs(op, 5, tol=1e-10, method=method)
+        spec = eigenpairs(op, k, tol=1e-10)
         for j in range(5):
             exact = lap_eig_1d(j + 1, h, math.pi)
             assert abs(spec.values[j] - exact) / exact <= 1e-12
@@ -95,20 +96,23 @@ class TestEigenpairs:
     def test_k1_matches_principal(self):
         g = grid1d(90)
         rng = np.random.default_rng(2)
-        op = assemble_operator(g, Field(g, rng.uniform(-1, 1, size=g.size)))
+        op = WeightedOperator(g, Field(g, rng.uniform(-1, 1, size=g.size)))
         lam_a = principal_eigenpair(op, tol=1e-10).lam
         lam_b = eigenpairs(op, 1, tol=1e-10).values[0]
         assert lam_a == pytest.approx(lam_b, abs=1e-10)
 
-    @pytest.mark.parametrize("method", ["dense", "shift_invert"])
-    def test_golden_weighted_spectrum(self, method, grid400, theta400):
+    @pytest.mark.parametrize("route", ["dense", "shift_invert"])
+    def test_golden_weighted_spectrum(self, route, grid400, theta400):
         s1 = 5.0 / 3.0
-        op = assemble_operator(grid400, theta400.a - s1 * theta400.theta)
-        spec = eigenpairs(op, 10, tol=1e-10, method=method)
-        assert np.allclose(spec.values, GOLDEN_WEIGHTED_EIGS_N400, rtol=1e-9)
+        op = WeightedOperator(grid400, theta400.a - s1 * theta400.theta)
+        if route == "dense":  # the LAPACK oracle the golden values come from
+            values = sla.eigvalsh((-op.matrix).toarray())[:10]
+        else:
+            values = eigenpairs(op, 10, tol=1e-10).values
+        assert np.allclose(values, GOLDEN_WEIGHTED_EIGS_N400, rtol=1e-9)
 
     def test_orthonormality_and_residuals(self, grid400, theta400):
-        op = assemble_operator(grid400, theta400.a - 2.0 * theta400.theta)
+        op = WeightedOperator(grid400, theta400.a - 2.0 * theta400.theta)
         spec = eigenpairs(op, 6, tol=1e-10)
         for i, p in enumerate(spec.pairs):
             assert abs(l2_norm(p.phi) - 1.0) <= 1e-12
@@ -135,7 +139,7 @@ class TestEigenpairs:
     def test_2d_square_degenerate_cluster(self):
         g = Grid(Domain("rectangle", (1.0, 1.0), (20, 20)))
         h = g.spacing[0]
-        spec = eigenpairs(assemble_operator(g, Field.constant(g, 0.0)), 6, tol=1e-9)
+        spec = eigenpairs(WeightedOperator(g, Field.constant(g, 0.0)), 6, tol=1e-9)
         exact = sorted(
             lap_eig_1d(j, h, 1.0) + lap_eig_1d(k, h, 1.0)
             for j in range(1, 8)
@@ -164,8 +168,8 @@ class TestMonotonicityAndConvergence:
         m1 = rng.uniform(-2.0, 2.0, size=g.size)
         gap = rng.uniform(0.0, 1.5, size=g.size)
         m2 = m1 + gap
-        spec1 = eigenpairs(assemble_operator(g, Field(g, m1)), 4, tol=1e-10)
-        spec2 = eigenpairs(assemble_operator(g, Field(g, m2)), 4, tol=1e-10)
+        spec1 = eigenpairs(WeightedOperator(g, Field(g, m1)), 4, tol=1e-10)
+        spec2 = eigenpairs(WeightedOperator(g, Field(g, m2)), 4, tol=1e-10)
         assert np.all(spec1.values >= spec2.values - 1e-10)
         if gap.max() > 1e-8:
             assert spec1.values[0] > spec2.values[0]
@@ -181,7 +185,7 @@ class TestMonotonicityAndConvergence:
     def test_iterative_matches_dense_oracle(self):
         rng = np.random.default_rng(19)
         g = grid1d(90)
-        op = assemble_operator(g, Field(g, rng.uniform(-3, 3, size=g.size)))
-        spec_it = eigenpairs(op, 6, tol=1e-10, method="shift_invert")
+        op = WeightedOperator(g, Field(g, rng.uniform(-3, 3, size=g.size)))
+        spec_it = eigenpairs(op, 6, tol=1e-10)
         dense_oracle = np.sort(sla.eigvalsh((-op.matrix).toarray()))[:6]
         assert np.allclose(spec_it.values, dense_oracle, rtol=1e-9, atol=1e-9)
