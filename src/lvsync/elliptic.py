@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .grid import Field, Grid, GridMismatchError, WeightedOperator, l2_norm, laplacian
@@ -34,6 +33,8 @@ __all__ = [
 
 MAX_NEWTON = 60
 MAX_HALVINGS = 30
+# uniqueness_probe: positive limits closer than this (max norm) are one solution
+DISTINCT_TOL = 1e-6
 
 
 class SubcriticalError(ValueError):
@@ -80,7 +81,7 @@ def logistic_residual(theta: Field, a) -> float:
     return l2_norm(op.apply(theta))
 
 
-def _residual_vec(lap: sp.spmatrix, theta: np.ndarray, a: np.ndarray) -> np.ndarray:
+def _residual_vec(lap, theta: np.ndarray, a: np.ndarray) -> np.ndarray:
     return lap @ theta + theta * (a - theta)
 
 
@@ -90,9 +91,8 @@ def _newton(
     theta0: np.ndarray,
     tol: float,
     enforce_positive: bool,
-    max_iter: int = MAX_NEWTON,
-) -> tuple[np.ndarray, float, int, list[float]]:
-    """Damped Newton on the logistic residual. Returns (theta, res, iters, trace).
+) -> tuple[np.ndarray, float, int]:
+    """Damped Newton on the logistic residual. Returns (theta, res, iters).
 
     With enforce_positive, steps that drive any node nonpositive are damped;
     hitting the damping floor is a hard failure. Without it (uniqueness
@@ -103,10 +103,10 @@ def _newton(
     theta = theta0.copy()
     res = float(np.linalg.norm(_residual_vec(lap, theta, a_vals)) * vol)
     trace = [res]
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_NEWTON + 1):
         if res <= tol:
-            return theta, res, it - 1, trace
-        J = (lap + sp.diags(a_vals - 2.0 * theta)).tocsc()
+            return theta, res, it - 1
+        J = WeightedOperator(grid, Field(grid, a_vals - 2.0 * theta)).matrix.tocsc()
         try:
             delta = spla.splu(J).solve(-_residual_vec(lap, theta, a_vals))
         except RuntimeError as exc:  # singular Jacobian
@@ -128,23 +128,17 @@ def _newton(
             )
         trace.append(res)
     if res <= tol:
-        return theta, res, max_iter, trace
-    raise NewtonDivergenceError(f"Newton did not converge in {max_iter} iterations", trace)
+        return theta, res, MAX_NEWTON
+    raise NewtonDivergenceError(f"Newton did not converge in {MAX_NEWTON} iterations", trace)
 
 
-def solve_logistic(
-    grid: Grid,
-    a,
-    tol: float = DEFAULT_TOL,
-    initial: Field | None = None,
-    a_sequence=None,
-) -> LogisticSolution:
+def solve_logistic(grid: Grid, a, tol: float = DEFAULT_TOL) -> LogisticSolution:
     """Unique positive steady state of the diffusive logistic equation.
 
-    a may be a constant or a Field on grid. a_sequence optionally lists
-    intermediate growth rates solved in order with warm starts (continuation
-    for stiff cases). Raises SubcriticalError when λ1(a) >= 0 and
-    NewtonDivergenceError with the residual trace on failure.
+    a may be a constant or a Field on grid. Newton starts from the principal
+    eigenfunction of Δ + a scaled to half of max a and, only if that run
+    fails, from the constant max a. Raises SubcriticalError when λ1(a) >= 0
+    and NewtonDivergenceError with the residual trace on failure.
     """
     a = _as_field(grid, a)
     if tol <= 0:
@@ -153,55 +147,31 @@ def solve_logistic(
     # eigen tolerance fixed at 1e-7: the gate needs the sign and rough size
     # of lambda1, and the residual floor eps*h^-2 rules out tighter demands
     # on fine oracle grids
-    op_a = WeightedOperator(grid, a)
-    gate = principal_eigenpair(op_a, tol=1e-7)
-    lam1 = gate.lam
-    if lam1 >= 0:
-        raise SubcriticalError(lam1)
+    gate = principal_eigenpair(WeightedOperator(grid, a), tol=1e-7)
+    if gate.lam >= 0:
+        raise SubcriticalError(gate.lam)
 
-    stages = [_as_field(grid, s) for s in (a_sequence or [])]
-    stages.append(a)
-
-    def run_stages(theta0: np.ndarray) -> tuple[np.ndarray, float, int]:
-        theta, res, total = theta0, np.inf, 0
-        prev_max = stages[0].max()
-        for stage in stages:
-            # amplitude-matched warm start: theta_a scales roughly linearly
-            # in a, and an unscaled hand-off can leave the Newton basin
-            if stage.max() != prev_max:
-                theta = theta * (stage.max() / prev_max)
-            prev_max = stage.max()
-            theta, res, iters, _ = _newton(
-                grid, stage.values, theta, tol, enforce_positive=True
+    def newton_from(start: np.ndarray) -> tuple[np.ndarray, float, int]:
+        theta, res, iters = _newton(grid, a.values, start, tol, enforce_positive=True)
+        if theta.max() <= 1e-6 * max(1.0, a.max()):
+            # zero solves the equation too; silently returning it would
+            # be misleading for a supercritical growth rate
+            raise NewtonDivergenceError(
+                "Newton collapsed to the trivial zero solution", [res]
             )
-            total += iters
-            if theta.max() <= 1e-6 * max(1.0, stage.max()):
-                # zero solves the equation too; silently returning it would
-                # be misleading for a supercritical growth rate
-                raise NewtonDivergenceError(
-                    "Newton collapsed to the trivial zero solution", [res]
-                )
-        return theta, res, total
+        return theta, res, iters
 
-    if initial is not None:
-        if initial.grid != grid:
-            raise GridMismatchError("initial guess lives on a different grid")
-        theta, res, iters_total = run_stages(initial.values.copy())
-    else:
-        # default start: principal eigenfunction of Δ + a, scaled to half the
-        # first stage's max growth rate
-        phi1 = gate.phi
-        start = phi1.values * (0.5 * stages[0].max() / phi1.values.max())
-        try:
-            theta, res, iters_total = run_stages(start)
-        except NewtonDivergenceError:
-            # the eigenfunction start is heuristic and can stall for large a
-            # on coarse grids; the constant max(a) field is a discrete
-            # supersolution, and for this concave reaction Newton descends
-            # from it monotonically
-            theta, res, iters_total = run_stages(
-                np.full(grid.size, stages[0].max())
-            )
+    # default start: principal eigenfunction of Δ + a, scaled to half the
+    # max growth rate
+    phi1 = gate.phi
+    try:
+        theta, res, iters = newton_from(phi1.values * (0.5 * a.max() / phi1.values.max()))
+    except NewtonDivergenceError:
+        # the eigenfunction start is heuristic and can stall for large a
+        # on coarse grids; the constant max(a) field is a discrete
+        # supersolution, and for this concave reaction Newton descends
+        # from it monotonically
+        theta, res, iters = newton_from(np.full(grid.size, a.max()))
 
     if theta.min() <= 0.0:
         raise NewtonDivergenceError("converged iterate is not strictly positive", [res])
@@ -215,8 +185,8 @@ def solve_logistic(
         theta=Field(grid, theta),
         a=a,
         residual_norm=res,
-        newton_iterations=iters_total,
-        lambda1_of_a=lam1,
+        newton_iterations=iters,
+        lambda1_of_a=gate.lam,
     )
 
 
@@ -242,7 +212,6 @@ def uniqueness_probe(
     n_starts: int,
     tol: float = DEFAULT_TOL,
     seed: int = 0,
-    distinct_tol: float = 1e-6,
 ) -> UniquenessReport:
     """Run Newton from diverse positive starts and report distinct positive limits.
 
@@ -273,7 +242,7 @@ def uniqueness_probe(
     n_zero = n_sign = n_fail = n_pos = 0
     for s in starts:
         try:
-            theta, _, _, _ = _newton(grid, a.values, s, tol, enforce_positive=False)
+            theta, _, _ = _newton(grid, a.values, s, tol, enforce_positive=False)
         except NewtonDivergenceError:
             n_fail += 1
             continue
@@ -282,7 +251,7 @@ def uniqueness_probe(
         elif theta.min() > 0.0:
             n_pos += 1
             if not any(
-                np.max(np.abs(theta - d)) <= distinct_tol for d in distinct
+                np.max(np.abs(theta - d)) <= DISTINCT_TOL for d in distinct
             ):
                 distinct.append(theta)
         else:

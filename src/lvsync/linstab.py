@@ -403,20 +403,14 @@ def verify_theorem(
     # eigenvalues clustered with the other family (mixed eigenspaces)
     ratio_errors: list[float] = []
     if not degenerate:
-        fam_vals: dict[str, list[float]] = {"s1": [], "two": []}
-        for v, f in predicted:
-            fam_vals[f].append(v)
+        families = [pred_vals[[f == fam for f in pred_fams]] for fam in ("s1", "two")]
         n = grid.size
         for j in range(len(coupled_vals)):
             mu = coupled_vals[j]
             if abs(mu.imag) > 1e-8 * max(1.0, abs(mu.real)):
                 continue
-            home = _closest_family(mu.real, fam_vals)
-            other_gap = min(
-                (abs(mu.real - v) for f, vs in fam_vals.items() if f != home for v in vs),
-                default=np.inf,
-            )
-            if other_gap <= 1e-6 * max(1.0, abs(mu.real)):
+            near = 1e-6 * max(1.0, abs(mu.real))
+            if all(np.any(np.abs(mu.real - vs) <= near) for vs in families):
                 continue  # cross-family cluster: eigenspace may mix the ratios
             vec = coupled_vecs[:, j]
             if np.abs(vec.imag).max() > 1e-8 * np.abs(vec).max():
@@ -480,28 +474,14 @@ def _cluster_mismatch(coupled_re: np.ndarray, pred: np.ndarray) -> float:
     to the plain elementwise comparison.
     """
     floor = 1e-12 * max(1.0, float(np.abs(pred).max()))
+    # a cluster starts wherever the gap test fails (a NaN gap splits too)
+    joined = np.abs(np.diff(pred)) <= CLUSTER_GAP * np.maximum(1.0, np.abs(pred[1:]))
+    starts = np.flatnonzero(~joined) + 1
     worst = 0.0
-    i = 0
-    m = len(pred)
-    while i < m:
-        j = i + 1
-        while j < m and abs(pred[j] - pred[j - 1]) <= CLUSTER_GAP * max(1.0, abs(pred[j])):
-            j += 1
-        c_mean = float(np.mean(coupled_re[i:j]))
-        p_mean = float(np.mean(pred[i:j]))
-        worst = max(worst, abs(c_mean - p_mean) / max(abs(p_mean), floor))
-        i = j
+    for c_part, p_part in zip(np.split(coupled_re, starts), np.split(pred, starts)):
+        p_mean = float(np.mean(p_part))
+        worst = max(worst, abs(float(np.mean(c_part)) - p_mean) / max(abs(p_mean), floor))
     return worst
-
-
-def _closest_family(value: float, fam_vals: dict[str, list[float]]) -> str:
-    best, best_d = "s1", np.inf
-    for f, vs in fam_vals.items():
-        for v in vs:
-            d = abs(value - v)
-            if d < best_d:
-                best, best_d = f, d
-    return best
 
 
 def stability_report_dict(report: StabilityReport) -> dict:

@@ -102,18 +102,6 @@ class Spectrum:
     def values(self) -> np.ndarray:
         return np.array([p.lam for p in self.pairs])
 
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-    def __getitem__(self, i) -> EigenPair:
-        return self.pairs[i]
-
-
-def _sign_normalize(vec: np.ndarray) -> np.ndarray:
-    """Scale so the largest-magnitude entry is positive (deterministic sign)."""
-    i = int(np.argmax(np.abs(vec)))
-    return -vec if vec[i] < 0 else vec
-
 
 def principal_eigenpair(op: WeightedOperator, tol: float = DEFAULT_TOL) -> EigenPair:
     """Smallest eigenvalue of -(Δ + diag(m)) with its positive eigenfunction.
@@ -158,9 +146,11 @@ def eigenpairs(op: WeightedOperator, k: int, tol: float = DEFAULT_TOL) -> Spectr
         w, V = spla.eigsh(A, k, sigma=sigma, which="LM", OPinv=OPinv, v0=v0)
     w, V = _refine_through_inverse(lu, sigma, w, V)
 
-    # normalize in the discrete L2 norm and fix signs
+    # normalize in the discrete L2 norm and fix signs: the largest-magnitude
+    # entry of each column becomes positive (deterministic sign)
     scale = 1.0 / np.sqrt(op.grid.cell_volume)
-    V = np.column_stack([_sign_normalize(V[:, j]) * scale for j in range(k)])
+    peak = V[np.argmax(np.abs(V), axis=0), np.arange(k)]
+    V = V * np.where(peak < 0, -scale, scale)
     residuals = check_residuals(A, w, V, op.grid, tol)
     pairs = tuple(
         EigenPair(lam=float(w[j]), phi=Field(op.grid, V[:, j]), residual=residuals[j])

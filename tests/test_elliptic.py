@@ -7,6 +7,7 @@ from lvsync import (
     Domain,
     Field,
     Grid,
+    NewtonDivergenceError,
     SubcriticalError,
     WeightedOperator,
     interpolate,
@@ -83,16 +84,6 @@ class TestSolveLogistic:
         assert sol.theta.min() > 0.0
         assert logistic_residual(sol.theta, a) <= 1e-10
 
-    def test_continuation_matches_direct(self):
-        g = grid1d(120)
-        direct = solve_logistic(g, 5.0, tol=1e-10)
-        cont = solve_logistic(g, 5.0, tol=1e-10, a_sequence=[2.0, 3.5])
-        assert np.abs(direct.theta.values - cont.theta.values).max() <= 1e-8
-
-    def test_initial_guess_used(self, grid200, theta200):
-        warm = solve_logistic(grid200, 2.0, tol=1e-10, initial=theta200.theta)
-        assert warm.newton_iterations <= 2
-
     def test_grid_convergence_order(self):
         vals = {}
         for n in (100, 200, 400, 800):
@@ -103,6 +94,32 @@ class TestSolveLogistic:
         d3 = vals[400] - vals[800]
         for p in (math.log2(d1 / d2), math.log2(d2 / d3)):
             assert 1.8 <= p <= 2.2
+
+    def test_supersolution_start_after_eigenfunction_start_stalls(self, monkeypatch):
+        # a=60 on n=20: Newton from the scaled eigenfunction reaches its
+        # damping floor; the constant max(a) start converges
+        import lvsync.elliptic as elliptic
+
+        outcomes = []
+        newton = elliptic._newton
+
+        def recording_newton(grid, a_vals, theta0, tol, enforce_positive):
+            try:
+                result = newton(grid, a_vals, theta0, tol, enforce_positive)
+            except NewtonDivergenceError as exc:
+                outcomes.append((theta0.max(), str(exc)))
+                raise
+            outcomes.append((theta0.max(), result[2]))
+            return result
+
+        monkeypatch.setattr(elliptic, "_newton", recording_newton)
+        sol = solve_logistic(grid1d(20), 60.0, tol=1e-10)
+        assert [start for start, _ in outcomes] == [pytest.approx(30.0, rel=1e-12), 60.0]
+        assert "damping floor" in outcomes[0][1]
+        assert outcomes[1][1] == sol.newton_iterations == 5
+        assert sol.residual_norm <= 1e-10
+        assert logistic_residual(sol.theta, 60.0) <= 1e-10
+        assert 0.0 < sol.theta.min() and sol.theta.max() < 60.0
 
 
 class TestLogisticResidual:

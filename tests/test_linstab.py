@@ -24,7 +24,9 @@ from lvsync import (
 )
 from lvsync.grid import laplacian
 from lvsync.linstab import (
+    CLUSTER_GAP,
     DEGENERATE_TOL,
+    _cluster_mismatch,
     ansatz_coefficients,
     ansatz_residual,
     component_projection,
@@ -358,6 +360,18 @@ class TestVerifyTheorem:
         assert report.band_warning is True
         assert report.verdict == "stable"
 
+    @pytest.mark.parametrize("offset, n_ratio_errors", [(5e-5, 6), (1e-9, 0)])
+    def test_ratio_diagnostic_skips_cross_family_clusters(self, grid200, offset, n_ratio_errors):
+        # 1e-9 off the locus every coupled value has a predicted value of
+        # each family within 1e-6 relative, so no component ratio is fitted
+        c = 1.0
+        b = c / (2 * c + 1) + offset
+        report = verify_theorem(ModelParams(a=2.0, b=b, c=c), grid200, 3, tol=1e-10)
+        assert report.degenerate is False
+        assert report.band_warning is True
+        assert report.verdict == "stable"
+        assert len(report.ratio_errors) == n_ratio_errors
+
     def test_square_edge_pair_not_missed(self):
         # s1 = 3.73 puts one copy of the a-2θ family's exactly double
         # (2,3)/(3,2) eigenvalue at the edge of the 12 requested values
@@ -433,6 +447,20 @@ class TestVerifyTheorem:
         lines = path.read_text().splitlines()
         assert lines[0] == "i,coupled_re,coupled_im,predicted,rel_err"
         assert len(lines) == 1 + len(report200.coupled_eigs)
+
+    @pytest.mark.parametrize(
+        "pred, coupled, expected",
+        [
+            ([1.0, 2.0, 4.0], [1.0, 2.5, 4.0], 0.25),
+            ([2.0, 2.0 + 1e-7, 5.0], [1.5, 2.5 + 1e-7, 5.0], 0.0),
+            ([3.0, 3.0 + 2e-6, 3.0 + 4e-6], [2.9, 3.0 + 2e-6, 3.1 + 4e-6], 0.0),
+            ([1.0, 1.0 + 1.01 * CLUSTER_GAP], [1.0 + 1.01 * CLUSTER_GAP, 1.0], 1.01e-6),
+        ],
+        ids=["singletons", "pair-by-mean", "chain-of-three", "just-beyond-gap"],
+    )
+    def test_cluster_mismatch_table(self, pred, coupled, expected):
+        worst = _cluster_mismatch(np.array(coupled), np.array(pred))
+        assert worst == pytest.approx(expected, rel=1e-6, abs=1e-15)
 
     def test_degenerate_distance_helper(self):
         assert degenerate_distance(0.4, 2.0) <= DEGENERATE_TOL

@@ -151,6 +151,19 @@ class TestEigenpairs:
             for q in spec.pairs[i + 1 :]:
                 assert abs(l2_inner(p.phi, q.phi)) <= 1e-8
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="a single-vector Lanczos run can miss one copy of a multiple "
+        "eigenvalue: on the 14x14 square k=17 keeps three copies of the "
+        "fourfold 23.7936 and k=48 also drops a copy",
+    )
+    def test_square_multiple_eigenvalues_keep_every_copy(self):
+        g = Grid(Domain("rectangle", (math.pi, math.pi), (14, 14)))
+        op = WeightedOperator(g, Field.constant(g, 0.0))
+        dense = sla.eigvalsh((-op.matrix).toarray())
+        for k in (17, 46, 48):
+            np.testing.assert_allclose(eigenpairs(op, k).values, dense[:k], rtol=1e-8)
+
     def test_nonconvergence_raises_with_residual(self):
         # a tolerance below the rounding floor of the residual cannot be met
         op, _ = zero_weight_op(200)
