@@ -68,7 +68,13 @@ from .linstab import (
     write_eigentable_csv,
 )
 from .model import ModelParams, synchronized_state, system_residual
-from .spectral import EigenSolveError, eigenpairs, principal_eigenpair, write_spectrum_csv
+from .spectral import (
+    DEFAULT_TOL,
+    EigenSolveError,
+    eigenpairs,
+    principal_eigenpair,
+    write_spectrum_csv,
+)
 
 __all__ = ["main", "RunConfig"]
 
@@ -77,8 +83,9 @@ EXIT_ERROR = 1
 EXIT_SUBCRITICAL = 2
 
 SWEEP_AXES = ("a", "b", "c", "resolution")
-# accepted JSON types of the scalar RunConfig fields, by annotation
-_SCALAR_TYPES = {"bool": bool, "int": int, "float": (int, float), "str": str}
+# accepted JSON types of the scalar RunConfig fields, by annotation; exact
+# types, since bool is an int subclass but a boolean is not a number
+_SCALAR_TYPES = {"bool": (bool,), "int": (int,), "float": (int, float), "str": (str,)}
 
 
 class ConfigError(ValueError):
@@ -97,7 +104,7 @@ class RunConfig:
     a1: float = 0.5
     b: float = 0.5
     c: float = 1.0
-    tol: float = 1e-10
+    tol: float = DEFAULT_TOL
     k: int = 6
     dt: float = 1e-3
     t_end: float = 10.0
@@ -121,9 +128,16 @@ def _parse_number(tok: str) -> float:
         raise ConfigError(f"cannot parse number {tok!r} (use a float or 'pi')")
 
 
+def _as_float(value) -> float:
+    """A number as float; a JSON boolean is not a number."""
+    if isinstance(value, bool):
+        raise TypeError(f"{value!r} is not a number")
+    return float(value)
+
+
 def _as_int(value) -> int:
     """An integral number as int: a fractional value is rejected, not truncated."""
-    if int(value) != value:
+    if isinstance(value, bool) or int(value) != value:
         raise ValueError(f"{value!r} is not an integer")
     return int(value)
 
@@ -189,7 +203,7 @@ def build_growth_field(cfg: RunConfig, grid: Grid) -> tuple[object, Field]:
             raise ConfigError(f"cannot use growth-rate file {path}: {exc!r}")
         return fld, fld
     try:
-        val = float(a)
+        val = _as_float(a)
     except TypeError:
         raise ConfigError(f"cannot parse growth rate {a!r}")
     if not math.isfinite(val):
@@ -205,13 +219,13 @@ def _merge_config(file_cfg: dict, cli_overrides: dict) -> RunConfig:
             if key not in types:
                 raise ConfigError(f"unknown {label} option {key!r}")
             allowed = _SCALAR_TYPES.get(types[key])
-            if allowed and not isinstance(val, allowed):
+            if allowed and type(val) not in allowed:
                 raise ConfigError(f"{label} option {key!r} must be {types[key]}, got {val!r}")
             setattr(cfg, key, val)
     try:
-        cfg.extents = tuple(float(e) for e in cfg.extents)
+        cfg.extents = tuple(_as_float(e) for e in cfg.extents)
         cfg.resolution = tuple(_as_int(n) for n in cfg.resolution)
-        cfg.snapshot_times = tuple(float(t) for t in cfg.snapshot_times)
+        cfg.snapshot_times = tuple(_as_float(t) for t in cfg.snapshot_times)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad extents, resolution or snapshot_times: {exc}")
     if isinstance(cfg.a, str) and not cfg.a.startswith(("profile:", "file:")):
@@ -274,7 +288,7 @@ def _sweep_jobs(cfg: RunConfig, axes: dict) -> list[RunConfig]:
         if not vals:
             raise ConfigError(f"empty sweep: axis {name!r} has no values")
         try:
-            values.append([_as_int(v) if name == "resolution" else float(v) for v in vals])
+            values.append([_as_int(v) if name == "resolution" else _as_float(v) for v in vals])
         except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"sweep axis {name!r}: {exc}")
     jobs = []

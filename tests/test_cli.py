@@ -421,6 +421,14 @@ FIELD_100_NODES = "index,coord1,value\n" + "".join(f"{i},{i},2\n" for i in range
     pytest.param({}, ["steady", "--n", "20", "--c", "inf"], id="c-not-finite"),
     pytest.param({"a.csv": ""}, ["theta", "--n", "20", "--a", "file:{tmp}/a.csv"],
                  id="growth-file-empty"),
+    pytest.param({"cfg.json": '{"tol": true, "k": true}'}, ["verify", "--config", "{tmp}/cfg.json"],
+                 id="boolean-tol-and-k"),
+    pytest.param({"cfg.json": '{"a": true}'}, ["theta", "--config", "{tmp}/cfg.json"],
+                 id="boolean-growth-rate"),
+    pytest.param({"cfg.json": '{"axes": {"c": [true, 2]}}'}, ["sweep", "--config", "{tmp}/cfg.json"],
+                 id="boolean-sweep-axis-value"),
+    pytest.param({"cfg.json": '{"extents": [true]}'}, ["theta", "--config", "{tmp}/cfg.json"],
+                 id="boolean-extent"),
 ])
 def test_config_errors_exit_before_out_is_created(files, args, tmp_path, capsys):
     for name, text in files.items():
