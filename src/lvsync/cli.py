@@ -83,8 +83,7 @@ EXIT_ERROR = 1
 EXIT_SUBCRITICAL = 2
 
 SWEEP_AXES = ("a", "b", "c", "resolution")
-# accepted JSON types of the scalar RunConfig fields, by annotation; exact
-# types, since bool is an int subclass but a boolean is not a number
+# exact JSON types of the scalar RunConfig fields, by annotation: a bool is not a number
 _SCALAR_TYPES = {"bool": (bool,), "int": (int,), "float": (int, float), "str": (str,)}
 
 

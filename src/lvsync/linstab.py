@@ -479,8 +479,9 @@ def _cluster_mismatch(coupled_re: np.ndarray, pred: np.ndarray) -> float:
     starts = np.flatnonzero(~joined) + 1
     worst = 0.0
     for c_part, p_part in zip(np.split(coupled_re, starts), np.split(pred, starts)):
+        c_mean = float(np.mean(c_part))
         p_mean = float(np.mean(p_part))
-        worst = max(worst, abs(float(np.mean(c_part)) - p_mean) / max(abs(p_mean), floor))
+        worst = max(worst, abs(c_mean - p_mean) / max(abs(p_mean), floor))
     return worst
 
 

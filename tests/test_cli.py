@@ -425,8 +425,8 @@ FIELD_100_NODES = "index,coord1,value\n" + "".join(f"{i},{i},2\n" for i in range
                  id="boolean-tol-and-k"),
     pytest.param({"cfg.json": '{"a": true}'}, ["theta", "--config", "{tmp}/cfg.json"],
                  id="boolean-growth-rate"),
-    pytest.param({"cfg.json": '{"axes": {"c": [true, 2]}}'}, ["sweep", "--config", "{tmp}/cfg.json"],
-                 id="boolean-sweep-axis-value"),
+    pytest.param({"cfg.json": '{"axes": {"c": [true, 2]}}'},
+                 ["sweep", "--config", "{tmp}/cfg.json"], id="boolean-sweep-axis-value"),
     pytest.param({"cfg.json": '{"extents": [true]}'}, ["theta", "--config", "{tmp}/cfg.json"],
                  id="boolean-extent"),
 ])

@@ -353,24 +353,16 @@ class TestVerifyTheorem:
         assert report.s_value == pytest.approx(2.0, abs=4 * math.ulp(2.0))
 
     def test_band_warning_near_locus(self, grid200):
-        c = 1.0
-        b = c / (2 * c + 1) + 5e-5
-        report = verify_theorem(ModelParams(a=2.0, b=b, c=c), grid200, 3, tol=1e-10)
-        assert report.degenerate is False
-        assert report.band_warning is True
-        assert report.verdict == "stable"
-
-    @pytest.mark.parametrize("offset, n_ratio_errors", [(5e-5, 6), (1e-9, 0)])
-    def test_ratio_diagnostic_skips_cross_family_clusters(self, grid200, offset, n_ratio_errors):
         # 1e-9 off the locus every coupled value has a predicted value of
         # each family within 1e-6 relative, so no component ratio is fitted
         c = 1.0
-        b = c / (2 * c + 1) + offset
-        report = verify_theorem(ModelParams(a=2.0, b=b, c=c), grid200, 3, tol=1e-10)
-        assert report.degenerate is False
-        assert report.band_warning is True
-        assert report.verdict == "stable"
-        assert len(report.ratio_errors) == n_ratio_errors
+        for offset, n_ratio_errors in ((5e-5, 6), (1e-9, 0)):
+            b = c / (2 * c + 1) + offset
+            report = verify_theorem(ModelParams(a=2.0, b=b, c=c), grid200, 3, tol=1e-10)
+            assert report.degenerate is False
+            assert report.band_warning is True
+            assert report.verdict == "stable"
+            assert len(report.ratio_errors) == n_ratio_errors
 
     def test_square_edge_pair_not_missed(self):
         # s1 = 3.73 puts one copy of the a-2θ family's exactly double
@@ -461,6 +453,31 @@ class TestVerifyTheorem:
     def test_cluster_mismatch_table(self, pred, coupled, expected):
         worst = _cluster_mismatch(np.array(coupled), np.array(pred))
         assert worst == pytest.approx(expected, rel=1e-6, abs=1e-15)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_cluster_mismatch_equals_loop_reference(self, seed):
+        # the element-by-element cluster walk, kept as the reference: the
+        # same means over the same pieces, so the results must be equal
+        def reference(coupled_re, pred):
+            floor = 1e-12 * max(1.0, float(np.abs(pred).max()))
+            worst, i, m = 0.0, 0, len(pred)
+            while i < m:
+                j = i + 1
+                while j < m and abs(pred[j] - pred[j - 1]) <= CLUSTER_GAP * max(1.0, abs(pred[j])):
+                    j += 1
+                c_mean = float(np.mean(coupled_re[i:j]))
+                p_mean = float(np.mean(pred[i:j]))
+                worst = max(worst, abs(c_mean - p_mean) / max(abs(p_mean), floor))
+                i = j
+            return worst
+
+        rng = np.random.default_rng(seed)
+        # steps of 0 to 3 cluster gaps build singletons, pairs and chains
+        steps = rng.integers(0, 4, size=12) * rng.uniform(0.5, 1.5, size=12) * CLUSTER_GAP
+        pred = 1.0 + np.cumsum(steps)
+        coupled = pred * (1.0 + 1e-7 * rng.standard_normal(12))
+        assert _cluster_mismatch(coupled, pred) == reference(coupled, pred)
 
     def test_degenerate_distance_helper(self):
         assert degenerate_distance(0.4, 2.0) <= DEGENERATE_TOL
