@@ -3,10 +3,11 @@
     u_t = Δu + u(a - u - bv),    v_t = Δv + v(a - v + cu),
 
 with zero Dirichlet boundary and nonnegative initial data. The scheme is
-first-order IMEX: diffusion implicit (one cached factorization, one sparse
-solve per step on the stacked (N,2) state [u v]), reaction explicit. Because
-the implicit part is linear, any discrete steady state is an exact fixed
-point of the scheme up to solver roundoff.
+first-order IMEX: diffusion implicit (one `grid.factorize` LU of
+I - dt·Δ per run, one sparse solve per step on the stacked (N,2) state
+[u v]), reaction explicit. Because the implicit part is linear, any
+discrete steady state is an exact fixed point of the scheme up to solver
+roundoff.
 
 Positivity: (I - dt·Δ_h) is an M-matrix, so its inverse is nonnegative;
 under the step-size rule dt·(max|a| + 2·max(u,v)·(1+b+c)) <= 1/2 the
@@ -23,9 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
-from .grid import Field, GridMismatchError, fmt_g17, l2_norm, laplacian
+from .grid import Field, GridMismatchError, factorize, fmt_g17, l2_norm, laplacian
 from .model import ModelParams, SteadyState
 
 __all__ = [
@@ -134,7 +134,7 @@ def evolve(
 
     lap = laplacian(grid.domain)
     n = grid.size
-    solver = spla.splu((sp.identity(n, format="csr") - dt * lap).tocsc())
+    solver = factorize(sp.identity(n, format="csr") - dt * lap)
 
     a = params.a_field(grid).values
     a_max = float(np.abs(a).max())

@@ -16,9 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
-from .grid import Field, Grid, GridMismatchError, WeightedOperator, l2_norm, laplacian
+from .grid import Field, Grid, GridMismatchError, WeightedOperator, factorize, l2_norm, laplacian
 from .spectral import DEFAULT_TOL, principal_eigenpair
 
 __all__ = [
@@ -106,9 +105,9 @@ def _newton(
     for it in range(1, MAX_NEWTON + 1):
         if res <= tol:
             return theta, res, it - 1
-        J = WeightedOperator(grid, Field(grid, a_vals - 2.0 * theta)).matrix.tocsc()
+        J = WeightedOperator(grid, Field(grid, a_vals - 2.0 * theta)).matrix
         try:
-            delta = spla.splu(J).solve(-_residual_vec(lap, theta, a_vals))
+            delta = factorize(J).solve(-_residual_vec(lap, theta, a_vals))
         except RuntimeError as exc:  # singular Jacobian
             raise NewtonDivergenceError(f"Newton linear solve failed: {exc}", trace)
         t = 1.0

@@ -10,6 +10,10 @@ in 2D node k maps to (ix, iy) = (k % nx, k // nx).
 The weighted operator Δ + diag(m) uses the standard second-order 3-point
 (1D) / 5-point (2D) stencil. Norms and inner products use the uniform
 quadrature weight h1*...*hd with no boundary correction.
+
+Every sparse solve in the package factors through `factorize`: SuperLU
+with the minimum-degree ordering of the pattern of Aᵀ + A, which suits the
+symmetric patterns of these stencils and of the coupled Jacobian.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 __all__ = [
     "Domain",
@@ -30,6 +35,7 @@ __all__ = [
     "GridMismatchError",
     "KIND_NDIM",
     "laplacian",
+    "factorize",
     "l2_norm",
     "l2_inner",
     "interpolate",
@@ -252,6 +258,18 @@ def laplacian(domain: Domain) -> sp.csr_matrix:
     lap = lap.tocsr()
     lap.sort_indices()
     return lap
+
+
+def factorize(A: sp.spmatrix) -> spla.SuperLU:
+    """Sparse LU of the square matrix A, the one route to SuperLU.
+
+    The column ordering is the minimum-degree ordering of the pattern of
+    Aᵀ + A. COLAMD, SuperLU's default, orders for unsymmetric patterns;
+    every matrix factored here (I - dt·Δ, Δ + diag(m) - σI, the coupled
+    Jacobian shifted by σ) has a symmetric pattern, where the minimum-degree
+    ordering leaves less fill. Raises RuntimeError on an exactly singular A.
+    """
+    return spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A")
 
 
 class WeightedOperator:

@@ -357,6 +357,36 @@ class TestSweep:
         assert verdicts[2.0] == "stable"
 
 
+class TestFactorizationRoute:
+    def test_every_factorization_orders_by_minimum_degree(self, tmp_path, monkeypatch):
+        # spy on SuperLU's C entry point: scipy's splu and arpack's own
+        # imported copy of it both end there
+        from scipy.sparse.linalg._dsolve import _superlu
+
+        orderings = []
+        gstrf = _superlu.gstrf
+
+        def spy(*args, **kwargs):
+            orderings.append(kwargs["options"]["ColPerm"])
+            return gstrf(*args, **kwargs)
+
+        monkeypatch.setattr(_superlu, "gstrf", spy)
+        square = ("--domain", "rectangle:pi:pi", "--a", "4")
+        runs = [
+            ("theta", *square, "--n", "10,10"),
+            ("spectrum", *square, "--n", "10,10", "--k", "4"),
+            ("verify", *square, "--n", "12,12", "--b", "0.3", "--c", "1.7", "--k", "3"),
+            ("evolve", *square, "--n", "8,8", "--dt", "1e-3", "--t-end", "0.05"),
+            ("sweep", "--domain", "interval:0:pi", "--n", "40", "--a", "2", "--k", "2",
+             "--sweep-b", "0.3,0.6", "--sweep-c", "1", "--workers", "1"),
+        ]
+        for i, args in enumerate(runs):
+            before = len(orderings)
+            assert run(*args, "--out", str(tmp_path / str(i))) == 0
+            assert len(orderings) > before, args[0]
+        assert set(orderings) == {"MMD_AT_PLUS_A"}
+
+
 class TestConfigPrecedence:
     def test_flags_override_config_file(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 import lvsync.dynamics
 from lvsync import (
@@ -20,7 +19,7 @@ from lvsync import (
     random_perturbation,
 )
 from lvsync.dynamics import Trajectory, state_distance, write_trajectory_csv
-from lvsync.grid import laplacian
+from lvsync.grid import factorize, laplacian
 from lvsync.linstab import ansatz_coefficients, predicted_spectrum
 
 
@@ -40,10 +39,13 @@ def sub_trajectory(traj, t0, t1):
 
 
 def two_solve_evolve(u0, v0, params, dt, t_end, store_every=1):
-    """Reference IMEX loop: one solve and one positivity check per species."""
+    """Reference IMEX loop: one solve and one positivity check per species.
+
+    It factors through lvsync.dynamics.factorize, looked up at call time,
+    so the solver evolve uses, real or leak_solves's fake, serves both."""
     grid = u0.grid
     lhs = sp.identity(grid.size, format="csr") - dt * laplacian(grid.domain)
-    solver = spla.splu(lhs.tocsc())
+    solver = lvsync.dynamics.factorize(lhs)
     a = params.a_field(grid).values
     a_max = float(np.abs(a).max())
     b, c = params.b, params.c
@@ -73,7 +75,7 @@ def two_solve_evolve(u0, v0, params, dt, t_end, store_every=1):
 
 
 class LeakySolver:
-    """splu stand-in that overwrites the entries `index` of every solution."""
+    """factorize stand-in that overwrites the entries `index` of every solution."""
 
     def __init__(self, lu, index, value):
         self.lu, self.index, self.value = lu, index, value
@@ -85,9 +87,8 @@ class LeakySolver:
 
 
 def leak_solves(monkeypatch, index, value):
-    splu = spla.splu
-    monkeypatch.setattr(lvsync.dynamics.spla, "splu",
-                        lambda A: LeakySolver(splu(A), index, value))
+    monkeypatch.setattr(lvsync.dynamics, "factorize",
+                        lambda A: LeakySolver(factorize(A), index, value))
 
 
 class TestEvolve:

@@ -121,6 +121,15 @@ class TestSolveLogistic:
         assert logistic_residual(sol.theta, 60.0) <= 1e-10
         assert 0.0 < sol.theta.min() and sol.theta.max() < 60.0
 
+    def test_exactly_singular_jacobian_is_newton_divergence(self):
+        # h = 1 and a - 2θ = 2: J = Δ + 2I = [[0,1,0],[1,0,1],[0,1,0]]
+        # has two equal rows, so its LU meets an exact zero pivot
+        from lvsync.elliptic import _newton
+
+        g = grid1d(3, length=4.0)
+        with pytest.raises(NewtonDivergenceError, match="Newton linear solve failed: .*singular"):
+            _newton(g, np.full(3, 4.0), np.ones(3), 1e-10, enforce_positive=True)
+
 
 class TestLogisticResidual:
     def test_zero_field(self):
