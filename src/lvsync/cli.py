@@ -60,7 +60,6 @@ from .linstab import (
     ThetaHalf,
     degenerate_distance,
     inconclusive_report,
-    mode_ratios,
     s_parameter,
     stability_report_dict,
     theta_half,
@@ -122,16 +121,19 @@ def _parse_number(tok: str) -> float:
     if t == "pi":
         return math.pi
     try:
-        return float(t)
+        return _as_float(t)
     except ValueError:
-        raise ConfigError(f"cannot parse number {tok!r} (use a float or 'pi')")
+        raise ConfigError(f"cannot parse finite number {tok!r} (use a float or 'pi')")
 
 
 def _as_float(value) -> float:
-    """A number as float; a JSON boolean is not a number."""
+    """A finite number as float; a JSON boolean is not a number."""
     if isinstance(value, bool):
         raise TypeError(f"{value!r} is not a number")
-    return float(value)
+    x = float(value)
+    if not math.isfinite(x):
+        raise ValueError(f"{value!r} is not finite")
+    return x
 
 
 def _as_int(value) -> int:
@@ -170,14 +172,14 @@ def parse_value_list(spec: str) -> list[float]:
     return [_parse_number(p) for p in s.split(",")]
 
 
-def build_growth_field(cfg: RunConfig, grid: Grid) -> tuple[object, Field]:
-    """Resolve the a-spec into (params_a, field): const, sin profile, or file.
+def build_growth_field(cfg: RunConfig, grid: Grid) -> Field:
+    """Resolve the a-spec into a field: const, sin profile, or file.
     An unknown profile, a bad growth-rate file or a non-finite a is a ConfigError."""
     a = cfg.a
     if isinstance(a, str) and a.startswith("profile:"):
         name = a.split(":", 1)[1]
         if name == "const":
-            return float(cfg.a0), Field.constant(grid, float(cfg.a0))
+            return Field.constant(grid, float(cfg.a0))
         if name == "sin":
             ext = grid.domain.extents
 
@@ -189,25 +191,20 @@ def build_growth_field(cfg: RunConfig, grid: Grid) -> tuple[object, Field]:
                     math.pi * y / ext[1]
                 )
 
-            fld = Field.from_function(grid, profile_1d if grid.ndim == 1 else profile_2d)
-            return fld, fld
+            return Field.from_function(grid, profile_1d if grid.ndim == 1 else profile_2d)
         raise ConfigError(f"unknown profile {name!r} (known: const, sin)")
     if isinstance(a, str) and a.startswith("file:"):
         path = Path(a.split(":", 1)[1])
         if not path.exists():
             raise ConfigError(f"growth-rate file not found: {path}")
         try:
-            fld = field_from_csv(path, grid)
+            return field_from_csv(path, grid)
         except (OSError, ValueError, IndexError) as exc:
             raise ConfigError(f"cannot use growth-rate file {path}: {exc!r}")
-        return fld, fld
     try:
-        val = _as_float(a)
-    except TypeError:
-        raise ConfigError(f"cannot parse growth rate {a!r}")
-    if not math.isfinite(val):
-        raise ConfigError(f"growth rate must be finite, got {val}")
-    return val, Field.constant(grid, val)
+        return Field.constant(grid, _as_float(a))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"bad growth rate {a!r}: {exc}")
 
 
 def _merge_config(file_cfg: dict, cli_overrides: dict) -> RunConfig:
@@ -220,6 +217,11 @@ def _merge_config(file_cfg: dict, cli_overrides: dict) -> RunConfig:
             allowed = _SCALAR_TYPES.get(types[key])
             if allowed and type(val) not in allowed:
                 raise ConfigError(f"{label} option {key!r} must be {types[key]}, got {val!r}")
+            if types[key] == "float":
+                try:
+                    _as_float(val)
+                except (ValueError, OverflowError) as exc:
+                    raise ConfigError(f"{label} option {key!r}: {exc}")
             setattr(cfg, key, val)
     try:
         cfg.extents = tuple(_as_float(e) for e in cfg.extents)
@@ -316,8 +318,8 @@ def _write_field(fld: Field, base: Path, fmt: str) -> None:
                    base.with_suffix(".json"))
 
 
-def cmd_theta(cfg: RunConfig, out: Path, grid: Grid, a, a_field: Field) -> int:
-    sol = solve_logistic(grid, a_field, tol=cfg.tol)
+def cmd_theta(cfg: RunConfig, out: Path, grid: Grid, a: Field) -> int:
+    sol = solve_logistic(grid, a, tol=cfg.tol)
     _write_field(sol.theta, out / "theta", cfg.format)
     _json_dump(
         {
@@ -331,9 +333,9 @@ def cmd_theta(cfg: RunConfig, out: Path, grid: Grid, a, a_field: Field) -> int:
     return EXIT_OK
 
 
-def cmd_steady(cfg: RunConfig, out: Path, grid: Grid, a, a_field: Field) -> int:
+def cmd_steady(cfg: RunConfig, out: Path, grid: Grid, a: Field) -> int:
     params = ModelParams(a=a, b=cfg.b, c=cfg.c)
-    sol = solve_logistic(grid, a_field, tol=cfg.tol)
+    sol = solve_logistic(grid, a, tol=cfg.tol)
     steady = synchronized_state(params, sol)
     r_u, r_v = system_residual(steady.u, steady.v, params)
     _write_field(steady.u, out / "u", cfg.format)
@@ -347,8 +349,8 @@ def cmd_steady(cfg: RunConfig, out: Path, grid: Grid, a, a_field: Field) -> int:
     return EXIT_OK
 
 
-def cmd_spectrum(cfg: RunConfig, out: Path, grid: Grid, a, a_field: Field) -> int:
-    spec = eigenpairs(WeightedOperator(grid, a_field), cfg.k, tol=cfg.tol)
+def cmd_spectrum(cfg: RunConfig, out: Path, grid: Grid, a: Field) -> int:
+    spec = eigenpairs(WeightedOperator(grid, a), cfg.k, tol=cfg.tol)
     if cfg.format == "csv":
         write_spectrum_csv(spec, out / "spectrum.csv")
     else:
@@ -366,7 +368,7 @@ def cmd_spectrum(cfg: RunConfig, out: Path, grid: Grid, a, a_field: Field) -> in
     return EXIT_OK
 
 
-def cmd_verify(cfg: RunConfig, out: Path, grid: Grid, a, a_field: Field) -> int:
+def cmd_verify(cfg: RunConfig, out: Path, grid: Grid, a: Field) -> int:
     params = ModelParams(a=a, b=cfg.b, c=cfg.c)
     report = verify_theorem(params, grid, cfg.k, tol=cfg.tol)
     _json_dump(stability_report_dict(report), out / "report.json")
@@ -390,9 +392,9 @@ def cmd_verify(cfg: RunConfig, out: Path, grid: Grid, a, a_field: Field) -> int:
     return EXIT_ERROR
 
 
-def cmd_evolve(cfg: RunConfig, out: Path, grid: Grid, a, a_field: Field) -> int:
+def cmd_evolve(cfg: RunConfig, out: Path, grid: Grid, a: Field) -> int:
     params = ModelParams(a=a, b=cfg.b, c=cfg.c)
-    sol = solve_logistic(grid, a_field, tol=cfg.tol)
+    sol = solve_logistic(grid, a, tol=cfg.tol)
     steady = synchronized_state(params, sol)
     u0, v0 = random_perturbation(steady, cfg.amplitude, seed=cfg.seed)
     traj = evolve(u0, v0, params, dt=cfg.dt, t_end=cfg.t_end, store_every=cfg.store_every)
@@ -430,16 +432,13 @@ def cmd_evolve(cfg: RunConfig, out: Path, grid: Grid, a, a_field: Field) -> int:
     return EXIT_OK
 
 
-def _sweep_shared(group: list[RunConfig]) -> ThetaHalf | None:
-    """θ and the a - 2θ family of one (a, n) group of jobs, solved once for
-    all of them; the family is skipped if every job is on the degenerate
-    locus, which solves its own. None on a failure outside the solvers, so
+def _sweep_shared(job: RunConfig) -> ThetaHalf | None:
+    """θ and the a - 2θ family of the (a, n) group of jobs that `job` heads,
+    solved once for all of them. None on a failure outside the solvers, so
     that each job meets and records it itself."""
-    job = group[0]
     try:
         grid = Grid(Domain(job.kind, job.extents, job.resolution))
-        solve_two = not all(mode_ratios(j.b, j.c)[2] for j in group)
-        return theta_half(Field.constant(grid, job.a), grid, job.k, job.tol, solve_two)
+        return theta_half(Field.constant(grid, job.a), grid, job.k, job.tol)
     except Exception:
         return None
 
@@ -485,9 +484,9 @@ def cmd_sweep(cfg: RunConfig, out: Path, jobs: list[RunConfig]) -> int:
     # θ and the a - 2θ family depend on (a, n) only: one shared half per
     # group, solved where the jobs run, so that with a pool the solvers'
     # memory stays out of this process
-    groups: dict[tuple, list[RunConfig]] = {}
+    groups: dict[tuple, RunConfig] = {}
     for job in jobs:
-        groups.setdefault((job.a, job.resolution), []).append(job)
+        groups.setdefault((job.a, job.resolution), job)
     # the pool starts every worker at once: never more than jobs or cores
     workers = min(cfg.workers, len(jobs), os.cpu_count() or 1)
     pool_cm = ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext()
@@ -620,8 +619,8 @@ def main(argv=None) -> int:
         cfg, axes = _load_config(args)
         validate_config(cfg, args.command)
         grid = Grid(Domain(cfg.kind, cfg.extents, cfg.resolution))
-        a, a_field = build_growth_field(cfg, grid)
-        inputs = (_sweep_jobs(cfg, axes),) if args.command == "sweep" else (grid, a, a_field)
+        a = build_growth_field(cfg, grid)
+        inputs = (_sweep_jobs(cfg, axes),) if args.command == "sweep" else (grid, a)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_ERROR

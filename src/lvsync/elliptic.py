@@ -140,8 +140,8 @@ def solve_logistic(grid: Grid, a, tol: float = DEFAULT_TOL) -> LogisticSolution:
     and NewtonDivergenceError with the residual trace on failure.
     """
     a = _as_field(grid, a)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
 
     # eigen tolerance fixed at 1e-7: the gate needs the sign and rough size
     # of lambda1, and the residual floor eps*h^-2 rules out tighter demands

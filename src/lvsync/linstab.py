@@ -204,32 +204,21 @@ def predicted_spectrum(
     reuse (eigenfunctions feed the direct ansatz checks).
 
     two: the a - 2θ family with exactly min(k, N) values, already solved
-    (it does not depend on b and c); solved here when None. It is not used
-    on the degenerate locus, which solves its own (k+1)//2 values.
+    (it does not depend on b and c); solved here when None. The locus
+    takes both its copies from it and makes no solve of its own.
     """
-    n = grid.size
-    _, _, degenerate = mode_ratios(b, c)
-    s1 = s_parameter(b, c)
-    spectra: dict[str, object] = {}
-    if degenerate:
-        kk = min((k + 1) // 2, n)
-        spec2 = eigenpairs(WeightedOperator(grid, a - 2.0 * theta), kk, tol)
-        spectra["degenerate"] = spec2
-        tagged = [(p.lam, "degenerate") for p in spec2.pairs for _ in range(2)]
-        return tagged[:k], spectra
-
-    kk = min(k, n)
-    if two is not None and len(two.pairs) != kk:
+    kk = min(k, grid.size)
+    if two is None:
+        two = eigenpairs(WeightedOperator(grid, a - 2.0 * theta), kk, tol)
+    elif len(two.pairs) != kk:
         raise ValueError(f"the a - 2θ family holds {len(two.pairs)} values, {kk} needed")
-    spec1 = eigenpairs(WeightedOperator(grid, a - s1 * theta), kk, tol)
-    spec2 = two
-    if spec2 is None:
-        spec2 = eigenpairs(WeightedOperator(grid, a - 2.0 * theta), kk, tol)
-    spectra["s1"] = spec1
-    spectra["two"] = spec2
-    tagged = [(p.lam, "s1") for p in spec1.pairs] + [(p.lam, "two") for p in spec2.pairs]
+    if mode_ratios(b, c)[2]:
+        tagged = [(p.lam, "degenerate") for p in two.pairs for _ in range(2)]
+        return tagged[:k], {"degenerate": two}
+    spec1 = eigenpairs(WeightedOperator(grid, a - s_parameter(b, c) * theta), kk, tol)
+    tagged = [(p.lam, "s1") for p in spec1.pairs] + [(p.lam, "two") for p in two.pairs]
     tagged.sort(key=lambda t: t[0])
-    return tagged[:k], spectra
+    return tagged[:k], {"s1": spec1, "two": two}
 
 
 def ansatz_coefficients(b: float, c: float, family: str) -> tuple[float, float]:
@@ -317,12 +306,11 @@ class ThetaHalf:
     """The (b, c)-independent half of verify_theorem on one (a, grid).
 
     θ solves Δθ + θ(a - θ) = 0 and the a - 2θ family is one of the two
-    predicted families; neither depends on b or c, so a (b, c) sweep
-    solves them once per (a, grid) and hands them to every job. `two` is
-    None when it was not asked for or its solve failed: each job then
-    solves it itself, as verify_theorem alone does. `cause` is the
-    inconclusive cause every job gets when the logistic solve failed, and
-    then `logistic` is None.
+    predicted families (on the degenerate locus, the only one); neither
+    depends on b or c, so a (b, c) sweep solves them once per (a, grid)
+    and hands them to every job. `cause` is the inconclusive cause every
+    job gets when either solve failed, and then `logistic` and `two` are
+    None.
     """
 
     logistic: LogisticSolution | None
@@ -330,29 +318,22 @@ class ThetaHalf:
     cause: str | None
 
 
-def theta_half(
-    a: Field, grid: Grid, k: int, tol: float = DEFAULT_TOL, solve_two: bool = True
-) -> ThetaHalf:
-    """Solve θ for growth rate a and, if `solve_two`, the min(2k, N) smallest
-    values of the a - 2θ family that verify_theorem(…, k) predicts from.
+def theta_half(a: Field, grid: Grid, k: int, tol: float = DEFAULT_TOL) -> ThetaHalf:
+    """Solve θ for growth rate a and the min(2k, N) smallest values of the
+    a - 2θ family that verify_theorem(…, k) predicts from.
 
-    Solver failures of the logistic solve become the cause verify_theorem
-    reports; a failed a - 2θ solve leaves `two` None.
+    A subcritical a or a failed solve becomes the cause verify_theorem
+    reports.
     """
     try:
         logistic = solve_logistic(grid, a, tol=tol)
+        weight = logistic.a - 2.0 * logistic.theta
+        two = eigenpairs(WeightedOperator(grid, weight), min(2 * k, grid.size), tol)
     except SubcriticalError as exc:
         return ThetaHalf(None, None, f"no positive steady state: {exc}")
     except (NewtonDivergenceError, EigenSolveError) as exc:
         return ThetaHalf(None, None, f"solver failure: {exc}")
-    spec2 = None
-    if solve_two:
-        weight = logistic.a - 2.0 * logistic.theta
-        try:
-            spec2 = eigenpairs(WeightedOperator(grid, weight), min(2 * k, grid.size), tol)
-        except EigenSolveError:
-            pass  # each job repeats the solve and reports the failure as its own
-    return ThetaHalf(logistic, spec2, None)
+    return ThetaHalf(logistic, two, None)
 
 
 def verify_theorem(
@@ -369,10 +350,8 @@ def verify_theorem(
 
     shared: the (b, c)-independent half, theta_half(a, grid, k, tol) for
     this params.a, taken instead of solved; a sweep solves one per (a,
-    grid) for all its jobs. Without it, θ is solved here and the a - 2θ
-    family after the a - s₁θ family. The report is bit-identical either
-    way: the shared family is the same min(2k, N)-value solve, and the
-    degenerate locus always solves its own k values.
+    grid) for all its jobs. Without it, theta_half runs here, so a job and
+    a plain call run the same solves and report the same cause.
     """
     b, c = params.b, params.c
     s1 = s_parameter(b, c)
@@ -381,8 +360,8 @@ def verify_theorem(
 
     a = params.a_field(grid)
     if shared is None:
-        shared = theta_half(a, grid, k, tol, solve_two=False)
-    if shared.logistic is None:
+        shared = theta_half(a, grid, k, tol)
+    if shared.cause is not None:
         return inconclusive_report(params, k, shared.cause)
     logistic = shared.logistic
     if not np.array_equal(logistic.a.values, a.values):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from lvsync.cli import main, parse_domain, parse_value_list
-from lvsync.grid import read_field_csv
+from lvsync.grid import Domain, Grid, read_field_csv
 
 
 def run(*args):
@@ -344,6 +344,44 @@ class TestSweep:
         assert code == 0
         assert calls == [(0.5, 40), (0.5, 60), (2.0, 40), (2.0, 60)]
 
+    def test_failed_two_family_is_each_jobs_cause(self, tmp_path, monkeypatch):
+        # the a - 2θ solve runs once per (a, n), and every job of the group,
+        # on the degenerate locus or off it, reports its failure exactly as
+        # verify_theorem alone does
+        import lvsync.linstab
+        from lvsync import ModelParams, verify_theorem
+        from lvsync.spectral import EigenSolveError
+
+        solve_logistic, eigenpairs = lvsync.linstab.solve_logistic, lvsync.linstab.eigenpairs
+        two_weights, failed = [], []
+
+        def recording_solve(grid, a, **kwargs):
+            sol = solve_logistic(grid, a, **kwargs)
+            two_weights.append((sol.a - 2.0 * sol.theta).values)
+            return sol
+
+        def failing_eigenpairs(op, k, tol):
+            if any(np.array_equal(op.weight.values, w) for w in two_weights):
+                failed.append((op.grid.size, k))
+                raise EigenSolveError("injected a - 2θ failure")
+            return eigenpairs(op, k, tol)
+
+        monkeypatch.setattr(lvsync.linstab, "solve_logistic", recording_solve)
+        monkeypatch.setattr(lvsync.linstab, "eigenpairs", failing_eigenpairs)
+        out = tmp_path / "o"
+        assert run(*self.ORACLE_ARGS, "--workers", "1", "--out", str(out)) == 0
+        assert failed == [(40, 6), (60, 6)]
+        records = [json.loads(l) for l in (out / "results.jsonl").read_text().splitlines()]
+        for r in records:
+            grid = Grid(Domain("interval", (math.pi,), (r["resolution"],)))
+            params = ModelParams(a=r["a"], b=r["b"], c=r["c"])
+            report = verify_theorem(params, grid, 3, tol=1e-10)
+            assert r["verdict"] == report.verdict == "inconclusive"
+            assert r["cause"] == report.cause
+        causes = {r["cause"] for r in records if r["a"] == 2.0}
+        assert causes == {"solver failure: injected a - 2θ failure"}
+        assert sum(r["degenerate"] for r in records if r["a"] == 2.0) == 2
+
     def test_failed_jobs_recorded_inconclusive(self, tmp_path):
         out = tmp_path / "o"
         code = run("sweep", "--domain", "interval:0:pi", "--n", "40", "--k", "2",
@@ -430,6 +468,11 @@ class TestConfigPrecedence:
 
 
 FIELD_100_NODES = "index,coord1,value\n" + "".join(f"{i},{i},2\n" for i in range(100))
+# a growth-rate file on the default interval's 20-node grid with a NaN at node 10
+FIELD_20_NODES_NAN = "index,coord1,value\n" + "".join(
+    f"{i},{x!r},{'nan' if i == 10 else 2}\n"
+    for i, x in enumerate(Grid(Domain("interval", (math.pi,), (20,))).coords()[:, 0].tolist())
+)
 
 
 @pytest.mark.parametrize("files, args", [
@@ -459,6 +502,25 @@ FIELD_100_NODES = "index,coord1,value\n" + "".join(f"{i},{i},2\n" for i in range
                  ["sweep", "--config", "{tmp}/cfg.json"], id="boolean-sweep-axis-value"),
     pytest.param({"cfg.json": '{"extents": [true]}'}, ["theta", "--config", "{tmp}/cfg.json"],
                  id="boolean-extent"),
+    pytest.param({}, ["evolve", "--n", "20", "--t-end", "0.1", "--dt", "nan"], id="dt-nan"),
+    pytest.param({}, ["evolve", "--n", "20", "--t-end", "inf"], id="t-end-inf"),
+    pytest.param({}, ["evolve", "--n", "20", "--t-end", "nan"], id="t-end-nan"),
+    pytest.param({}, ["evolve", "--n", "20", "--t-end", "0.1", "--amplitude", "nan"],
+                 id="amplitude-nan"),
+    pytest.param({}, ["evolve", "--n", "20", "--t-end", "0.1", "--snapshots", "nan"],
+                 id="snapshot-time-nan"),
+    pytest.param({}, ["theta", "--n", "20", "--a", "profile:sin", "--a1", "inf"],
+                 id="profile-amplitude-inf"),
+    pytest.param({}, ["theta", "--n", "20", "--a", "profile:const", "--a0", "inf"],
+                 id="profile-offset-inf"),
+    pytest.param({"a.csv": FIELD_20_NODES_NAN}, ["theta", "--n", "20", "--a", "file:{tmp}/a.csv"],
+                 id="growth-file-nan"),
+    pytest.param({}, ["sweep", "--n", "20", "--sweep-b", "0.1:nan:0.1"], id="sweep-range-nan"),
+    pytest.param({}, ["sweep", "--n", "20", "--sweep-b", "0.1:inf:0.1"], id="sweep-range-inf"),
+    pytest.param({}, ["verify", "--n", "50", "--tol", "inf"], id="verify-tol-inf"),
+    pytest.param({}, ["theta", "--n", "20", "--tol", "inf"], id="theta-tol-inf"),
+    pytest.param({"cfg.json": '{"tol": NaN}'}, ["theta", "--n", "20", "--config", "{tmp}/cfg.json"],
+                 id="config-tol-nan"),
 ])
 def test_config_errors_exit_before_out_is_created(files, args, tmp_path, capsys):
     for name, text in files.items():

@@ -29,6 +29,12 @@ def grid1d(n, length=math.pi):
 
 
 class TestSolveLogistic:
+    @pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0])
+    def test_tol_must_be_positive_and_finite(self, tol):
+        # an infinite tol would accept the start as the solution after 0 Newton steps
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            solve_logistic(grid1d(20), 2.0, tol=tol)
+
     def test_subcritical_raises(self):
         g = grid1d(100)
         with pytest.raises(SubcriticalError, match="subcritical"):

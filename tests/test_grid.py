@@ -251,6 +251,17 @@ class TestFieldArithmeticAndIO:
         with pytest.raises(ValueError, match="nodes"):
             field_from_csv(path, grid1d(8))
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_field_csv_rejects_non_finite_values(self, tmp_path, bad):
+        g = grid1d(7)
+        path = tmp_path / "f.csv"
+        write_field_csv(Field.constant(g, 1.0), path)
+        lines = path.read_text().splitlines()
+        lines[3] = lines[3].rsplit(",", 1)[0] + "," + bad
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="non-finite"):
+            field_from_csv(path, g)
+
     def test_empty_field_file_is_a_value_error(self, tmp_path):
         path = tmp_path / "f.csv"
         path.write_text("")

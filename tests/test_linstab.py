@@ -410,6 +410,24 @@ class TestVerifyTheorem:
         with pytest.raises(ValueError, match="6 values, 4 needed"):
             verify_theorem(params, g, 2, tol=1e-10, shared=shared)
 
+    @pytest.mark.parametrize("n, solved", [(40, 6), (5, 5)])
+    def test_locus_predicts_from_the_shared_family_alone(self, monkeypatch, n, solved):
+        # on b = c/(2c+1) both copies of every predicted value come from the
+        # one min(2k, N)-value a - 2θ solve of theta_half, as in a sweep
+        import lvsync.linstab
+
+        solve = lvsync.linstab.eigenpairs
+        calls = []
+
+        def counting_eigenpairs(op, k, tol):
+            calls.append(k)
+            return solve(op, k, tol)
+
+        monkeypatch.setattr(lvsync.linstab, "eigenpairs", counting_eigenpairs)
+        report = verify_theorem(ModelParams(a=2.0, b=1.0 / 3.0, c=1.0), grid1d(n), 3, tol=1e-10)
+        assert report.degenerate and report.verdict == "stable", report.cause
+        assert calls == [solved]
+
     def test_randomized_stability_positivity(self):
         # Theorem-level property: every valid supercritical sample is stable
         rng = np.random.default_rng(42)

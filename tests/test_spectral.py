@@ -136,6 +136,13 @@ class TestEigenpairs:
         with pytest.raises(ValueError, match="k"):
             eigenpairs(op, 11, tol=1e-10)
 
+    @pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0])
+    def test_tol_must_be_positive_and_finite(self, tol):
+        # an infinite gate would accept any residual
+        op, _ = zero_weight_op(10)
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            eigenpairs(op, 2, tol=tol)
+
     def test_2d_square_degenerate_cluster(self):
         g = Grid(Domain("rectangle", (1.0, 1.0), (20, 20)))
         h = g.spacing[0]
