@@ -8,6 +8,8 @@ integrates with the IMEX scheme at two step sizes, and compares the fitted
 decay rate of the distance to the steady state against -mu1 from the
 spectral verification. Amplitudes well above 1e-3 leave the linear regime;
 the fit quality degrades visibly there, which is the point of trying them.
+Exits 1 unless the verdict is `stable` and the dt = 1e-3 fit meets
+acceptance criterion 5: within 5 % of -mu1 with r^2 >= 0.999.
 """
 
 import math
@@ -24,6 +26,10 @@ from lvsync import (
     synchronized_state,
     verify_theorem,
 )
+
+# acceptance criterion 5, checked on the dt = 1e-3 fit
+DECAY_REL_TOL = 0.05
+DECAY_MIN_R2 = 0.999
 
 
 def main():
@@ -49,7 +55,10 @@ def main():
               f"(deviation from -mu1: {dev:.2%}), r^2 = {fit.r_squared:.6f}, "
               f"window {fit.window[0]:.1f}..{fit.window[1]:.1f}, "
               f"monotone={fit.monotone}")
+        if dt == 1e-3:
+            criterion_5 = dev <= DECAY_REL_TOL and fit.r_squared >= DECAY_MIN_R2
+    return 0 if report.verdict == "stable" and criterion_5 else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

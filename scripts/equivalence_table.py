@@ -6,7 +6,7 @@ Usage:  python3 scripts/equivalence_table.py [a] [b] [c] [n] [k]
 Shows the 2k smallest coupled stability eigenvalues next to the merged
 two-family prediction {lambda_i(a - s1*theta)} u {lambda_i(a - 2*theta)},
 the per-value relative mismatch, and the component-ratio fit against
-z1 = b/c and z2 = (1-b)/(1+c).
+z1 = b/c and z2 = (1-b)/(1+c). Exits 1 unless the verdict is `stable`.
 """
 
 import math
@@ -50,7 +50,8 @@ def main():
     print(f"mu1 = {report.mu1:.12f}  ->  verdict: {report.verdict}")
     if report.cause:
         print(f"cause: {report.cause}")
+    return 0 if report.verdict == "stable" else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -82,6 +82,8 @@ EXIT_ERROR = 1
 EXIT_SUBCRITICAL = 2
 
 SWEEP_AXES = ("a", "b", "c", "resolution")
+# most values one start:stop:step range may expand to
+MAX_RANGE_VALUES = 10_000
 # exact JSON types of the scalar RunConfig fields, by annotation: a bool is not a number
 _SCALAR_TYPES = {"bool": (bool,), "int": (int,), "float": (int, float), "str": (str,)}
 
@@ -167,8 +169,11 @@ def parse_value_list(spec: str) -> list[float]:
         start, stop, step = (_parse_number(p) for p in parts)
         if step <= 0:
             raise ConfigError("range step must be positive")
-        n = int(math.floor((stop - start) / step + 1e-9)) + 1
-        return [start + i * step for i in range(max(n, 0))]
+        # counted before it is built; the quotient may overflow to inf
+        span = (stop - start) / step + 1e-9
+        if span >= MAX_RANGE_VALUES:
+            raise ConfigError(f"range {spec!r} has more than {MAX_RANGE_VALUES} values")
+        return [start + i * step for i in range(max(math.floor(span) + 1, 0))]
     return [_parse_number(p) for p in s.split(",")]
 
 

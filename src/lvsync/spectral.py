@@ -13,11 +13,12 @@ One production route computes the k smallest eigenpairs: ARPACK's
 shift-invert Lanczos (``eigsh``) with the shift sigma = -max(m) - 1, which
 lies strictly below the spectrum, so A - sigma*I is positive definite and
 the wanted eigenvalues are those of largest magnitude of its inverse. One
-sparse LU factorization of A - sigma*I (`grid.factorize`, minimum-degree
-ordering) serves both as ARPACK's inverse operator and in the refinement
-that re-evaluates every eigenvalue through the shifted inverse. The
-Lanczos start vector is a fixed seeded Gaussian (SCALAR_START_SEED), so
-results are reproducible run to run.
+factorization of A - sigma*I (`grid.factorize`: LAPACK's tridiagonal LDLᵀ
+in 1D, where A - sigma*I is symmetric positive definite and tridiagonal,
+SuperLU with the minimum-degree ordering in 2D) serves both as ARPACK's
+inverse operator and in the refinement that re-evaluates every eigenvalue
+through the shifted inverse. The Lanczos start vector is a fixed seeded
+Gaussian (SCALAR_START_SEED), so results are reproducible run to run.
 
 Dense LAPACK ``eigh`` runs only for k >= n - 1, where ARPACK cannot return
 (nearly) the whole spectrum; elsewhere it is the tests' oracle.
@@ -37,7 +38,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .grid import Field, Grid, WeightedOperator, factorize, fmt_g17
+from .grid import Field, Grid, TridiagonalLDLT, WeightedOperator, factorize, fmt_g17
 
 __all__ = [
     "EigenPair",
@@ -164,7 +165,7 @@ def eigenpairs(op: WeightedOperator, k: int, tol: float = DEFAULT_TOL) -> Spectr
 
 
 def _refine_through_inverse(
-    lu: spla.SuperLU, sigma: float, w: np.ndarray, V: np.ndarray
+    lu: TridiagonalLDLT | spla.SuperLU, sigma: float, w: np.ndarray, V: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Re-evaluate eigenvalues through the shifted inverse operator.
 

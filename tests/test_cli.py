@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from lvsync.cli import main, parse_domain, parse_value_list
 from lvsync.grid import Domain, Grid, read_field_csv
@@ -35,6 +36,13 @@ class TestParsing:
         assert parse_value_list("0.5,1,2") == [0.5, 1.0, 2.0]
         vals = parse_value_list("0.1:0.4:0.1")
         assert np.allclose(vals, [0.1, 0.2, 0.3, 0.4])
+
+    def test_value_list_range_length_is_capped(self):
+        from lvsync.cli import MAX_RANGE_VALUES, ConfigError
+
+        assert len(parse_value_list(f"1:{MAX_RANGE_VALUES}:1")) == MAX_RANGE_VALUES
+        with pytest.raises(ConfigError, match="more than"):
+            parse_value_list(f"0:{MAX_RANGE_VALUES}:1")
 
 
 class TestTheta:
@@ -424,6 +432,41 @@ class TestFactorizationRoute:
             assert len(orderings) > before, args[0]
         assert set(orderings) == {"MMD_AT_PLUS_A"}
 
+    def test_1d_spd_matrices_skip_superlu(self, tmp_path, monkeypatch):
+        # a 1D evolve and a 1D spectrum hand their symmetric positive
+        # definite matrices (I - dt·Δ, the shifted scalar operator) to
+        # LAPACK's dpttrf; the Newton Jacobians still reach SuperLU, with
+        # the minimum-degree ordering
+        import lvsync.grid
+        from scipy.sparse.linalg._dsolve import _superlu
+
+        superlu, lapack = [], []
+        gstrf, dpttrf = _superlu.gstrf, lvsync.grid.dpttrf
+
+        def spy_gstrf(n, nnz, data, indices, indptr, **kwargs):
+            A = sp.csc_matrix((data, indices, indptr), shape=(n, n)).toarray()
+            spd = np.array_equal(A, A.T) and np.linalg.eigvalsh(A)[0] > 0
+            superlu.append((kwargs["options"]["ColPerm"], spd))
+            return gstrf(n, nnz, data, indices, indptr, **kwargs)
+
+        def spy_dpttrf(d, e):
+            lapack.append(d.size)
+            return dpttrf(d, e)
+
+        monkeypatch.setattr(_superlu, "gstrf", spy_gstrf)
+        monkeypatch.setattr(lvsync.grid, "dpttrf", spy_dpttrf)
+        interval = ("--domain", "interval:0:pi", "--n", "40", "--a", "2")
+        runs = [
+            ("evolve", *interval, "--dt", "1e-3", "--t-end", "0.05"),
+            ("spectrum", *interval, "--k", "4"),
+        ]
+        for i, args in enumerate(runs):
+            before = len(lapack)
+            assert run(*args, "--out", str(tmp_path / str(i))) == 0
+            assert len(lapack) > before, args[0]
+        assert set(lapack) == {40}
+        assert superlu and set(superlu) == {("MMD_AT_PLUS_A", False)}
+
 
 class TestConfigPrecedence:
     def test_flags_override_config_file(self, tmp_path):
@@ -517,6 +560,9 @@ FIELD_20_NODES_NAN = "index,coord1,value\n" + "".join(
                  id="growth-file-nan"),
     pytest.param({}, ["sweep", "--n", "20", "--sweep-b", "0.1:nan:0.1"], id="sweep-range-nan"),
     pytest.param({}, ["sweep", "--n", "20", "--sweep-b", "0.1:inf:0.1"], id="sweep-range-inf"),
+    pytest.param({}, ["sweep", "--n", "20", "--sweep-b", "0:1e12:1"], id="sweep-range-too-long"),
+    pytest.param({}, ["sweep", "--n", "20", "--sweep-b", "0:1:1e-320"],
+                 id="sweep-range-count-overflows"),
     pytest.param({}, ["verify", "--n", "50", "--tol", "inf"], id="verify-tol-inf"),
     pytest.param({}, ["theta", "--n", "20", "--tol", "inf"], id="theta-tol-inf"),
     pytest.param({"cfg.json": '{"tol": NaN}'}, ["theta", "--n", "20", "--config", "{tmp}/cfg.json"],

@@ -175,6 +175,31 @@ class TestEvolve:
             for u, v in traj.states:
                 assert u.min() >= 0.0 and v.min() >= 0.0
 
+    @pytest.mark.parametrize("n", [20, 200, 2500])
+    def test_1d_implicit_solve_is_exactly_nonnegative(self, n):
+        # the LDLᵀ of the M-matrix I - dt·Δ has d_i > 0 and l_i < 0, so
+        # substitution adds only nonnegative terms: no negative and no -0.0
+        # (np.signbit catches both), with no clip behind the solve
+        g = grid1d(n)
+        rng = np.random.default_rng(n)
+        underflows = 0
+        for _ in range(20):
+            dt = 10.0 ** rng.uniform(-6, 0)
+            solver = factorize(sp.identity(n, format="csr") - dt * laplacian(g.domain))
+            # column 0 is zero; columns 1 and 2 are nonzero on a random
+            # window only, with magnitudes from subnormal to 1e3 and half
+            # of the entries zero, so the solution underflows to exact
+            # zeros far from the window
+            rhs = 10.0 ** rng.uniform(-310, 3, (n, 3)) * (rng.uniform(size=(n, 3)) < 0.5)
+            rhs[:, 0] = 0.0
+            for col in (1, 2):
+                lo, hi = np.sort(rng.integers(0, n + 1, 2))
+                rhs[:lo, col] = rhs[hi:, col] = 0.0
+            for b in (rhs, rhs[:, 1]):
+                assert not np.signbit(solver.solve(b)).any()
+            underflows += np.count_nonzero(solver.solve(rhs[:, 1:]) == 0.0)
+        assert underflows > 0
+
     def test_store_every_and_final_time(self):
         g = grid1d(20)
         params = ModelParams(a=2.0, b=0.5, c=1.0)

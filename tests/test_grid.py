@@ -21,7 +21,15 @@ from lvsync import (
     solve_logistic,
     synchronized_state,
 )
-from lvsync.grid import factorize, field_from_csv, fmt_g17, read_field_csv, write_field_csv
+from lvsync.grid import (
+    TridiagonalLDLT,
+    factorize,
+    field_from_csv,
+    fmt_g17,
+    laplacian,
+    read_field_csv,
+    write_field_csv,
+)
 from lvsync.linstab import CoupledJacobian
 
 
@@ -120,11 +128,15 @@ class TestOperator:
             assert abs(spec.values[j] - exact) / exact <= 1e-12
 
 
-def shifted_matrices(n):
-    """Shifted scalar and coupled matrices of the eigen solves on the n×n
-    square (π, π): -(Δ + 4) + 5I and -J - σI at the synchronized state of
-    (a, b, c) = (4, 0.3, 1.7), σ below the Gershgorin bound."""
-    g = Grid(Domain("rectangle", (math.pi, math.pi), (n, n)))
+def square(n):
+    return Grid(Domain("rectangle", (math.pi, math.pi), (n, n)))
+
+
+def shifted_matrices(g):
+    """Shifted scalar and coupled matrices of the eigen solves on the grid g
+    of (0, π) or the square (π, π): -(Δ + 4) + 5I and -J - σI at the
+    synchronized state of (a, b, c) = (4, 0.3, 1.7), σ below the Gershgorin
+    bound."""
     scalar = -WeightedOperator(g, Field.constant(g, 4.0)).matrix + 5.0 * sp.identity(g.size)
     params = ModelParams(a=4.0, b=0.3, c=1.7)
     steady = synchronized_state(params, solve_logistic(g, 4.0))
@@ -135,24 +147,67 @@ def shifted_matrices(n):
     return {"scalar": scalar, "coupled": M - sigma * sp.identity(2 * g.size)}
 
 
+def imex_matrix(g, dt=1e-3):
+    return sp.identity(g.size, format="csr") - dt * laplacian(g.domain)
+
+
+def kernel_matrices():
+    """Each kind of matrix factorize sees, on (0, π) with 40 nodes unless
+    named 2D: Newton's Jacobian Δ + diag(4 - 2θ) is negative definite, and
+    the nonsymmetric one is I - dt·Δ with one superdiagonal entry an ulp off."""
+    g = grid1d(40)
+    theta = solve_logistic(g, 4.0).theta
+    nonsymmetric = imex_matrix(g).tolil()
+    nonsymmetric[0, 1] *= 1.0 + 2.0**-52
+    return {
+        "imex-1d": imex_matrix(g),
+        "shifted-scalar-1d": shifted_matrices(g)["scalar"],
+        "newton-1d": WeightedOperator(g, 4.0 - 2.0 * theta).matrix,
+        "nonsymmetric-tridiagonal": nonsymmetric.tocsr(),
+        "coupled-1d": shifted_matrices(g)["coupled"],
+        "stencil-2d": imex_matrix(square(8)),
+    }
+
+
 def fill(lu):
     return lu.L.nnz + lu.U.nnz
 
 
 class TestFactorize:
-    @pytest.mark.parametrize("name", ["scalar", "coupled"])
+    @pytest.mark.parametrize("name", ["scalar", "coupled", "tridiagonal"])
     def test_solves_match_dense(self, name):
-        A = shifted_matrices(8)[name]
-        rhs = np.random.default_rng(5).standard_normal((A.shape[0], 2))
-        x = factorize(A).solve(rhs)
+        matrices = {**shifted_matrices(square(8)), "tridiagonal": imex_matrix(grid1d(40))}
+        A = matrices[name]
+        for shape in [(A.shape[0],), (A.shape[0], 2), (A.shape[0], 12)]:
+            rhs = np.random.default_rng(5).standard_normal(shape)
+            x = factorize(A).solve(rhs)
+            ref = np.linalg.solve(A.toarray(), rhs)
+            assert x.shape == shape
+            assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("name, kernel", [
+        pytest.param("imex-1d", TridiagonalLDLT, id="imex-1d"),
+        pytest.param("shifted-scalar-1d", TridiagonalLDLT, id="shifted-scalar-1d"),
+        pytest.param("newton-1d", spla.SuperLU, id="newton-1d"),
+        pytest.param("nonsymmetric-tridiagonal", spla.SuperLU, id="nonsymmetric-tridiagonal"),
+        pytest.param("coupled-1d", spla.SuperLU, id="coupled-1d"),
+        pytest.param("stencil-2d", spla.SuperLU, id="stencil-2d"),
+    ])
+    def test_kernel_follows_the_matrix(self, name, kernel):
+        # LAPACK's LDLᵀ exactly for the symmetric positive definite
+        # tridiagonal matrices; SuperLU for the rest, which still solves
+        A = kernel_matrices()[name]
+        lu = factorize(A)
+        assert type(lu) is kernel
+        rhs = np.random.default_rng(6).standard_normal((A.shape[0], 2))
         ref = np.linalg.solve(A.toarray(), rhs)
-        assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+        assert np.linalg.norm(lu.solve(rhs) - ref) <= 1e-12 * np.linalg.norm(ref)
 
     @pytest.mark.parametrize("name", ["scalar", "coupled"])
     def test_fill_below_colamd(self, name):
         # 30×30: scalar 30,338 (COLAMD) vs 20,196; coupled 123,916 vs
         # 70,258 with scipy 1.17.1
-        A = shifted_matrices(30)[name]
+        A = shifted_matrices(square(30))[name]
         assert fill(factorize(A)) < fill(spla.splu(A.tocsc()))
 
 
