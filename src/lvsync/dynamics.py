@@ -5,20 +5,24 @@
 with zero Dirichlet boundary and nonnegative initial data. The scheme is
 first-order IMEX: diffusion implicit (one `grid.factorize` of I - dt·Δ
 per run, one solve per step on the stacked (N,2) state [u v]), reaction
-explicit. In 1D, I - dt·Δ is symmetric positive definite and tridiagonal,
-so `factorize` returns LAPACK's LDLᵀ (`dpttrs` solves both species in one
-call); in 2D it is SuperLU's LU. Because the implicit part is linear, any
-discrete steady state is an exact fixed point of the scheme up to solver
-roundoff.
+explicit. I - dt·Δ is symmetric positive definite, so `factorize` returns
+LAPACK's LDLᵀ in 1D and its banded Cholesky on 2D grids up to
+`grid.BAND_CHOLESKY_MAX_KD` nodes across (one `dpttrs`/`dpbtrs` call
+solves both species); a wider 2D grid gets SuperLU's LU. Because the
+implicit part is linear, any discrete steady state is an exact fixed
+point of the scheme up to solver roundoff.
 
 Positivity: (I - dt·Δ_h) is an M-matrix, so its inverse is nonnegative;
 under the step-size rule dt·(max|a| + 2·max(u,v)·(1+b+c)) <= 1/2 the
 explicit reaction update keeps the right-hand side nonnegative, hence the
-scheme preserves nonnegativity. In 1D the solve keeps it exactly: the
-LDLᵀ of the M-matrix has d_i > 0 and l_i < 0, so forward and back
-substitution on a nonnegative right-hand side add only nonnegative terms.
-Roundoff-level negatives of a 2D solve (within -1e-12·max(1, ‖state‖∞))
-are floored to zero; anything below that raises.
+scheme preserves nonnegativity. The LAPACK kernels keep it exactly: the
+LDLᵀ of the tridiagonal M-matrix has d_i > 0 and l_i < 0, and the
+Cholesky factor of the symmetric M-matrix (a Stieltjes matrix) has a
+positive diagonal and no positive entry off it (Fiedler & Pták, 1962),
+so forward and back substitution on a nonnegative right-hand side add
+only nonnegative terms. Roundoff-level negatives of a SuperLU solve
+(within -1e-12·max(1, ‖state‖∞)) are floored to zero; anything below
+that raises.
 """
 
 from __future__ import annotations

@@ -8,7 +8,11 @@ problem and silently returning it would be misleading.
 
 Newton linearization: J(θ)δ = -(Δθ + θ(a-θ)) with J(θ) = Δ + diag(a - 2θ),
 damped by step halving whenever the residual fails to decrease or an
-iterate loses positivity.
+iterate loses positivity. Each iteration factors -J and solves for the
+residual itself: at the positive solution, -J = -(Δ + a - θ) + diag(θ) has
+smallest eigenvalue above λ1(a - θ) = 0, so it is symmetric positive
+definite there and `grid.factorize` gives it LAPACK's LDLᵀ (1D) or banded
+Cholesky (2D); an indefinite -J on the way still gets SuperLU.
 """
 
 from __future__ import annotations
@@ -105,9 +109,11 @@ def _newton(
     for it in range(1, MAX_NEWTON + 1):
         if res <= tol:
             return theta, res, it - 1
-        J = WeightedOperator(grid, Field(grid, a_vals - 2.0 * theta)).matrix
+        # -J δ = F: -J is symmetric positive definite near the solution,
+        # where factorize hands it to a LAPACK Cholesky-type kernel
+        neg_J = -WeightedOperator(grid, Field(grid, a_vals - 2.0 * theta)).matrix
         try:
-            delta = factorize(J).solve(-_residual_vec(lap, theta, a_vals))
+            delta = factorize(neg_J).solve(_residual_vec(lap, theta, a_vals))
         except RuntimeError as exc:  # singular Jacobian
             raise NewtonDivergenceError(f"Newton linear solve failed: {exc}", trace)
         t = 1.0

@@ -12,11 +12,16 @@ The weighted operator Δ + diag(m) uses the standard second-order 3-point
 quadrature weight h1*...*hd with no boundary correction.
 
 Every sparse solve in the package factors through `factorize`, which picks
-its kernel from the matrix: a symmetric positive definite tridiagonal
-matrix (the 1D I - dt·Δ and shifted scalar operator) gets LAPACK's LDLᵀ
-(`dpttrf`/`dpttrs`); every other matrix gets SuperLU with the
-minimum-degree ordering of the pattern of Aᵀ + A, which suits the
-symmetric patterns of the stencils and of the coupled Jacobian.
+its kernel from the matrix. A symmetric positive definite (SPD) tridiagonal
+matrix gets LAPACK's LDLᵀ (`dpttrf`/`dpttrs`); an SPD matrix of bandwidth
+2 <= kd <= BAND_CHOLESKY_MAX_KD gets LAPACK's banded Cholesky
+(`dpbtrf`/`dpbtrs`). That covers I - dt·Δ, the scalar operator shifted
+below its spectrum and Newton's negated Jacobian near the solution, in 1D
+and on 2D grids up to BAND_CHOLESKY_MAX_KD nodes across. Every other
+matrix (the coupled Jacobian, indefinite or nonsymmetric matrices, wider
+bands) gets SuperLU with the minimum-degree ordering of the pattern of
+Aᵀ + A, which suits the symmetric patterns of the stencils and of the
+coupled Jacobian.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from functools import lru_cache
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg.lapack import dpttrf, dpttrs
+from scipy.linalg.lapack import dpbtrf, dpbtrs, dpttrf, dpttrs
 
 __all__ = [
     "Domain",
@@ -282,21 +287,92 @@ class TridiagonalLDLT:
         return x
 
 
-def factorize(A: sp.spmatrix) -> TridiagonalLDLT | spla.SuperLU:
+# Widest band that gets LAPACK's banded Cholesky. Its factor fills the whole
+# band, (kd+1)·n entries, so a solve costs O(kd·n), while SuperLU's
+# minimum-degree factor grows more slowly with the grid: at 100×100 a
+# single-vector solve costs about 1 ms on either. The limit is the
+# crossover of whole `verify` runs on the square (a=4, b=0.5, c=1, k=6;
+# medians of five runs each way on a 2-core x86-64 VM, BLAS on 1 thread):
+# band Cholesky against SuperLU for every symmetric positive definite
+# matrix took 1.00 against 1.07 s at 90×90, 1.40 against 1.39 s at 100×100
+# (peak RSS 102 against 108 MB), 1.80 against 1.76 s at 110×110 and 2.31
+# against 2.15 s at 120×120.
+BAND_CHOLESKY_MAX_KD = 100
+
+
+class BandCholesky:
+    """Cholesky factor of a symmetric positive definite band matrix in
+    LAPACK's upper band storage: row kd - (j - i) of column j holds U[i, j]."""
+
+    __slots__ = ("c",)
+
+    def __init__(self, c: np.ndarray):
+        self.c = c
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """Solution of A x = b for a vector or an (N, r) block b."""
+        x, info = dpbtrs(self.c, b)
+        if info != 0:
+            raise ValueError(f"dpbtrs rejected argument {-info}")
+        return x
+
+
+def _symmetric_band(A: sp.spmatrix) -> np.ndarray | None:
+    """A in LAPACK's upper band storage, (kd+1, n), when A is exactly
+    symmetric with bandwidth 2 <= kd <= BAND_CHOLESKY_MAX_KD; else None."""
+    A = A.tocsr()
+    if not A.has_canonical_format:
+        A = A.copy()
+        A.sum_duplicates()
+    n = A.shape[0]
+    rows = np.repeat(np.arange(n), np.diff(A.indptr))
+    off = A.indices - rows
+    kd = int(np.abs(off).max(initial=0))
+    if not 2 <= kd <= BAND_CHOLESKY_MAX_KD:
+        return None
+    # Fortran order, so that dpbtrf factors it in place: A[i, j] with
+    # i <= j goes to row kd - (j - i) of column j, at flat index
+    # j·(kd+1) + kd - (j - i)
+    ab = np.zeros((kd + 1, n), order="F")
+    flat = ab.reshape(-1, order="F")
+    upper = off >= 0
+    flat[A.indices[upper] * (kd + 1) + kd - off[upper]] = A.data[upper]
+    # exactly symmetric: each lower entry A[i, j] equals the band's A[j, i],
+    # and the strict upper triangle has no nonzero beyond those mirrors
+    lower = ~upper
+    vals = A.data[lower]
+    mirrors = flat[rows[lower] * (kd + 1) + kd + off[lower]]
+    if not (np.array_equal(mirrors, vals)
+            and np.count_nonzero(A.data[off > 0]) == np.count_nonzero(vals)):
+        return None
+    return ab
+
+
+def factorize(A: sp.spmatrix) -> TridiagonalLDLT | BandCholesky | spla.SuperLU:
     """Factorization of the square matrix A, the one entry point for every
     sparse solve; `.solve(b)` takes a vector or an (N, r) block.
 
-    When A is tridiagonal with exactly equal sub- and superdiagonals and
-    LAPACK's `dpttrf` finds it positive definite (every pivot of D finite
-    and positive), the result is that LDLᵀ, solved by `dpttrs`: no
-    pivoting, backward stable, and a fraction of SuperLU's per-call cost.
-    In 1D this takes I - dt·Δ and Δ + diag(m) - σI shifted below the
-    spectrum. Every other matrix gets SuperLU with the minimum-degree
-    ordering of the pattern of Aᵀ + A. COLAMD, SuperLU's default, orders
-    for unsymmetric patterns; every matrix that reaches SuperLU here (the
-    2D stencils, the coupled Jacobian shifted by σ, Newton's Jacobian) has
-    a symmetric pattern, where the minimum-degree ordering leaves less
-    fill. Raises RuntimeError on an exactly singular A.
+    A symmetric positive definite (SPD) matrix gets a LAPACK kernel: no
+    pivoting, backward stable (Golub & Van Loan, *Matrix Computations*,
+    §4.3), and cheaper than SuperLU at the sizes that reach it.
+
+    - Tridiagonal, with exactly equal sub- and superdiagonals, and every
+      pivot of `dpttrf`'s D finite and positive: LDLᵀ, solved by `dpttrs`
+      (2–3× faster than `dpbtrs` at bandwidth 1). In 1D this takes
+      I - dt·Δ, Δ + diag(m) - σI shifted below the spectrum and Newton's
+      -J near the solution.
+    - Exactly symmetric, bandwidth 2 <= kd <= BAND_CHOLESKY_MAX_KD, and
+      accepted by `dpbtrf` with a finite diagonal: banded Cholesky, solved
+      by `dpbtrs`. In 2D with the x index fastest the bandwidth is nx, so
+      this takes the same matrices on every grid up to that many nodes
+      across.
+
+    Every other matrix (the coupled Jacobian, with blocks at ±N; an
+    indefinite or nonsymmetric matrix; a wider band) gets SuperLU with the
+    minimum-degree ordering of the pattern of Aᵀ + A. COLAMD, SuperLU's
+    default, orders for unsymmetric patterns; the matrices that reach
+    SuperLU here have symmetric patterns, where the minimum-degree
+    ordering leaves less fill. Raises RuntimeError on an exactly singular A.
     """
     n = A.shape[0]
     # a tridiagonal matrix stores at most 3n - 2 entries, so the 2D
@@ -309,6 +385,11 @@ def factorize(A: sp.spmatrix) -> TridiagonalLDLT | spla.SuperLU:
             d, e, info = dpttrf(d, e)
             if info == 0 and np.isfinite(d).all():
                 return TridiagonalLDLT(d, e)
+    ab = _symmetric_band(A)
+    if ab is not None:
+        c, info = dpbtrf(ab, overwrite_ab=1)
+        if info == 0 and np.isfinite(c[-1]).all():
+            return BandCholesky(c)
     return spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A")
 
 

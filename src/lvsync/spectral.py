@@ -14,11 +14,18 @@ shift-invert Lanczos (``eigsh``) with the shift sigma = -max(m) - 1, which
 lies strictly below the spectrum, so A - sigma*I is positive definite and
 the wanted eigenvalues are those of largest magnitude of its inverse. One
 factorization of A - sigma*I (`grid.factorize`: LAPACK's tridiagonal LDLᵀ
-in 1D, where A - sigma*I is symmetric positive definite and tridiagonal,
-SuperLU with the minimum-degree ordering in 2D) serves both as ARPACK's
-inverse operator and in the refinement that re-evaluates every eigenvalue
-through the shifted inverse. The Lanczos start vector is a fixed seeded
-Gaussian (SCALAR_START_SEED), so results are reproducible run to run.
+in 1D, its banded Cholesky on 2D grids up to `grid.BAND_CHOLESKY_MAX_KD`
+nodes across, SuperLU with the minimum-degree ordering on wider ones)
+serves both as ARPACK's inverse operator and in the refinement that
+re-evaluates every eigenvalue through the shifted inverse. The Lanczos
+start vector is a fixed seeded Gaussian (SCALAR_START_SEED), so results
+are reproducible run to run.
+
+Each eigenvector's sign makes its inner product with the fixed positive
+weight exp(x/Lx + √2·y/Ly) positive (`_sign_weight`), so the sign of an
+eigenfunction of a simple eigenvalue does not depend on the kernel or
+the library that computed it. The basis returned for an exactly multiple
+eigenvalue does: any orthonormal basis of its eigenspace is an answer.
 
 Dense LAPACK ``eigh`` runs only for k >= n - 1, where ARPACK cannot return
 (nearly) the whole spectrum; elsewhere it is the tests' oracle.
@@ -38,7 +45,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .grid import Field, Grid, TridiagonalLDLT, WeightedOperator, factorize, fmt_g17
+from .grid import BandCholesky, Field, Grid, TridiagonalLDLT, WeightedOperator, factorize, fmt_g17
 
 __all__ = [
     "EigenPair",
@@ -111,8 +118,8 @@ class Spectrum:
 def principal_eigenpair(op: WeightedOperator, tol: float = DEFAULT_TOL) -> EigenPair:
     """Smallest eigenvalue of -(Δ + diag(m)) with its positive eigenfunction.
 
-    The eigenfunction is sign-normalized (largest-magnitude node positive)
-    and its strict positivity is asserted.
+    The eigenfunction is sign-normalized (positive inner product with a
+    positive weight) and its strict positivity is asserted.
     """
     spec = eigenpairs(op, 1, tol)
     pair = spec.pairs[0]
@@ -151,11 +158,9 @@ def eigenpairs(op: WeightedOperator, k: int, tol: float = DEFAULT_TOL) -> Spectr
         w, V = spla.eigsh(A, k, sigma=sigma, which="LM", OPinv=OPinv, v0=v0)
     w, V = _refine_through_inverse(lu, sigma, w, V)
 
-    # normalize in the discrete L2 norm and fix signs: the largest-magnitude
-    # entry of each column becomes positive (deterministic sign)
+    # normalize in the discrete L2 norm and fix signs by the fixed weight
     scale = 1.0 / np.sqrt(op.grid.cell_volume)
-    peak = V[np.argmax(np.abs(V), axis=0), np.arange(k)]
-    V = V * np.where(peak < 0, -scale, scale)
+    V = V * np.where(_sign_weight(op.grid) @ V < 0, -scale, scale)
     residuals = check_residuals(A, w, V, op.grid, tol)
     pairs = tuple(
         EigenPair(lam=float(w[j]), phi=Field(op.grid, V[:, j]), residual=residuals[j])
@@ -164,8 +169,25 @@ def eigenpairs(op: WeightedOperator, k: int, tol: float = DEFAULT_TOL) -> Spectr
     return Spectrum(pairs=pairs, weight=op.weight, tol=tol)
 
 
+def _sign_weight(grid: Grid) -> np.ndarray:
+    """exp(x/Lx + √2·y/Ly) at the nodes: eigenpairs makes each
+    eigenvector's inner product with it positive.
+
+    Positive, so the principal eigenfunction comes out positive. It is a
+    product of one exponential per axis, each with a nonzero inner product
+    with every sine mode sin(jπx/L) of its axis, so no separable mode of a
+    rectangle is orthogonal to it; 1 + x/Lx + y/Ly is orthogonal to every
+    mode sin(jπx/Lx)·sin(kπy/Ly) with j and k even, such as the square's
+    simple (2, 2) mode. The irrational ratio of the rates leaves it no
+    symmetry of the square, so it is not orthogonal to the modes that a
+    symmetric weight m makes antisymmetric under x <-> y either.
+    """
+    rates = np.array([1.0, math.sqrt(2.0)][: grid.ndim]) / np.array(grid.domain.extents)
+    return np.exp(grid.coords() @ rates)
+
+
 def _refine_through_inverse(
-    lu: TridiagonalLDLT | spla.SuperLU, sigma: float, w: np.ndarray, V: np.ndarray
+    lu: TridiagonalLDLT | BandCholesky | spla.SuperLU, sigma: float, w: np.ndarray, V: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Re-evaluate eigenvalues through the shifted inverse operator.
 

@@ -6,7 +6,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from lvsync.cli import main, parse_domain, parse_value_list
 from lvsync.grid import Domain, Grid, read_field_csv
@@ -135,6 +134,36 @@ class TestSteadyAndSpectrum:
         assert lam1 == pytest.approx(1.0, abs=1e-3)
         assert (out / "eigenfunction_000.csv").exists()
         assert (out / "eigenfunction_002.csv").exists()
+
+    @pytest.mark.parametrize("domain, n, k, simple", [
+        pytest.param("interval:0:pi", "300", "10", [5, 6, 9], id="interval-300"),
+        pytest.param("rectangle:pi:pi", "20,20", "11", [0, 3, 10], id="square-20x20"),
+    ])
+    def test_eigenfunction_signs_do_not_depend_on_the_kernel(
+        self, tmp_path, monkeypatch, domain, n, k, simple
+    ):
+        # the same simple-eigenvalue eigenfunctions whether factorize picks
+        # a LAPACK kernel or SuperLU. On (0, π) the ± peaks of modes 5, 6
+        # and 9 agree to rounding; index 3 of the square is its (2, 2)
+        # mode, orthogonal to every weight linear in x and y
+        import scipy.sparse.linalg as spla
+
+        import lvsync.spectral
+
+        def spectrum(out):
+            assert run("spectrum", "--domain", domain, "--n", n, "--a", "2", "--k", k,
+                       "--functions", "--out", str(out)) == 0
+            lam = np.loadtxt(out / "spectrum.csv", delimiter=",", skiprows=1)[:, 1]
+            return lam, [read_field_csv(out / f"eigenfunction_{i:03d}.csv")[1] for i in simple]
+
+        lam, lapack = spectrum(tmp_path / "lapack")
+        monkeypatch.setattr(lvsync.spectral, "factorize",
+                            lambda A: spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A"))
+        _, superlu = spectrum(tmp_path / "superlu")
+        gaps = np.abs(lam[:, None] - lam[None, :]) + np.eye(len(lam))
+        for i, x, y in zip(simple, lapack, superlu):
+            assert gaps[i].min() > 0.1  # a simple eigenvalue
+            assert np.abs(x - y).max() <= 1e-8 * np.abs(x).max()
 
 
 class TestVerify:
@@ -404,19 +433,40 @@ class TestSweep:
 
 
 class TestFactorizationRoute:
-    def test_every_factorization_orders_by_minimum_degree(self, tmp_path, monkeypatch):
-        # spy on SuperLU's C entry point: scipy's splu and arpack's own
-        # imported copy of it both end there
+    @staticmethod
+    def spy_kernels(monkeypatch):
+        """Record every factorization: SuperLU's C entry point (scipy's splu
+        and arpack's own imported copy of it both end there) as its column
+        ordering and the order of the matrix, LAPACK's dpttrf and dpbtrf as
+        the order of the matrix."""
+        import lvsync.grid
         from scipy.sparse.linalg._dsolve import _superlu
 
-        orderings = []
+        superlu, lapack = [], []
         gstrf = _superlu.gstrf
+        dpttrf, dpbtrf = lvsync.grid.dpttrf, lvsync.grid.dpbtrf
 
-        def spy(*args, **kwargs):
-            orderings.append(kwargs["options"]["ColPerm"])
-            return gstrf(*args, **kwargs)
+        def spy_gstrf(n, *args, **kwargs):
+            superlu.append((kwargs["options"]["ColPerm"], n))
+            return gstrf(n, *args, **kwargs)
 
-        monkeypatch.setattr(_superlu, "gstrf", spy)
+        def spy_dpttrf(d, e):
+            lapack.append(d.size)
+            return dpttrf(d, e)
+
+        def spy_dpbtrf(ab, **kwargs):
+            lapack.append(ab.shape[1])
+            return dpbtrf(ab, **kwargs)
+
+        monkeypatch.setattr(_superlu, "gstrf", spy_gstrf)
+        monkeypatch.setattr(lvsync.grid, "dpttrf", spy_dpttrf)
+        monkeypatch.setattr(lvsync.grid, "dpbtrf", spy_dpbtrf)
+        return superlu, lapack
+
+    def test_every_factorization_orders_by_minimum_degree(self, tmp_path, monkeypatch):
+        # every run factors something, through some kernel, and every
+        # matrix that reaches SuperLU is ordered by minimum degree
+        superlu, lapack = self.spy_kernels(monkeypatch)
         square = ("--domain", "rectangle:pi:pi", "--a", "4")
         runs = [
             ("theta", *square, "--n", "10,10"),
@@ -427,45 +477,30 @@ class TestFactorizationRoute:
              "--sweep-b", "0.3,0.6", "--sweep-c", "1", "--workers", "1"),
         ]
         for i, args in enumerate(runs):
-            before = len(orderings)
+            before = len(superlu) + len(lapack)
             assert run(*args, "--out", str(tmp_path / str(i))) == 0
-            assert len(orderings) > before, args[0]
-        assert set(orderings) == {"MMD_AT_PLUS_A"}
+            assert len(superlu) + len(lapack) > before, args[0]
+        assert superlu and {ordering for ordering, _ in superlu} == {"MMD_AT_PLUS_A"}
 
-    def test_1d_spd_matrices_skip_superlu(self, tmp_path, monkeypatch):
-        # a 1D evolve and a 1D spectrum hand their symmetric positive
-        # definite matrices (I - dt·Δ, the shifted scalar operator) to
-        # LAPACK's dpttrf; the Newton Jacobians still reach SuperLU, with
-        # the minimum-degree ordering
-        import lvsync.grid
-        from scipy.sparse.linalg._dsolve import _superlu
-
-        superlu, lapack = [], []
-        gstrf, dpttrf = _superlu.gstrf, lvsync.grid.dpttrf
-
-        def spy_gstrf(n, nnz, data, indices, indptr, **kwargs):
-            A = sp.csc_matrix((data, indices, indptr), shape=(n, n)).toarray()
-            spd = np.array_equal(A, A.T) and np.linalg.eigvalsh(A)[0] > 0
-            superlu.append((kwargs["options"]["ColPerm"], spd))
-            return gstrf(n, nnz, data, indices, indptr, **kwargs)
-
-        def spy_dpttrf(d, e):
-            lapack.append(d.size)
-            return dpttrf(d, e)
-
-        monkeypatch.setattr(_superlu, "gstrf", spy_gstrf)
-        monkeypatch.setattr(lvsync.grid, "dpttrf", spy_dpttrf)
-        interval = ("--domain", "interval:0:pi", "--n", "40", "--a", "2")
-        runs = [
-            ("evolve", *interval, "--dt", "1e-3", "--t-end", "0.05"),
-            ("spectrum", *interval, "--k", "4"),
-        ]
+    def test_spd_matrices_skip_superlu(self, tmp_path, monkeypatch):
+        # 1D and 2D theta, spectrum and evolve runs hand every symmetric
+        # positive definite matrix (the shifted scalar operator, Newton's
+        # -J, I - dt·Δ) to LAPACK's dpttrf or dpbtrf. Here that is every
+        # matrix: -J is positive definite at each Newton iterate of these
+        # runs, so nothing reaches SuperLU
+        superlu, lapack = self.spy_kernels(monkeypatch)
+        domains = [("--domain", "interval:0:pi", "--n", "40", "--a", "2"),
+                   ("--domain", "rectangle:pi:pi", "--n", "10,10", "--a", "4")]
+        runs = [(command, *domain, *extra)
+                for domain in domains
+                for command, *extra in [("theta",), ("spectrum", "--k", "4"),
+                                        ("evolve", "--dt", "1e-3", "--t-end", "0.05")]]
         for i, args in enumerate(runs):
             before = len(lapack)
             assert run(*args, "--out", str(tmp_path / str(i))) == 0
-            assert len(lapack) > before, args[0]
-        assert set(lapack) == {40}
-        assert superlu and set(superlu) == {("MMD_AT_PLUS_A", False)}
+            assert len(lapack) > before, args
+        assert set(lapack) == {40, 100}
+        assert superlu == []
 
 
 class TestConfigPrecedence:

@@ -19,7 +19,7 @@ from lvsync import (
     random_perturbation,
 )
 from lvsync.dynamics import Trajectory, state_distance, write_trajectory_csv
-from lvsync.grid import factorize, laplacian
+from lvsync.grid import BandCholesky, TridiagonalLDLT, factorize, laplacian
 from lvsync.linstab import ansatz_coefficients, predicted_spectrum
 
 
@@ -175,23 +175,26 @@ class TestEvolve:
             for u, v in traj.states:
                 assert u.min() >= 0.0 and v.min() >= 0.0
 
-    @pytest.mark.parametrize("n", [20, 200, 2500])
-    def test_1d_implicit_solve_is_exactly_nonnegative(self, n):
-        # the LDLᵀ of the M-matrix I - dt·Δ has d_i > 0 and l_i < 0, so
-        # substitution adds only nonnegative terms: no negative and no -0.0
-        # (np.signbit catches both), with no clip behind the solve
-        g = grid1d(n)
+    @staticmethod
+    def assert_implicit_solve_exactly_nonnegative(g, kernel):
+        """No negative value and no -0.0 (np.signbit catches both) from the
+        kernel's solves of I - dt·Δ on nonnegative right-hand sides, with no
+        clip behind the solve."""
+        n = g.size
         rng = np.random.default_rng(n)
         underflows = 0
         for _ in range(20):
             dt = 10.0 ** rng.uniform(-6, 0)
             solver = factorize(sp.identity(n, format="csr") - dt * laplacian(g.domain))
+            assert type(solver) is kernel
             # column 0 is zero; columns 1 and 2 are nonzero on a random
             # window only, with magnitudes from subnormal to 1e3 and half
             # of the entries zero, so the solution underflows to exact
-            # zeros far from the window
-            rhs = 10.0 ** rng.uniform(-310, 3, (n, 3)) * (rng.uniform(size=(n, 3)) < 0.5)
-            rhs[:, 0] = 0.0
+            # zeros far from the window; column 3 holds the smallest
+            # subnormal at one node, so it underflows on any grid
+            rhs = 10.0 ** rng.uniform(-310, 3, (n, 4)) * (rng.uniform(size=(n, 4)) < 0.5)
+            rhs[:, 0] = rhs[:, 3] = 0.0
+            rhs[rng.integers(n), 3] = 5e-324
             for col in (1, 2):
                 lo, hi = np.sort(rng.integers(0, n + 1, 2))
                 rhs[:lo, col] = rhs[hi:, col] = 0.0
@@ -199,6 +202,20 @@ class TestEvolve:
                 assert not np.signbit(solver.solve(b)).any()
             underflows += np.count_nonzero(solver.solve(rhs[:, 1:]) == 0.0)
         assert underflows > 0
+
+    @pytest.mark.parametrize("n", [20, 200, 2500])
+    def test_1d_implicit_solve_is_exactly_nonnegative(self, n):
+        # the LDLᵀ of the M-matrix I - dt·Δ has d_i > 0 and l_i < 0, so
+        # substitution adds only nonnegative terms
+        self.assert_implicit_solve_exactly_nonnegative(grid1d(n), TridiagonalLDLT)
+
+    @pytest.mark.parametrize("n", [8, 30, 100])
+    def test_2d_implicit_solve_is_exactly_nonnegative(self, n):
+        # I - dt·Δ is a Stieltjes matrix, so its Cholesky factor has a
+        # positive diagonal and no positive entry off it (Fiedler & Pták,
+        # 1962), and substitution again adds only nonnegative terms
+        g = Grid(Domain("rectangle", (math.pi, math.pi), (n, n)))
+        self.assert_implicit_solve_exactly_nonnegative(g, BandCholesky)
 
     def test_store_every_and_final_time(self):
         g = grid1d(20)

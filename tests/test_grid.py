@@ -18,10 +18,13 @@ from lvsync import (
     interpolate,
     l2_inner,
     l2_norm,
+    principal_eigenpair,
     solve_logistic,
     synchronized_state,
 )
 from lvsync.grid import (
+    BAND_CHOLESKY_MAX_KD,
+    BandCholesky,
     TridiagonalLDLT,
     factorize,
     field_from_csv,
@@ -151,21 +154,45 @@ def imex_matrix(g, dt=1e-3):
     return sp.identity(g.size, format="csr") - dt * laplacian(g.domain)
 
 
+def eigenfunction_start_jacobian(g, a=8.0):
+    """Newton's -J = -(Δ + diag(a - 2θ₀)) at the start θ₀, the principal
+    eigenfunction scaled to max a/2: symmetric and, for a = 8 on the
+    square, indefinite (one negative eigenvalue, about -0.5)."""
+    phi = principal_eigenpair(WeightedOperator(g, Field.constant(g, a))).phi.values
+    return -WeightedOperator(g, Field(g, a - phi * (a / phi.max()))).matrix
+
+
 def kernel_matrices():
     """Each kind of matrix factorize sees, on (0, π) with 40 nodes unless
-    named 2D: Newton's Jacobian Δ + diag(4 - 2θ) is negative definite, and
-    the nonsymmetric one is I - dt·Δ with one superdiagonal entry an ulp off."""
+    named 2D (the 8×8 square unless sized otherwise): Newton's Jacobian
+    Δ + diag(4 - 2θ) is negative definite, so its negation is symmetric
+    positive definite; the nonsymmetric ones are I - dt·Δ with one
+    superdiagonal entry an ulp off; the wide band is I - dt·Δ on a
+    rectangle one node wider than the band Cholesky limit; the one-sided
+    one adds a strictly upper entry inside the band with no mirror below."""
     g = grid1d(40)
     theta = solve_logistic(g, 4.0).theta
-    nonsymmetric = imex_matrix(g).tolil()
-    nonsymmetric[0, 1] *= 1.0 + 2.0**-52
+    newton = WeightedOperator(g, 4.0 - 2.0 * theta).matrix
+
+    def ulp_off(A, offset):
+        A = A.tolil()
+        A[0, offset] *= 1.0 + 2.0**-52
+        return A.tocsr()
+
+    wide = Grid(Domain("rectangle", (math.pi, 1.0), (BAND_CHOLESKY_MAX_KD + 1, 3)))
     return {
         "imex-1d": imex_matrix(g),
         "shifted-scalar-1d": shifted_matrices(g)["scalar"],
-        "newton-1d": WeightedOperator(g, 4.0 - 2.0 * theta).matrix,
-        "nonsymmetric-tridiagonal": nonsymmetric.tocsr(),
+        "newton-1d": newton,
+        "negated-newton-1d": -newton,
+        "nonsymmetric-tridiagonal": ulp_off(imex_matrix(g), 1),
         "coupled-1d": shifted_matrices(g)["coupled"],
         "stencil-2d": imex_matrix(square(8)),
+        "indefinite-newton-2d": eigenfunction_start_jacobian(square(8)),
+        "nonsymmetric-stencil-2d": ulp_off(imex_matrix(square(8)), 8),
+        "one-sided-stencil-2d": (imex_matrix(square(8))
+                                 + sp.csr_matrix(([-1e-4], ([0], [2])), shape=(64, 64))),
+        "wider-than-limit": imex_matrix(wide),
     }
 
 
@@ -174,28 +201,46 @@ def fill(lu):
 
 
 class TestFactorize:
-    @pytest.mark.parametrize("name", ["scalar", "coupled", "tridiagonal"])
+    @pytest.mark.parametrize("name", ["scalar", "coupled", "tridiagonal", "banded"])
     def test_solves_match_dense(self, name):
-        matrices = {**shifted_matrices(square(8)), "tridiagonal": imex_matrix(grid1d(40))}
-        A = matrices[name]
-        for shape in [(A.shape[0],), (A.shape[0], 2), (A.shape[0], 12)]:
-            rhs = np.random.default_rng(5).standard_normal(shape)
-            x = factorize(A).solve(rhs)
-            ref = np.linalg.solve(A.toarray(), rhs)
-            assert x.shape == shape
-            assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+        # banded: the 8×8 shifted scalar matrix and the same on a 12×7
+        # rectangle, whose bandwidth nx = 12 differs from ny
+        square8 = shifted_matrices(square(8))
+        rectangle = Grid(Domain("rectangle", (math.pi, 2.0), (12, 7)))
+        matrices = {
+            "scalar": [square8["scalar"]],
+            "coupled": [square8["coupled"]],
+            "tridiagonal": [imex_matrix(grid1d(40))],
+            "banded": [square8["scalar"], shifted_matrices(rectangle)["scalar"]],
+        }[name]
+        for A in matrices:
+            if name == "banded":
+                assert type(factorize(A)) is BandCholesky
+            for shape in [(A.shape[0],), (A.shape[0], 2), (A.shape[0], 12)]:
+                rhs = np.random.default_rng(5).standard_normal(shape)
+                x = factorize(A).solve(rhs)
+                ref = np.linalg.solve(A.toarray(), rhs)
+                assert x.shape == shape
+                assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
 
     @pytest.mark.parametrize("name, kernel", [
         pytest.param("imex-1d", TridiagonalLDLT, id="imex-1d"),
         pytest.param("shifted-scalar-1d", TridiagonalLDLT, id="shifted-scalar-1d"),
         pytest.param("newton-1d", spla.SuperLU, id="newton-1d"),
+        pytest.param("negated-newton-1d", TridiagonalLDLT, id="negated-newton-1d"),
         pytest.param("nonsymmetric-tridiagonal", spla.SuperLU, id="nonsymmetric-tridiagonal"),
         pytest.param("coupled-1d", spla.SuperLU, id="coupled-1d"),
-        pytest.param("stencil-2d", spla.SuperLU, id="stencil-2d"),
+        pytest.param("stencil-2d", BandCholesky, id="stencil-2d"),
+        pytest.param("indefinite-newton-2d", spla.SuperLU, id="indefinite-newton-2d"),
+        pytest.param("nonsymmetric-stencil-2d", spla.SuperLU, id="nonsymmetric-stencil-2d"),
+        pytest.param("one-sided-stencil-2d", spla.SuperLU, id="one-sided-stencil-2d"),
+        pytest.param("wider-than-limit", spla.SuperLU, id="wider-than-limit"),
     ])
     def test_kernel_follows_the_matrix(self, name, kernel):
         # LAPACK's LDLᵀ exactly for the symmetric positive definite
-        # tridiagonal matrices; SuperLU for the rest, which still solves
+        # tridiagonal matrices, its banded Cholesky for the symmetric
+        # positive definite band matrices up to the limit; SuperLU for the
+        # rest, which still solves
         A = kernel_matrices()[name]
         lu = factorize(A)
         assert type(lu) is kernel
@@ -205,9 +250,11 @@ class TestFactorize:
 
     @pytest.mark.parametrize("name", ["scalar", "coupled"])
     def test_fill_below_colamd(self, name):
-        # 30×30: scalar 30,338 (COLAMD) vs 20,196; coupled 123,916 vs
-        # 70,258 with scipy 1.17.1
-        A = shifted_matrices(square(30))[name]
+        # 30×30, COLAMD vs minimum degree with scipy 1.17.1: the symmetric
+        # indefinite scalar matrix (Newton's -J at the eigenfunction start,
+        # a = 8) 30,338 vs 20,196; coupled 123,916 vs 70,258
+        A = {"scalar": eigenfunction_start_jacobian(square(30)),
+             "coupled": shifted_matrices(square(30))["coupled"]}[name]
         assert fill(factorize(A)) < fill(spla.splu(A.tocsc()))
 
 

@@ -126,10 +126,17 @@ class TestEigenpairs:
         assert np.all(np.diff(spec.values) > 0)
 
     def test_sign_convention(self):
-        op, _ = zero_weight_op(50)
+        # each eigenfunction has a positive inner product with exp(x/L):
+        # on (0, π), ∫ exp(x/π)·sin(jx) dx = π²j(1 - e·(-1)^j)/(1 + π²j²),
+        # far from zero for every j
+        op, g = zero_weight_op(50)
         spec = eigenpairs(op, 4, tol=1e-10)
-        for p in spec.pairs:
-            assert p.phi.values[np.argmax(np.abs(p.phi.values))] > 0
+        weight = np.exp(g.coords()[:, 0] / math.pi)
+        for j, p in enumerate(spec.pairs, start=1):
+            sine = np.sin(j * g.coords()[:, 0])
+            assert weight @ p.phi.values > 0
+            assert np.sign(weight @ sine) * p.phi.values == pytest.approx(
+                sine / l2_norm(Field(g, sine)), abs=1e-9)
 
     def test_k_too_large(self):
         op, _ = zero_weight_op(10)
