@@ -263,6 +263,9 @@ def validate_config(cfg: RunConfig, command: str) -> None:
             raise ConfigError(f"dt must be positive, got {cfg.dt}")
         if cfg.t_end <= 0:
             raise ConfigError(f"t_end must be positive, got {cfg.t_end}")
+        outside = [t for t in cfg.snapshot_times if not 0.0 <= t <= cfg.t_end]
+        if outside:
+            raise ConfigError(f"snapshot times must lie in [0, t_end = {cfg.t_end}], got {outside}")
         if cfg.amplitude < 0:
             raise ConfigError(f"amplitude must be nonnegative, got {cfg.amplitude}")
         if cfg.store_every < 1:

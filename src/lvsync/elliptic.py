@@ -11,8 +11,7 @@ damped by step halving whenever the residual fails to decrease or an
 iterate loses positivity. Each iteration factors -J and solves for the
 residual itself: at the positive solution, -J = -(Δ + a - θ) + diag(θ) has
 smallest eigenvalue above λ1(a - θ) = 0, so it is symmetric positive
-definite there and `grid.factorize` gives it LAPACK's LDLᵀ (1D) or banded
-Cholesky (2D); an indefinite -J on the way still gets SuperLU.
+definite there, which `grid.factorize` factors without pivoting.
 """
 
 from __future__ import annotations
@@ -110,7 +109,7 @@ def _newton(
         if res <= tol:
             return theta, res, it - 1
         # -J δ = F: -J is symmetric positive definite near the solution,
-        # where factorize hands it to a LAPACK Cholesky-type kernel
+        # where factorize hands it to LAPACK
         neg_J = -WeightedOperator(grid, Field(grid, a_vals - 2.0 * theta)).matrix
         try:
             delta = factorize(neg_J).solve(_residual_vec(lap, theta, a_vals))

@@ -12,16 +12,7 @@ The weighted operator Δ + diag(m) uses the standard second-order 3-point
 quadrature weight h1*...*hd with no boundary correction.
 
 Every sparse solve in the package factors through `factorize`, which picks
-its kernel from the matrix. A symmetric positive definite (SPD) tridiagonal
-matrix gets LAPACK's LDLᵀ (`dpttrf`/`dpttrs`); an SPD matrix of bandwidth
-2 <= kd <= BAND_CHOLESKY_MAX_KD gets LAPACK's banded Cholesky
-(`dpbtrf`/`dpbtrs`). That covers I - dt·Δ, the scalar operator shifted
-below its spectrum and Newton's negated Jacobian near the solution, in 1D
-and on 2D grids up to BAND_CHOLESKY_MAX_KD nodes across. Every other
-matrix (the coupled Jacobian, indefinite or nonsymmetric matrices, wider
-bands) gets SuperLU with the minimum-degree ordering of the pattern of
-Aᵀ + A, which suits the symmetric patterns of the stencils and of the
-coupled Jacobian.
+its kernel from the matrix.
 """
 
 from __future__ import annotations
@@ -269,24 +260,6 @@ def laplacian(domain: Domain) -> sp.csr_matrix:
     return lap
 
 
-class TridiagonalLDLT:
-    """LDLᵀ factors of a symmetric positive definite tridiagonal matrix:
-    d is the diagonal of D, e the subdiagonal of the unit bidiagonal L."""
-
-    __slots__ = ("d", "e")
-
-    def __init__(self, d: np.ndarray, e: np.ndarray):
-        self.d = d
-        self.e = e
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        """Solution of A x = b for a vector or an (N, r) block b."""
-        x, info = dpttrs(self.d, self.e, b)
-        if info != 0:
-            raise ValueError(f"dpttrs rejected argument {-info}")
-        return x
-
-
 # Widest band that gets LAPACK's banded Cholesky. Its factor fills the whole
 # band, (kd+1)·n entries, so a solve costs O(kd·n), while SuperLU's
 # minimum-degree factor grows more slowly with the grid: at 100×100 a
@@ -300,26 +273,29 @@ class TridiagonalLDLT:
 BAND_CHOLESKY_MAX_KD = 100
 
 
-class BandCholesky:
-    """Cholesky factor of a symmetric positive definite band matrix in
-    LAPACK's upper band storage: row kd - (j - i) of column j holds U[i, j]."""
+class LapackFactor:
+    """Factors of a symmetric positive definite band matrix and the LAPACK
+    routine that solves with them: `dpttrs` with LDLᵀ's diagonal d and
+    subdiagonal e, or `dpbtrs` with the Cholesky factor in band storage."""
 
-    __slots__ = ("c",)
+    __slots__ = ("routine", "factors")
 
-    def __init__(self, c: np.ndarray):
-        self.c = c
+    def __init__(self, routine, *factors: np.ndarray):
+        self.routine = routine
+        self.factors = factors
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Solution of A x = b for a vector or an (N, r) block b."""
-        x, info = dpbtrs(self.c, b)
+        x, info = self.routine(*self.factors, b)
         if info != 0:
-            raise ValueError(f"dpbtrs rejected argument {-info}")
+            raise ValueError(f"{self.routine.__name__} rejected argument {-info}")
         return x
 
 
 def _symmetric_band(A: sp.spmatrix) -> np.ndarray | None:
     """A in LAPACK's upper band storage, (kd+1, n), when A is exactly
-    symmetric with bandwidth 2 <= kd <= BAND_CHOLESKY_MAX_KD; else None."""
+    symmetric with bandwidth kd <= BAND_CHOLESKY_MAX_KD; else None. A
+    diagonal A (kd = 0) comes back as a two-row band, like a tridiagonal one."""
     A = A.tocsr()
     if not A.has_canonical_format:
         A = A.copy()
@@ -327,8 +303,8 @@ def _symmetric_band(A: sp.spmatrix) -> np.ndarray | None:
     n = A.shape[0]
     rows = np.repeat(np.arange(n), np.diff(A.indptr))
     off = A.indices - rows
-    kd = int(np.abs(off).max(initial=0))
-    if not 2 <= kd <= BAND_CHOLESKY_MAX_KD:
+    kd = max(int(np.abs(off).max(initial=0)), 1)
+    if kd > BAND_CHOLESKY_MAX_KD:
         return None
     # Fortran order, so that dpbtrf factors it in place: A[i, j] with
     # i <= j goes to row kd - (j - i) of column j, at flat index
@@ -348,24 +324,20 @@ def _symmetric_band(A: sp.spmatrix) -> np.ndarray | None:
     return ab
 
 
-def factorize(A: sp.spmatrix) -> TridiagonalLDLT | BandCholesky | spla.SuperLU:
+def factorize(A: sp.spmatrix) -> LapackFactor | spla.SuperLU:
     """Factorization of the square matrix A, the one entry point for every
     sparse solve; `.solve(b)` takes a vector or an (N, r) block.
 
-    A symmetric positive definite (SPD) matrix gets a LAPACK kernel: no
-    pivoting, backward stable (Golub & Van Loan, *Matrix Computations*,
-    §4.3), and cheaper than SuperLU at the sizes that reach it.
-
-    - Tridiagonal, with exactly equal sub- and superdiagonals, and every
-      pivot of `dpttrf`'s D finite and positive: LDLᵀ, solved by `dpttrs`
-      (2–3× faster than `dpbtrs` at bandwidth 1). In 1D this takes
-      I - dt·Δ, Δ + diag(m) - σI shifted below the spectrum and Newton's
-      -J near the solution.
-    - Exactly symmetric, bandwidth 2 <= kd <= BAND_CHOLESKY_MAX_KD, and
-      accepted by `dpbtrf` with a finite diagonal: banded Cholesky, solved
-      by `dpbtrs`. In 2D with the x index fastest the bandwidth is nx, so
-      this takes the same matrices on every grid up to that many nodes
-      across.
+    An exactly symmetric A of bandwidth kd <= BAND_CHOLESKY_MAX_KD that
+    LAPACK finds positive definite, with a finite factor, gets a LAPACK
+    kernel: no pivoting, backward stable (Golub & Van Loan, *Matrix
+    Computations*, §4.3), and cheaper than SuperLU at the sizes that reach
+    it. At kd <= 1 that is LDLᵀ (`dpttrf`/`dpttrs`, 2–3× faster than
+    `dpbtrs` at bandwidth 1), at kd >= 2 banded Cholesky
+    (`dpbtrf`/`dpbtrs`). In 2D with the x index fastest the bandwidth is
+    nx. So I - dt·Δ, Δ + diag(m) - σI shifted below the spectrum and
+    Newton's -J near the solution reach LAPACK in 1D and on 2D grids up
+    to BAND_CHOLESKY_MAX_KD nodes across.
 
     Every other matrix (the coupled Jacobian, with blocks at ±N; an
     indefinite or nonsymmetric matrix; a wider band) gets SuperLU with the
@@ -374,22 +346,17 @@ def factorize(A: sp.spmatrix) -> TridiagonalLDLT | BandCholesky | spla.SuperLU:
     SuperLU here have symmetric patterns, where the minimum-degree
     ordering leaves less fill. Raises RuntimeError on an exactly singular A.
     """
-    n = A.shape[0]
-    # a tridiagonal matrix stores at most 3n - 2 entries, so the 2D
-    # stencils and the coupled Jacobian are turned away without a scan
-    if 1 < n and A.nnz <= 3 * n - 2:
-        d, e = A.diagonal(), A.diagonal(1)
-        # tridiagonal: every nonzero lies on the three central diagonals
-        band = np.count_nonzero(d) + 2 * np.count_nonzero(e)
-        if np.array_equal(e, A.diagonal(-1)) and A.count_nonzero() == band:
-            d, e, info = dpttrf(d, e)
-            if info == 0 and np.isfinite(d).all():
-                return TridiagonalLDLT(d, e)
     ab = _symmetric_band(A)
     if ab is not None:
-        c, info = dpbtrf(ab, overwrite_ab=1)
-        if info == 0 and np.isfinite(c[-1]).all():
-            return BandCholesky(c)
+        if len(ab) == 2:
+            # scipy's dpttrf wants e of length max(n - 1, 1)
+            e = ab[0, 1:] if ab.shape[1] > 1 else ab[0]
+            routine, (*factors, info) = dpttrs, dpttrf(ab[1], e)
+        else:
+            routine, (*factors, info) = dpbtrs, dpbtrf(ab, overwrite_ab=1)
+        # factors[0] is LDLᵀ's d or the band holding Cholesky's diagonal
+        if info == 0 and np.isfinite(factors[0]).all():
+            return LapackFactor(routine, *factors)
     return spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A")
 
 
@@ -438,51 +405,25 @@ def l2_inner(f: Field, g: Field) -> float:
 
 
 def interpolate(f: Field, point) -> float:
-    """Multilinear interpolation of a field at an interior point.
+    """Multilinear interpolation of a field at a point of the closed box.
 
-    Uses the implicit zero boundary, so points anywhere in the closed box
-    are valid.
+    The zero boundary pads the grid, so points on the boundary are valid;
+    a point outside the box, with the wrong number of coordinates or with
+    a NaN coordinate raises ValueError.
     """
-    pt = np.atleast_1d(np.asarray(point, dtype=float))
+    # imported here: scipy.interpolate pulls in scipy.spatial, about 20 MB
+    # of resident memory that no solve needs
+    from scipy.interpolate import RegularGridInterpolator
+
+    pt = np.asarray(point, dtype=float).reshape(1, -1)
+    if np.isnan(pt).any():
+        raise ValueError(f"point {pt[0]} has a NaN coordinate")
     grid = f.grid
-    if pt.size != grid.ndim:
-        raise ValueError(f"point must have {grid.ndim} coordinate(s)")
-    for x, e in zip(pt, grid.domain.extents):
-        if x < 0 or x > e:
-            raise ValueError(f"point {pt} outside domain")
-
-    # per-axis cell index and barycentric weight, boundary nodes = 0
-    def axis_weights(x, h, n):
-        i = int(math.floor(x / h))  # node i at i*h, i ranges 0..n+1 incl. boundary
-        i = min(i, n)
-        t = x / h - i
-        return i, t
-
-    shape = grid.shape
-    if grid.ndim == 1:
-        (n,) = shape
-        h = grid.spacing[0]
-        i, t = axis_weights(pt[0], h, n)
-        left = f.values[i - 1] if 1 <= i <= n else 0.0
-        right = f.values[i] if 0 <= i < n else 0.0
-        return float((1 - t) * left + t * right)
-
-    nx, ny = shape
-    hx, hy = grid.spacing
-    ix, tx = axis_weights(pt[0], hx, nx)
-    iy, ty = axis_weights(pt[1], hy, ny)
-
-    def node(jx, jy):
-        if 1 <= jx <= nx and 1 <= jy <= ny:
-            return f.values[(jx - 1) + nx * (jy - 1)]
-        return 0.0
-
-    return float(
-        (1 - tx) * (1 - ty) * node(ix, iy)
-        + tx * (1 - ty) * node(ix + 1, iy)
-        + (1 - tx) * ty * node(ix, iy + 1)
-        + tx * ty * node(ix + 1, iy + 1)
-    )
+    axes = [np.concatenate(([0.0], ax, [e])) for ax, e in zip(grid.axes, grid.domain.extents)]
+    # x index fastest: the values reshape to (ny, nx), the interpolator
+    # takes them indexed (ix, iy)
+    values = np.pad(f.values.reshape(grid.shape[::-1]).T, 1)
+    return float(RegularGridInterpolator(axes, values)(pt)[0])
 
 
 def write_field_csv(f: Field, path):

@@ -13,10 +13,8 @@ One production route computes the k smallest eigenpairs: ARPACK's
 shift-invert Lanczos (``eigsh``) with the shift sigma = -max(m) - 1, which
 lies strictly below the spectrum, so A - sigma*I is positive definite and
 the wanted eigenvalues are those of largest magnitude of its inverse. One
-factorization of A - sigma*I (`grid.factorize`: LAPACK's tridiagonal LDLᵀ
-in 1D, its banded Cholesky on 2D grids up to `grid.BAND_CHOLESKY_MAX_KD`
-nodes across, SuperLU with the minimum-degree ordering on wider ones)
-serves both as ARPACK's inverse operator and in the refinement that
+factorization of A - sigma*I (`grid.factorize` picks its kernel) serves
+both as ARPACK's inverse operator and in the refinement that
 re-evaluates every eigenvalue through the shifted inverse. The Lanczos
 start vector is a fixed seeded Gaussian (SCALAR_START_SEED), so results
 are reproducible run to run.
@@ -45,7 +43,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .grid import BandCholesky, Field, Grid, TridiagonalLDLT, WeightedOperator, factorize, fmt_g17
+from .grid import Field, Grid, LapackFactor, WeightedOperator, factorize, fmt_g17
 
 __all__ = [
     "EigenPair",
@@ -77,7 +75,7 @@ def check_residuals(
     """Discrete L2 residual ‖A x_j - λ_j x_j‖ of each pair (values[j],
     vectors[:, j]): one sparse product for all pairs, one norm per vector;
     raises EigenSolveError for the first pair whose residual exceeds
-    tol * max(1, |λ_j|)."""
+    tol * max(1, |λ_j|) or is NaN."""
     scale = math.sqrt(grid.cell_volume)
     AV = A @ vectors
     residuals = []
@@ -85,7 +83,8 @@ def check_residuals(
         # λ·x per column: numpy's SIMD loops for a broadcast complex
         # product V * w round differently from the scalar product
         res = float(np.linalg.norm(AV[:, j] - lam * vectors[:, j]) * scale)
-        if res > tol * max(1.0, abs(lam)):
+        # a NaN residual fails the gate too
+        if not res <= tol * max(1.0, abs(lam)):
             raise EigenSolveError(
                 f"{what} {j} residual {res:.3e} exceeds tol {tol:.1e}", last_residual=res
             )
@@ -187,7 +186,7 @@ def _sign_weight(grid: Grid) -> np.ndarray:
 
 
 def _refine_through_inverse(
-    lu: TridiagonalLDLT | BandCholesky | spla.SuperLU, sigma: float, w: np.ndarray, V: np.ndarray
+    lu: LapackFactor | spla.SuperLU, sigma: float, w: np.ndarray, V: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Re-evaluate eigenvalues through the shifted inverse operator.
 

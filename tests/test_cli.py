@@ -587,6 +587,10 @@ FIELD_20_NODES_NAN = "index,coord1,value\n" + "".join(
                  id="amplitude-nan"),
     pytest.param({}, ["evolve", "--n", "20", "--t-end", "0.1", "--snapshots", "nan"],
                  id="snapshot-time-nan"),
+    pytest.param({}, ["evolve", "--n", "20", "--t-end", "0.5", "--snapshots=-3"],
+                 id="snapshot-time-negative"),
+    pytest.param({}, ["evolve", "--n", "20", "--t-end", "0.5", "--snapshots", "0,1e9"],
+                 id="snapshot-time-after-t-end"),
     pytest.param({}, ["theta", "--n", "20", "--a", "profile:sin", "--a1", "inf"],
                  id="profile-amplitude-inf"),
     pytest.param({}, ["theta", "--n", "20", "--a", "profile:const", "--a0", "inf"],

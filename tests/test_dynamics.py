@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.linalg.lapack import dpbtrs, dpttrs
 
 import lvsync.dynamics
 from lvsync import (
@@ -19,7 +20,7 @@ from lvsync import (
     random_perturbation,
 )
 from lvsync.dynamics import Trajectory, state_distance, write_trajectory_csv
-from lvsync.grid import BandCholesky, TridiagonalLDLT, factorize, laplacian
+from lvsync.grid import factorize, laplacian
 from lvsync.linstab import ansatz_coefficients, predicted_spectrum
 
 
@@ -176,17 +177,17 @@ class TestEvolve:
                 assert u.min() >= 0.0 and v.min() >= 0.0
 
     @staticmethod
-    def assert_implicit_solve_exactly_nonnegative(g, kernel):
+    def assert_implicit_solve_exactly_nonnegative(g, routine):
         """No negative value and no -0.0 (np.signbit catches both) from the
-        kernel's solves of I - dt·Δ on nonnegative right-hand sides, with no
-        clip behind the solve."""
+        solves of I - dt·Δ by the LAPACK routine on nonnegative right-hand
+        sides, with no clip behind the solve."""
         n = g.size
         rng = np.random.default_rng(n)
         underflows = 0
         for _ in range(20):
             dt = 10.0 ** rng.uniform(-6, 0)
             solver = factorize(sp.identity(n, format="csr") - dt * laplacian(g.domain))
-            assert type(solver) is kernel
+            assert solver.routine is routine
             # column 0 is zero; columns 1 and 2 are nonzero on a random
             # window only, with magnitudes from subnormal to 1e3 and half
             # of the entries zero, so the solution underflows to exact
@@ -207,7 +208,7 @@ class TestEvolve:
     def test_1d_implicit_solve_is_exactly_nonnegative(self, n):
         # the LDLᵀ of the M-matrix I - dt·Δ has d_i > 0 and l_i < 0, so
         # substitution adds only nonnegative terms
-        self.assert_implicit_solve_exactly_nonnegative(grid1d(n), TridiagonalLDLT)
+        self.assert_implicit_solve_exactly_nonnegative(grid1d(n), dpttrs)
 
     @pytest.mark.parametrize("n", [8, 30, 100])
     def test_2d_implicit_solve_is_exactly_nonnegative(self, n):
@@ -215,7 +216,7 @@ class TestEvolve:
         # positive diagonal and no positive entry off it (Fiedler & Pták,
         # 1962), and substitution again adds only nonnegative terms
         g = Grid(Domain("rectangle", (math.pi, math.pi), (n, n)))
-        self.assert_implicit_solve_exactly_nonnegative(g, BandCholesky)
+        self.assert_implicit_solve_exactly_nonnegative(g, dpbtrs)
 
     def test_store_every_and_final_time(self):
         g = grid1d(20)

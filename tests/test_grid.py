@@ -6,6 +6,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg.lapack import dpbtrs, dpttrs
 
 from lvsync import (
     Domain,
@@ -24,8 +25,7 @@ from lvsync import (
 )
 from lvsync.grid import (
     BAND_CHOLESKY_MAX_KD,
-    BandCholesky,
-    TridiagonalLDLT,
+    LapackFactor,
     factorize,
     field_from_csv,
     fmt_g17,
@@ -167,9 +167,10 @@ def kernel_matrices():
     named 2D (the 8×8 square unless sized otherwise): Newton's Jacobian
     Δ + diag(4 - 2θ) is negative definite, so its negation is symmetric
     positive definite; the nonsymmetric ones are I - dt·Δ with one
-    superdiagonal entry an ulp off; the wide band is I - dt·Δ on a
-    rectangle one node wider than the band Cholesky limit; the one-sided
-    one adds a strictly upper entry inside the band with no mirror below."""
+    superdiagonal entry an ulp off; the diagonal ones, 40×40 and 1×1, have
+    bandwidth 0; the wide band is I - dt·Δ on a rectangle one node wider
+    than the band Cholesky limit; the one-sided one adds a strictly upper
+    entry inside the band with no mirror below."""
     g = grid1d(40)
     theta = solve_logistic(g, 4.0).theta
     newton = WeightedOperator(g, 4.0 - 2.0 * theta).matrix
@@ -187,6 +188,8 @@ def kernel_matrices():
         "negated-newton-1d": -newton,
         "nonsymmetric-tridiagonal": ulp_off(imex_matrix(g), 1),
         "coupled-1d": shifted_matrices(g)["coupled"],
+        "diagonal": sp.diags(np.linspace(1.0, 2.0, 40), format="csr"),
+        "one-by-one": sp.csr_matrix([[2.0]]),
         "stencil-2d": imex_matrix(square(8)),
         "indefinite-newton-2d": eigenfunction_start_jacobian(square(8)),
         "nonsymmetric-stencil-2d": ulp_off(imex_matrix(square(8)), 8),
@@ -198,6 +201,11 @@ def kernel_matrices():
 
 def fill(lu):
     return lu.L.nnz + lu.U.nnz
+
+
+def kernel(lu):
+    """The LAPACK routine that solves with a LAPACK factor, or SuperLU."""
+    return lu.routine if isinstance(lu, LapackFactor) else type(lu)
 
 
 class TestFactorize:
@@ -215,7 +223,7 @@ class TestFactorize:
         }[name]
         for A in matrices:
             if name == "banded":
-                assert type(factorize(A)) is BandCholesky
+                assert kernel(factorize(A)) is dpbtrs
             for shape in [(A.shape[0],), (A.shape[0], 2), (A.shape[0], 12)]:
                 rhs = np.random.default_rng(5).standard_normal(shape)
                 x = factorize(A).solve(rhs)
@@ -223,27 +231,28 @@ class TestFactorize:
                 assert x.shape == shape
                 assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
 
-    @pytest.mark.parametrize("name, kernel", [
-        pytest.param("imex-1d", TridiagonalLDLT, id="imex-1d"),
-        pytest.param("shifted-scalar-1d", TridiagonalLDLT, id="shifted-scalar-1d"),
+    @pytest.mark.parametrize("name, expected", [
+        pytest.param("imex-1d", dpttrs, id="imex-1d"),
+        pytest.param("shifted-scalar-1d", dpttrs, id="shifted-scalar-1d"),
         pytest.param("newton-1d", spla.SuperLU, id="newton-1d"),
-        pytest.param("negated-newton-1d", TridiagonalLDLT, id="negated-newton-1d"),
+        pytest.param("negated-newton-1d", dpttrs, id="negated-newton-1d"),
         pytest.param("nonsymmetric-tridiagonal", spla.SuperLU, id="nonsymmetric-tridiagonal"),
         pytest.param("coupled-1d", spla.SuperLU, id="coupled-1d"),
-        pytest.param("stencil-2d", BandCholesky, id="stencil-2d"),
+        pytest.param("diagonal", dpttrs, id="diagonal"),
+        pytest.param("one-by-one", dpttrs, id="one-by-one"),
+        pytest.param("stencil-2d", dpbtrs, id="stencil-2d"),
         pytest.param("indefinite-newton-2d", spla.SuperLU, id="indefinite-newton-2d"),
         pytest.param("nonsymmetric-stencil-2d", spla.SuperLU, id="nonsymmetric-stencil-2d"),
         pytest.param("one-sided-stencil-2d", spla.SuperLU, id="one-sided-stencil-2d"),
         pytest.param("wider-than-limit", spla.SuperLU, id="wider-than-limit"),
     ])
-    def test_kernel_follows_the_matrix(self, name, kernel):
+    def test_kernel_follows_the_matrix(self, name, expected):
         # LAPACK's LDLᵀ exactly for the symmetric positive definite
-        # tridiagonal matrices, its banded Cholesky for the symmetric
-        # positive definite band matrices up to the limit; SuperLU for the
-        # rest, which still solves
+        # matrices of bandwidth 0 or 1, its banded Cholesky for the wider
+        # ones up to the limit; SuperLU for the rest, which still solves
         A = kernel_matrices()[name]
         lu = factorize(A)
-        assert type(lu) is kernel
+        assert kernel(lu) is expected
         rhs = np.random.default_rng(6).standard_normal((A.shape[0], 2))
         ref = np.linalg.solve(A.toarray(), rhs)
         assert np.linalg.norm(lu.solve(rhs) - ref) <= 1e-12 * np.linalg.norm(ref)
@@ -322,6 +331,21 @@ class TestFieldArithmeticAndIO:
         g = Grid(Domain("rectangle", (1.0, 1.0), (7, 7)))
         f = Field.from_function(g, lambda x, y: x * y)
         assert interpolate(f, [0.5, 0.5]) == pytest.approx(0.25, rel=1e-12)
+
+    @pytest.mark.parametrize("ndim, point, match", [
+        pytest.param(1, [-1e-9], "out of bounds", id="left-of-interval"),
+        pytest.param(1, [math.pi * (1 + 1e-15)], "out of bounds", id="right-of-interval"),
+        pytest.param(2, [0.5, 2.5], "out of bounds", id="above-rectangle"),
+        pytest.param(2, [math.inf, 0.5], "out of bounds", id="infinite"),
+        pytest.param(1, [1.0, 1.0], "dimension", id="two-coordinates-in-1d"),
+        pytest.param(2, [1.0], "dimension", id="one-coordinate-in-2d"),
+        pytest.param(1, [math.nan], "NaN", id="nan-in-1d"),
+        pytest.param(2, [0.5, math.nan], "NaN", id="nan-in-2d"),
+    ])
+    def test_interpolate_rejects_points_off_the_box(self, ndim, point, match):
+        g = grid1d(9) if ndim == 1 else Grid(Domain("rectangle", (1.0, 2.0), (7, 5)))
+        with pytest.raises(ValueError, match=match):
+            interpolate(Field.constant(g, 1.0), point)
 
     def test_field_csv_roundtrip_1d(self, tmp_path):
         g = grid1d(7)

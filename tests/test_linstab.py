@@ -392,6 +392,23 @@ class TestVerifyTheorem:
         report = verify_theorem(ModelParams(a=a, b=b, c=c), Grid(domain), 6)
         assert report.verdict == "stable", report.cause
 
+    def test_nan_coupled_pair_is_inconclusive(self, monkeypatch):
+        # a NaN eigenvector from the coupled eigen solve fails the residual
+        # gate, so verify names the cause instead of judging NaN values
+        import scipy.sparse.linalg as spla
+
+        eigs = spla.eigs
+
+        def nan_eigs(*args, **kwargs):
+            vals, vecs = eigs(*args, **kwargs)
+            vecs[:, 0] = np.nan
+            return vals, vecs
+
+        monkeypatch.setattr(spla, "eigs", nan_eigs)
+        report = verify_theorem(ModelParams(a=2.0, b=0.5, c=1.0), grid1d(40), 3, tol=1e-10)
+        assert report.verdict == "inconclusive"
+        assert "coupled eigenpair" in report.cause and "residual nan" in report.cause
+
     def test_subcritical_inconclusive(self, grid200):
         report = verify_theorem(ModelParams(a=0.5, b=0.5, c=1.0), grid200, 3, tol=1e-10)
         assert report.verdict == "inconclusive"

@@ -16,7 +16,7 @@ from lvsync import (
     l2_norm,
     principal_eigenpair,
 )
-from lvsync.spectral import EigenSolveError
+from lvsync.spectral import EigenSolveError, check_residuals
 
 # dense LAPACK oracle values for the weight a - s1*theta (a=2, b=0.5, c=1,
 # (0,pi), n=400), regenerated by scripts/make_goldens.py
@@ -184,6 +184,27 @@ class TestEigenpairs:
         with pytest.raises(EigenSolveError) as err:
             eigenpairs(op, 2, tol=1e-16)
         assert err.value.last_residual is not None
+
+
+class TestCheckResiduals:
+    @pytest.mark.parametrize("where", ["vector", "value"])
+    def test_nan_fails_the_gate(self, where):
+        # nan > bound is False, so a gate that raises only on "residual
+        # above the bound" would pass a NaN pair
+        op, g = zero_weight_op(20)
+        spec = eigenpairs(op, 2, tol=1e-10)
+        values = spec.values
+        vectors = np.column_stack([p.phi.values for p in spec.pairs])
+        A = -op.matrix
+        assert max(check_residuals(A, values, vectors, g, 1e-10)) <= 1e-10
+        values, vectors = values.copy(), vectors.copy()
+        if where == "vector":
+            vectors[3, 1] = math.nan
+        else:
+            values[1] = math.nan
+        with pytest.raises(EigenSolveError, match="eigenpair 1 residual nan") as err:
+            check_residuals(A, values, vectors, g, 1e-10)
+        assert math.isnan(err.value.last_residual)
 
 
 class TestMonotonicityAndConvergence:
