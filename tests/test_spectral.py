@@ -197,7 +197,6 @@ class TestCheckResiduals:
         vectors = np.column_stack([p.phi.values for p in spec.pairs])
         A = -op.matrix
         assert max(check_residuals(A, values, vectors, g, 1e-10)) <= 1e-10
-        values, vectors = values.copy(), vectors.copy()
         if where == "vector":
             vectors[3, 1] = math.nan
         else:
