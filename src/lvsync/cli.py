@@ -16,15 +16,23 @@ expected negative result (subcritical growth rate).
 Determinism: identical config + seed produce bit-identical output files.
 The only exception is sweep's timing.jsonl, a wall-clock diagnostic kept
 out of the deterministic result files on purpose.
+
+This module owns every file format the package reads or writes: the CSV
+tables (fields, spectra, eigenvalue tables, trajectories; floats with 17
+significant digits, so they round-trip exactly) and the JSON files. The
+numerical modules write no file.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
+import functools
 import itertools
 import json
 import math
+import operator
 import os
 import sys
 import time
@@ -40,10 +48,10 @@ from .dynamics import (
     InitialDataError,
     PositivityError,
     StepSizeError,
+    Trajectory,
     decay_rate,
     evolve,
     random_perturbation,
-    write_trajectory_csv,
 )
 from .elliptic import NewtonDivergenceError, SubcriticalError, solve_logistic
 from .grid import (
@@ -52,28 +60,20 @@ from .grid import (
     Field,
     Grid,
     WeightedOperator,
-    field_from_csv,
-    write_field_csv,
+    l2_norm,
 )
 from .linstab import (
     DEGENERATE_WARN_BAND,
+    StabilityReport,
     ThetaHalf,
     degenerate_distance,
     inconclusive_report,
     s_parameter,
-    stability_report_dict,
     theta_half,
     verify_theorem,
-    write_eigentable_csv,
 )
-from .model import ModelParams, synchronized_state, system_residual
-from .spectral import (
-    DEFAULT_TOL,
-    EigenSolveError,
-    eigenpairs,
-    principal_eigenpair,
-    write_spectrum_csv,
-)
+from .model import ModelParams, SteadyState, synchronized_state, system_residual
+from .spectral import DEFAULT_TOL, EigenSolveError, eigenpairs, principal_eigenpair
 
 __all__ = ["main", "RunConfig"]
 
@@ -186,17 +186,9 @@ def build_growth_field(cfg: RunConfig, grid: Grid) -> Field:
         if name == "const":
             return Field.constant(grid, float(cfg.a0))
         if name == "sin":
-            ext = grid.domain.extents
-
-            def profile_1d(x):
-                return cfg.a0 + cfg.a1 * np.sin(math.pi * x / ext[0])
-
-            def profile_2d(x, y):
-                return cfg.a0 + cfg.a1 * np.sin(math.pi * x / ext[0]) * np.sin(
-                    math.pi * y / ext[1]
-                )
-
-            return Field.from_function(grid, profile_1d if grid.ndim == 1 else profile_2d)
+            # a0 + (a1·sin(πx/Lx))·sin(πy/Ly), one axis factor at a time
+            sines = np.sin(math.pi * grid.coords() / grid.domain.extents)
+            return Field(grid, cfg.a0 + functools.reduce(operator.mul, sines.T, cfg.a1))
         raise ConfigError(f"unknown profile {name!r} (known: const, sin)")
     if isinstance(a, str) and a.startswith("file:"):
         path = Path(a.split(":", 1)[1])
@@ -263,13 +255,24 @@ def validate_config(cfg: RunConfig, command: str) -> None:
             raise ConfigError(f"dt must be positive, got {cfg.dt}")
         if cfg.t_end <= 0:
             raise ConfigError(f"t_end must be positive, got {cfg.t_end}")
+        if cfg.store_every < 1:
+            raise ConfigError(f"store_every must be >= 1, got {cfg.store_every}")
         outside = [t for t in cfg.snapshot_times if not 0.0 <= t <= cfg.t_end]
         if outside:
             raise ConfigError(f"snapshot times must lie in [0, t_end = {cfg.t_end}], got {outside}")
+        # a snapshot is a stored state: step 0, every store_every-th step or
+        # the last of evolve's ceil(t_end/dt) steps, up to rounding
+        last = math.ceil(cfg.t_end / cfg.dt - 1e-12)
+        steps = [(t, round(t / cfg.dt)) for t in cfg.snapshot_times]
+        unstored = [t for t, s in steps if not math.isclose(t / cfg.dt, s, rel_tol=1e-9)
+                    or (s % cfg.store_every and s != last)]
+        if unstored:
+            raise ConfigError(
+                f"snapshot times must be stored steps, multiples of store_every * dt = "
+                f"{cfg.store_every * cfg.dt:g} or the final time {last * cfg.dt:g}, got {unstored}"
+            )
         if cfg.amplitude < 0:
             raise ConfigError(f"amplitude must be nonnegative, got {cfg.amplitude}")
-        if cfg.store_every < 1:
-            raise ConfigError(f"store_every must be >= 1, got {cfg.store_every}")
     if command == "sweep" and isinstance(cfg.a, str):
         raise ConfigError("sweep requires a constant growth rate")
     if cfg.format not in ("csv", "json"):
@@ -310,6 +313,80 @@ def _sweep_jobs(cfg: RunConfig, axes: dict) -> list[RunConfig]:
             raise ConfigError(f"sweep job a={a} b={b} c={c} n={n}: {exc}")
         jobs.append(job)
     return jobs
+
+
+def fmt_g17(x: float) -> str:
+    """Format a float with 17 significant digits (round-trip exact)."""
+    return format(float(x), ".17g")
+
+
+def _write_csv(path, header: list[str], rows) -> None:
+    """One CSV table: the header, then each row with its ints as they are
+    and every other number through fmt_g17."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows([x if isinstance(x, int) else fmt_g17(x) for x in row] for row in rows)
+
+
+def write_field_csv(f: Field, path):
+    """Field file format: index,coord1[,coord2],value with 17 significant digits."""
+    header = ["index", *(f"coord{d + 1}" for d in range(f.grid.ndim)), "value"]
+    _write_csv(path, header, ([k, *x, v] for k, (x, v) in enumerate(zip(f.grid.coords(), f.values))))
+
+
+def read_field_csv(path) -> tuple[np.ndarray, np.ndarray]:
+    """Read a field file; returns (coords, values) without grid reconstruction."""
+    with open(path, newline="") as fh:
+        r = csv.reader(fh)
+        header = next(r, None)
+        if header is None:
+            raise ValueError(f"field file {path} is empty")
+        ncoord = len(header) - 2
+        coords, values = [], []
+        for row in r:
+            coords.append([float(c) for c in row[1 : 1 + ncoord]])
+            values.append(float(row[1 + ncoord]))
+    return np.asarray(coords), np.asarray(values)
+
+
+def field_from_csv(path, grid: Grid) -> Field:
+    """Load a field file onto a known grid, validating node count and coordinates."""
+    coords, values = read_field_csv(path)
+    if values.size != grid.size:
+        raise ValueError(
+            f"field file {path} has {values.size} nodes, grid expects {grid.size}"
+        )
+    if coords.shape[1] != grid.ndim:
+        raise ValueError(f"field file {path} is {coords.shape[1]}D, grid is {grid.ndim}D")
+    if not np.allclose(coords, grid.coords(), rtol=1e-12, atol=1e-12):
+        raise ValueError(f"field file {path} coordinates do not match the grid")
+    if not np.isfinite(values).all():
+        raise ValueError(f"field file {path} holds a non-finite value")
+    return Field(grid, values)
+
+
+def stability_report_dict(report: StabilityReport) -> dict:
+    """JSON-ready dict of every report field, complex eigenvalues as [re, im] pairs."""
+    d = dataclasses.asdict(report)
+    d["coupled_eigs"] = [[v.real, v.imag] for v in report.coupled_eigs]
+    return d
+
+
+def write_eigentable_csv(report: StabilityReport, path):
+    """Eigenvalue table: i,coupled_re,coupled_im,predicted,rel_err."""
+    coupled_sorted = sorted(report.coupled_eigs, key=lambda v: (v.real, v.imag))
+    _write_csv(path, ["i", "coupled_re", "coupled_im", "predicted", "rel_err"], (
+        [i, mu.real, mu.imag, pred, abs(mu.real - pred) / max(abs(pred), 1e-300)]
+        for i, (mu, pred) in enumerate(zip(coupled_sorted, report.predicted_eigs))
+    ))
+
+
+def write_trajectory_csv(traj: Trajectory, reference: SteadyState, path):
+    """Plot-ready distances: t,norm_u_dist,norm_v_dist,total_dist."""
+    dists = ((l2_norm(u - reference.u), l2_norm(v - reference.v)) for u, v in traj.states)
+    _write_csv(path, ["t", "norm_u_dist", "norm_v_dist", "total_dist"],
+               ([t, du, dv, math.hypot(du, dv)] for t, (du, dv) in zip(traj.times, dists)))
 
 
 def _json_dump(obj, path: Path) -> None:
@@ -360,7 +437,8 @@ def cmd_steady(cfg: RunConfig, out: Path, grid: Grid, a: Field) -> int:
 def cmd_spectrum(cfg: RunConfig, out: Path, grid: Grid, a: Field) -> int:
     spec = eigenpairs(WeightedOperator(grid, a), cfg.k, tol=cfg.tol)
     if cfg.format == "csv":
-        write_spectrum_csv(spec, out / "spectrum.csv")
+        _write_csv(out / "spectrum.csv", ["index", "lambda", "residual"],
+                   ([i, p.lam, p.residual] for i, p in enumerate(spec.pairs)))
     else:
         _json_dump(
             [

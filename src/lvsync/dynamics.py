@@ -25,14 +25,13 @@ such sign structure: roundoff-level negatives of its solve (within
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
-from .grid import Field, GridMismatchError, factorize, fmt_g17, l2_norm, laplacian
+from .grid import Field, GridMismatchError, factorize, l2_norm, laplacian
 from .model import ModelParams, SteadyState
 
 __all__ = [
@@ -46,7 +45,6 @@ __all__ = [
     "decay_rate",
     "random_perturbation",
     "state_distance",
-    "write_trajectory_csv",
 ]
 
 REACTION_CFL = 0.5
@@ -225,14 +223,3 @@ def random_perturbation(
     du = rng.uniform(-amplitude, amplitude, size=grid.size)
     dv = rng.uniform(-amplitude, amplitude, size=grid.size)
     return Field(grid, steady.u.values + du), Field(grid, steady.v.values + dv)
-
-
-def write_trajectory_csv(traj: Trajectory, reference: SteadyState, path):
-    """Plot-ready distances: t,norm_u_dist,norm_v_dist,total_dist."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "norm_u_dist", "norm_v_dist", "total_dist"])
-        for t, (u, v) in zip(traj.times, traj.states):
-            du = l2_norm(u - reference.u)
-            dv = l2_norm(v - reference.v)
-            w.writerow([fmt_g17(t), fmt_g17(du), fmt_g17(dv), fmt_g17(math.hypot(du, dv))])

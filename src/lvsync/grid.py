@@ -12,15 +12,16 @@ The weighted operator Δ + diag(m) uses the standard second-order 3-point
 quadrature weight h1*...*hd with no boundary correction.
 
 Every sparse solve in the package factors through `factorize`, which picks
-its kernel from the matrix.
+its kernel from the matrix. One code path serves 1D and 2D: the Laplacian
+is the Kronecker sum of the per-axis 3-point stencils, the coordinates one
+meshgrid. Reading and writing field files is the CLI's job (`lvsync.cli`).
 """
 
 from __future__ import annotations
 
-import csv
+import functools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -39,10 +40,6 @@ __all__ = [
     "l2_norm",
     "l2_inner",
     "interpolate",
-    "write_field_csv",
-    "read_field_csv",
-    "field_from_csv",
-    "fmt_g17",
 ]
 
 KIND_NDIM = {"interval": 1, "rectangle": 2}
@@ -50,11 +47,6 @@ KIND_NDIM = {"interval": 1, "rectangle": 2}
 
 class GridMismatchError(ValueError):
     """Two fields/operators built on different grids were combined."""
-
-
-def fmt_g17(x: float) -> str:
-    """Format a float with 17 significant digits (round-trip exact)."""
-    return format(float(x), ".17g")
 
 
 @dataclass(frozen=True)
@@ -128,15 +120,8 @@ class Grid:
 
     def coords(self) -> np.ndarray:
         """(size, ndim) array of node coordinates in lexicographic order (x fastest)."""
-        if self.ndim == 1:
-            return self.axes[0][:, None]
-        x, y = self.axes
-        nx = len(x)
-        ny = len(y)
-        out = np.empty((nx * ny, 2))
-        out[:, 0] = np.tile(x, ny)
-        out[:, 1] = np.repeat(y, nx)
-        return out
+        mesh = np.meshgrid(*self.axes[::-1], indexing="ij")[::-1]
+        return np.stack([m.ravel() for m in mesh], axis=1)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Grid) and self.domain == other.domain
@@ -182,10 +167,7 @@ class Field:
     @classmethod
     def from_function(cls, grid: Grid, fn) -> "Field":
         """Sample fn(x) (1D) or fn(x, y) (2D) at the interior nodes."""
-        pts = grid.coords()
-        if grid.ndim == 1:
-            return cls(grid, fn(pts[:, 0]))
-        return cls(grid, fn(pts[:, 0], pts[:, 1]))
+        return cls(grid, fn(*grid.coords().T))
 
     def min(self) -> float:
         return float(self.values.min())
@@ -236,26 +218,16 @@ class Field:
         return f"Field({self.grid!r}, min={self.values.min():.3g}, max={self.values.max():.3g})"
 
 
-@lru_cache(maxsize=32)
+@functools.lru_cache(maxsize=32)
 def laplacian(domain: Domain) -> sp.csr_matrix:
     """Discrete Dirichlet Laplacian (negative definite), cached per domain."""
     mats = []
-    for h, n in zip(
-        tuple(e / (r + 1) for e, r in zip(domain.extents, domain.resolution)),
-        domain.resolution,
-    ):
-        main = np.full(n, -2.0 / h**2)
-        off = np.full(n - 1, 1.0 / h**2)
-        mats.append(sp.diags([off, main, off], [-1, 0, 1], format="csr"))
-    if len(mats) == 1:
-        lap = mats[0]
-    else:
-        ax, ay = mats
-        ix = sp.identity(domain.resolution[0], format="csr")
-        iy = sp.identity(domain.resolution[1], format="csr")
-        # x index fastest -> x block is the inner Kronecker factor
-        lap = sp.kron(iy, ax, format="csr") + sp.kron(ay, ix, format="csr")
-    lap = lap.tocsr()
+    for e, n in zip(domain.extents, domain.resolution):
+        h2 = (e / (n + 1)) ** 2
+        mats.append(sp.diags([1.0 / h2, -2.0 / h2, 1.0 / h2], [-1, 0, 1], shape=(n, n)))
+    # kronsum(A, B) = kron(I, A) + kron(B, I): the x block is the inner
+    # Kronecker factor, so the x index runs fastest
+    lap = functools.reduce(sp.kronsum, mats).tocsr()
     lap.sort_indices()
     return lap
 
@@ -424,46 +396,3 @@ def interpolate(f: Field, point) -> float:
     # takes them indexed (ix, iy)
     values = np.pad(f.values.reshape(grid.shape[::-1]).T, 1)
     return float(RegularGridInterpolator(axes, values)(pt)[0])
-
-
-def write_field_csv(f: Field, path):
-    """Field file format: index,coord1[,coord2],value with 17 significant digits."""
-    coords = f.grid.coords()
-    header = ["index", "coord1", "value"] if f.grid.ndim == 1 else ["index", "coord1", "coord2", "value"]
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for k in range(f.grid.size):
-            row = [str(k)] + [fmt_g17(c) for c in coords[k]] + [fmt_g17(f.values[k])]
-            w.writerow(row)
-
-
-def read_field_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    """Read a field file; returns (coords, values) without grid reconstruction."""
-    with open(path, newline="") as fh:
-        r = csv.reader(fh)
-        header = next(r, None)
-        if header is None:
-            raise ValueError(f"field file {path} is empty")
-        ncoord = len(header) - 2
-        coords, values = [], []
-        for row in r:
-            coords.append([float(c) for c in row[1 : 1 + ncoord]])
-            values.append(float(row[1 + ncoord]))
-    return np.asarray(coords), np.asarray(values)
-
-
-def field_from_csv(path, grid: Grid) -> Field:
-    """Load a field file onto a known grid, validating node count and coordinates."""
-    coords, values = read_field_csv(path)
-    if values.size != grid.size:
-        raise ValueError(
-            f"field file {path} has {values.size} nodes, grid expects {grid.size}"
-        )
-    if coords.shape[1] != grid.ndim:
-        raise ValueError(f"field file {path} is {coords.shape[1]}D, grid is {grid.ndim}D")
-    if not np.allclose(coords, grid.coords(), rtol=1e-12, atol=1e-12):
-        raise ValueError(f"field file {path} coordinates do not match the grid")
-    if not np.isfinite(values).all():
-        raise ValueError(f"field file {path} holds a non-finite value")
-    return Field(grid, values)

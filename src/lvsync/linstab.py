@@ -31,8 +31,6 @@ verifies numerically.
 
 from __future__ import annotations
 
-import csv
-import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -42,7 +40,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .elliptic import LogisticSolution, NewtonDivergenceError, SubcriticalError, solve_logistic
-from .grid import Field, Grid, GridMismatchError, WeightedOperator, factorize, fmt_g17, laplacian
+from .grid import Field, Grid, GridMismatchError, WeightedOperator, factorize, laplacian
 from .model import ModelParams, ratio_coefficients, synchronized_state
 from .spectral import DEFAULT_TOL, EigenPair, EigenSolveError, Spectrum, check_residuals, eigenpairs
 
@@ -61,8 +59,6 @@ __all__ = [
     "ansatz_residual",
     "component_projection",
     "inconclusive_report",
-    "stability_report_dict",
-    "write_eigentable_csv",
     "DEGENERATE_TOL",
     "DEGENERATE_WARN_BAND",
 ]
@@ -466,21 +462,3 @@ def _cluster_mismatch(coupled_re: np.ndarray, pred: np.ndarray) -> float:
         p_mean = float(np.mean(p_part))
         worst = max(worst, abs(c_mean - p_mean) / max(abs(p_mean), floor))
     return worst
-
-
-def stability_report_dict(report: StabilityReport) -> dict:
-    """JSON-ready dict of every report field, complex eigenvalues as [re, im] pairs."""
-    d = dataclasses.asdict(report)
-    d["coupled_eigs"] = [[v.real, v.imag] for v in report.coupled_eigs]
-    return d
-
-
-def write_eigentable_csv(report: StabilityReport, path):
-    """Eigenvalue table: i,coupled_re,coupled_im,predicted,rel_err."""
-    coupled_sorted = sorted(report.coupled_eigs, key=lambda v: (v.real, v.imag))
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["i", "coupled_re", "coupled_im", "predicted", "rel_err"])
-        for i, (mu, pred) in enumerate(zip(coupled_sorted, report.predicted_eigs)):
-            rel = abs(mu.real - pred) / max(abs(pred), 1e-300)
-            w.writerow([str(i), fmt_g17(mu.real), fmt_g17(mu.imag), fmt_g17(pred), fmt_g17(rel)])

@@ -34,7 +34,6 @@ Every eigenpair this package returns, scalar or coupled, passes one gate,
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -43,7 +42,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .grid import Field, Grid, LapackFactor, WeightedOperator, factorize, fmt_g17
+from .grid import Field, Grid, LapackFactor, WeightedOperator, factorize
 
 __all__ = [
     "EigenPair",
@@ -51,7 +50,6 @@ __all__ = [
     "EigenSolveError",
     "principal_eigenpair",
     "eigenpairs",
-    "write_spectrum_csv",
     "check_residuals",
     "DEFAULT_TOL",
 ]
@@ -200,12 +198,3 @@ def _refine_through_inverse(
     refined = sigma + 1.0 / nu
     order = np.argsort(refined, kind="stable")
     return refined[order], V[:, order]
-
-
-def write_spectrum_csv(spec: Spectrum, path):
-    """Spectrum table: index,lambda,residual."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["index", "lambda", "residual"])
-        for i, p in enumerate(spec.pairs):
-            w.writerow([str(i), fmt_g17(p.lam), fmt_g17(p.residual)])

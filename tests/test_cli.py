@@ -7,12 +7,24 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lvsync.cli import main, parse_domain, parse_value_list
-from lvsync.grid import Domain, Grid, read_field_csv
+from lvsync.cli import (
+    field_from_csv,
+    fmt_g17,
+    main,
+    parse_domain,
+    parse_value_list,
+    read_field_csv,
+    write_field_csv,
+)
+from lvsync.grid import Domain, Field, Grid
 
 
 def run(*args):
     return main(list(args))
+
+
+def grid1d(n, length=math.pi):
+    return Grid(Domain("interval", (length,), (n,)))
 
 
 class TestParsing:
@@ -42,6 +54,61 @@ class TestParsing:
         assert len(parse_value_list(f"1:{MAX_RANGE_VALUES}:1")) == MAX_RANGE_VALUES
         with pytest.raises(ConfigError, match="more than"):
             parse_value_list(f"0:{MAX_RANGE_VALUES}:1")
+
+
+class TestFieldFiles:
+    def test_field_csv_roundtrip_1d(self, tmp_path):
+        g = grid1d(7)
+        f = Field.from_function(g, lambda x: np.sin(3 * x))
+        path = tmp_path / "f.csv"
+        write_field_csv(f, path)
+        header = path.read_text().splitlines()[0]
+        assert header == "index,coord1,value"
+        back = field_from_csv(path, g)
+        assert np.array_equal(back.values, f.values)
+
+    def test_field_csv_roundtrip_2d(self, tmp_path):
+        g = Grid(Domain("rectangle", (1.0, 2.0), (4, 5)))
+        rng = np.random.default_rng(0)
+        f = Field(g, rng.normal(size=g.size))
+        path = tmp_path / "f.csv"
+        write_field_csv(f, path)
+        header = path.read_text().splitlines()[0]
+        assert header == "index,coord1,coord2,value"
+        coords, values = read_field_csv(path)
+        assert coords.shape == (20, 2)
+        assert np.array_equal(values, f.values)
+
+    def test_field_csv_grid_validation(self, tmp_path):
+        g = grid1d(7)
+        f = Field.constant(g, 1.0)
+        path = tmp_path / "f.csv"
+        write_field_csv(f, path)
+        with pytest.raises(ValueError, match="nodes"):
+            field_from_csv(path, grid1d(8))
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_field_csv_rejects_non_finite_values(self, tmp_path, bad):
+        g = grid1d(7)
+        path = tmp_path / "f.csv"
+        write_field_csv(Field.constant(g, 1.0), path)
+        lines = path.read_text().splitlines()
+        lines[3] = lines[3].rsplit(",", 1)[0] + "," + bad
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="non-finite"):
+            field_from_csv(path, g)
+
+    def test_empty_field_file_is_a_value_error(self, tmp_path):
+        path = tmp_path / "f.csv"
+        path.write_text("")
+        with pytest.raises(ValueError, match="is empty"):
+            read_field_csv(path)
+        with pytest.raises(ValueError, match="is empty"):
+            field_from_csv(path, grid1d(7))
+
+    def test_fmt_g17_roundtrip(self):
+        for x in (math.pi, 1.0 / 3.0, 1e-300, -2.5e17):
+            assert float(fmt_g17(x)) == x
 
 
 class TestTheta:
@@ -79,8 +146,6 @@ class TestTheta:
         # write the sin profile as a field file, then solve via file: and via
         # profile:sin; the routes must agree bitwise
         from lvsync import Domain, Field, Grid
-        from lvsync.grid import write_field_csv
-
         g = Grid(Domain("interval", (math.pi,), (100,)))
         # same float expression the sin profile evaluates, for a bitwise match
         a = Field.from_function(g, lambda x: 1.5 + 0.5 * np.sin(math.pi * x / math.pi))
@@ -134,6 +199,24 @@ class TestSteadyAndSpectrum:
         assert lam1 == pytest.approx(1.0, abs=1e-3)
         assert (out / "eigenfunction_000.csv").exists()
         assert (out / "eigenfunction_002.csv").exists()
+
+    @pytest.mark.parametrize("domain, n", [("interval:0:pi", "60"), ("rectangle:2:1", "12,8")])
+    def test_spectrum_csv_and_json_agree_bit_for_bit(self, tmp_path, domain, n):
+        def spectrum(fmt):
+            out = tmp_path / fmt
+            assert run("spectrum", "--domain", domain, "--n", n, "--a", "2", "--k", "4",
+                       "--functions", "--format", fmt, "--out", str(out)) == 0
+            return out
+
+        csv_out, json_out = spectrum("csv"), spectrum("json")
+        table = np.loadtxt(csv_out / "spectrum.csv", delimiter=",", skiprows=1)
+        records = json.loads((json_out / "spectrum.json").read_text())
+        assert np.array_equal(table, [[r["index"], r["lambda"], r["residual"]] for r in records])
+        for i in range(4):
+            coords, values = read_field_csv(csv_out / f"eigenfunction_{i:03d}.csv")
+            field = json.loads((json_out / f"eigenfunction_{i:03d}.json").read_text())
+            assert np.array_equal(coords, field["coords"])
+            assert np.array_equal(values, field["values"])
 
     @pytest.mark.parametrize("domain, n, k, simple", [
         pytest.param("interval:0:pi", "300", "10", [5, 6, 9], id="interval-300"),
@@ -228,6 +311,18 @@ class TestEvolve:
         decay = json.loads((out / "decay.json").read_text())
         assert abs(decay["rate"] + decay["mu1_predicted"]) / decay["mu1_predicted"] <= 0.05
         assert (out / "snapshot_u_000.csv").exists()
+        assert (out / "snapshot_v_001.csv").exists()
+
+    def test_snapshots_only_at_stored_steps(self, tmp_path, capsys):
+        args = ("evolve", "--n", "50", "--a", "2", "--b", "0.5", "--c", "1", "--dt", "1e-3",
+                "--t-end", "0.25", "--store-every", "100")
+        assert run(*args, "--snapshots", "0.06", "--out", str(tmp_path / "never")) == 1
+        assert "store_every * dt = 0.1" in capsys.readouterr().err
+        # the final step is stored too, off the store interval
+        out = tmp_path / "o"
+        assert run(*args, "--snapshots", "0.2,0.25", "--out", str(out)) == 0
+        times = np.loadtxt(out / "trajectory.csv", delimiter=",", skiprows=1)[:, 0]
+        assert np.allclose(times, [0.0, 0.1, 0.2, 0.25], rtol=1e-12)
         assert (out / "snapshot_v_001.csv").exists()
 
     def test_zero_amplitude_fit_unavailable(self, tmp_path):
@@ -591,6 +686,9 @@ FIELD_20_NODES_NAN = "index,coord1,value\n" + "".join(
                  id="snapshot-time-negative"),
     pytest.param({}, ["evolve", "--n", "20", "--t-end", "0.5", "--snapshots", "0,1e9"],
                  id="snapshot-time-after-t-end"),
+    pytest.param({}, ["evolve", "--n", "50", "--a", "2", "--b", "0.5", "--c", "1", "--dt", "1e-3",
+                      "--t-end", "0.5", "--store-every", "100", "--snapshots", "0.04,0.06"],
+                 id="snapshot-time-between-stored-steps"),
     pytest.param({}, ["theta", "--n", "20", "--a", "profile:sin", "--a1", "inf"],
                  id="profile-amplitude-inf"),
     pytest.param({}, ["theta", "--n", "20", "--a", "profile:const", "--a0", "inf"],

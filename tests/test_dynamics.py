@@ -19,7 +19,8 @@ from lvsync import (
     evolve,
     random_perturbation,
 )
-from lvsync.dynamics import Trajectory, state_distance, write_trajectory_csv
+from lvsync.cli import write_trajectory_csv
+from lvsync.dynamics import Trajectory, state_distance
 from lvsync.grid import factorize, laplacian
 from lvsync.linstab import ansatz_coefficients, predicted_spectrum
 

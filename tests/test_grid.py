@@ -23,16 +23,7 @@ from lvsync import (
     solve_logistic,
     synchronized_state,
 )
-from lvsync.grid import (
-    BAND_CHOLESKY_MAX_KD,
-    LapackFactor,
-    factorize,
-    field_from_csv,
-    fmt_g17,
-    laplacian,
-    read_field_csv,
-    write_field_csv,
-)
+from lvsync.grid import BAND_CHOLESKY_MAX_KD, LapackFactor, factorize, laplacian
 from lvsync.linstab import CoupledJacobian
 
 
@@ -346,56 +337,3 @@ class TestFieldArithmeticAndIO:
         g = grid1d(9) if ndim == 1 else Grid(Domain("rectangle", (1.0, 2.0), (7, 5)))
         with pytest.raises(ValueError, match=match):
             interpolate(Field.constant(g, 1.0), point)
-
-    def test_field_csv_roundtrip_1d(self, tmp_path):
-        g = grid1d(7)
-        f = Field.from_function(g, lambda x: np.sin(3 * x))
-        path = tmp_path / "f.csv"
-        write_field_csv(f, path)
-        header = path.read_text().splitlines()[0]
-        assert header == "index,coord1,value"
-        back = field_from_csv(path, g)
-        assert np.array_equal(back.values, f.values)
-
-    def test_field_csv_roundtrip_2d(self, tmp_path):
-        g = Grid(Domain("rectangle", (1.0, 2.0), (4, 5)))
-        rng = np.random.default_rng(0)
-        f = Field(g, rng.normal(size=g.size))
-        path = tmp_path / "f.csv"
-        write_field_csv(f, path)
-        header = path.read_text().splitlines()[0]
-        assert header == "index,coord1,coord2,value"
-        coords, values = read_field_csv(path)
-        assert coords.shape == (20, 2)
-        assert np.array_equal(values, f.values)
-
-    def test_field_csv_grid_validation(self, tmp_path):
-        g = grid1d(7)
-        f = Field.constant(g, 1.0)
-        path = tmp_path / "f.csv"
-        write_field_csv(f, path)
-        with pytest.raises(ValueError, match="nodes"):
-            field_from_csv(path, grid1d(8))
-
-    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
-    def test_field_csv_rejects_non_finite_values(self, tmp_path, bad):
-        g = grid1d(7)
-        path = tmp_path / "f.csv"
-        write_field_csv(Field.constant(g, 1.0), path)
-        lines = path.read_text().splitlines()
-        lines[3] = lines[3].rsplit(",", 1)[0] + "," + bad
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match="non-finite"):
-            field_from_csv(path, g)
-
-    def test_empty_field_file_is_a_value_error(self, tmp_path):
-        path = tmp_path / "f.csv"
-        path.write_text("")
-        with pytest.raises(ValueError, match="is empty"):
-            read_field_csv(path)
-        with pytest.raises(ValueError, match="is empty"):
-            field_from_csv(path, grid1d(7))
-
-    def test_fmt_g17_roundtrip(self):
-        for x in (math.pi, 1.0 / 3.0, 1e-300, -2.5e17):
-            assert float(fmt_g17(x)) == x
