@@ -255,6 +255,8 @@ def validate_config(cfg: RunConfig, command: str) -> None:
             raise ConfigError(f"dt must be positive, got {cfg.dt}")
         if cfg.t_end <= 0:
             raise ConfigError(f"t_end must be positive, got {cfg.t_end}")
+        if not math.isfinite(cfg.t_end / cfg.dt):
+            raise ConfigError(f"t_end / dt = {cfg.t_end} / {cfg.dt} overflows: no finite step count")
         if cfg.store_every < 1:
             raise ConfigError(f"store_every must be >= 1, got {cfg.store_every}")
         outside = [t for t in cfg.snapshot_times if not 0.0 <= t <= cfg.t_end]

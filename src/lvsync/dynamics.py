@@ -127,6 +127,8 @@ def evolve(
     grid = u0.grid
     if dt <= 0 or t_end <= 0:
         raise ValueError("dt and t_end must be positive")
+    if not math.isfinite(t_end / dt):
+        raise ValueError(f"t_end / dt = {t_end} / {dt} overflows: no finite step count")
     if int(store_every) < 1:
         raise ValueError("store_every must be a positive integer")
     store_every = int(store_every)

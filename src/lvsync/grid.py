@@ -11,8 +11,11 @@ The weighted operator Δ + diag(m) uses the standard second-order 3-point
 (1D) / 5-point (2D) stencil. Norms and inner products use the uniform
 quadrature weight h1*...*hd with no boundary correction.
 
-Every sparse solve in the package factors through `factorize`, which picks
-its kernel from the matrix. One code path serves 1D and 2D: the Laplacian
+Every operator matrix refills a CSR `Pattern` cached per domain (this
+module's `laplacian_pattern`, `linstab.coupled_pattern`) instead of
+summing scipy.sparse matrices, with the same data, indices and indptr as
+that sum. Every sparse solve in the package factors through `factorize`,
+which picks its kernel from the matrix. One code path serves 1D and 2D: the Laplacian
 is the Kronecker sum of the per-axis 3-point stencils, the coordinates one
 meshgrid. Reading and writing field files is the CLI's job (`lvsync.cli`).
 """
@@ -36,6 +39,9 @@ __all__ = [
     "GridMismatchError",
     "KIND_NDIM",
     "laplacian",
+    "laplacian_pattern",
+    "Pattern",
+    "negated",
     "factorize",
     "l2_norm",
     "l2_inner",
@@ -94,6 +100,9 @@ class Grid:
         self.spacing = tuple(
             e / (n + 1) for e, n in zip(domain.extents, domain.resolution)
         )
+        self.size = math.prod(domain.resolution)
+        # quadrature weight h1*...*hd shared by every interior node
+        self.cell_volume = math.prod(self.spacing)
         # interior coordinates per axis: h, 2h, ..., nh
         self.axes = tuple(
             h * np.arange(1, n + 1) for h, n in zip(self.spacing, domain.resolution)
@@ -108,15 +117,6 @@ class Grid:
     @property
     def ndim(self) -> int:
         return self.domain.ndim
-
-    @property
-    def size(self) -> int:
-        return int(np.prod(self.domain.resolution))
-
-    @property
-    def cell_volume(self) -> float:
-        """Quadrature weight h1*...*hd shared by every interior node."""
-        return float(np.prod(self.spacing))
 
     def coords(self) -> np.ndarray:
         """(size, ndim) array of node coordinates in lexicographic order (x fastest)."""
@@ -232,6 +232,66 @@ def laplacian(domain: Domain) -> sp.csr_matrix:
     return lap
 
 
+class Pattern:
+    """Sparsity pattern shared by every matrix of one kind on one domain.
+
+    The canonical CSR `indices`/`indptr`, the template `values` (explicit
+    zeros included) and the positions of the diagonal entries, all
+    read-only. A matrix on the pattern is a copy of `values` with some
+    entries rewritten, handed to `matrix`, which shares the index arrays
+    instead of building a scipy.sparse sum.
+    """
+
+    __slots__ = ("shape", "indices", "indptr", "values", "diagonal")
+
+    def __init__(self, A: sp.csr_matrix):
+        """A: canonical CSR matrix that stores every diagonal entry."""
+        self.shape = A.shape
+        self.indices, self.indptr, self.values = (
+            np.array(x) for x in (A.indices, A.indptr, A.data)
+        )
+        self.diagonal = self.positions(0)
+        for x in (self.indices, self.indptr, self.values, self.diagonal):
+            x.flags.writeable = False
+
+    def positions(self, offset: int) -> np.ndarray:
+        """Positions in `indices` of the entries with column - row = offset."""
+        rows = np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+        return np.flatnonzero(self.indices - rows == offset)
+
+    def matrix(self, data: np.ndarray) -> sp.csr_matrix:
+        """CSR matrix of `data`, one value per pattern entry, without the
+        entries that are exactly 0, as scipy.sparse sums drop them.
+
+        With no zero it shares the read-only index arrays, so an in-place
+        change of its structure (`eliminate_zeros`) raises ValueError;
+        `copy()` it first.
+        """
+        keep = data != 0
+        if keep.all():
+            return sp.csr_matrix((data, self.indices, self.indptr), shape=self.shape)
+        indptr = np.concatenate(([0], np.cumsum(keep)))[self.indptr]
+        return sp.csr_matrix((data[keep], self.indices[keep], indptr), shape=self.shape)
+
+    def negated_shift(self, values: np.ndarray, sigma: float) -> sp.csr_matrix:
+        """-A - σI for the matrix A with these values, entry for entry
+        what the sparse sum -A - σ·I gives."""
+        data = np.negative(values)
+        data[self.diagonal] -= sigma
+        return self.matrix(data)
+
+
+@functools.lru_cache(maxsize=32)
+def laplacian_pattern(domain: Domain) -> Pattern:
+    """The pattern of laplacian(domain) with its values, cached per domain."""
+    return Pattern(laplacian(domain))
+
+
+def negated(A: sp.csr_matrix) -> sp.csr_matrix:
+    """-A on A's own index arrays."""
+    return sp.csr_matrix((np.negative(A.data), A.indices, A.indptr), shape=A.shape)
+
+
 # Widest band that gets LAPACK's banded Cholesky. Its factor fills the whole
 # band, (kd+1)·n entries, so a solve costs O(kd·n), while SuperLU's
 # minimum-degree factor grows more slowly with the grid: at 100×100 a
@@ -336,7 +396,7 @@ class WeightedOperator:
     """Discrete Δ + diag(m) with structural Dirichlet boundary.
 
     The Laplacian and the weight are stored separately; `matrix` materializes
-    their sum on demand.
+    their sum on demand, on the domain's cached `laplacian_pattern`.
     """
 
     __slots__ = ("grid", "weight", "_matrix")
@@ -348,14 +408,24 @@ class WeightedOperator:
         self.weight = weight
         self._matrix = None
 
+    def _values(self) -> np.ndarray:
+        """Entries of Δ + diag(weight) on the Laplacian's pattern."""
+        pattern = laplacian_pattern(self.grid.domain)
+        data = pattern.values.copy()
+        data[pattern.diagonal] += self.weight.values
+        return data
+
     @property
     def matrix(self) -> sp.csr_matrix:
-        """Sparse symmetric matrix of Δ + diag(weight)."""
+        """Sparse symmetric matrix of Δ + diag(weight), equal in data,
+        indices and indptr to laplacian(domain) + sp.diags(weight)."""
         if self._matrix is None:
-            m = (laplacian(self.grid.domain) + sp.diags(self.weight.values)).tocsr()
-            m.sort_indices()
-            self._matrix = m
+            self._matrix = laplacian_pattern(self.grid.domain).matrix(self._values())
         return self._matrix
+
+    def negated_shift(self, sigma: float) -> sp.csr_matrix:
+        """-(Δ + diag(weight)) - σI, equal to -matrix - σ·sp.identity(n)."""
+        return laplacian_pattern(self.grid.domain).negated_shift(self._values(), sigma)
 
     def apply(self, f: Field) -> Field:
         _check_same_grid(self, f)

@@ -31,6 +31,7 @@ verifies numerically.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -40,12 +41,15 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .elliptic import LogisticSolution, NewtonDivergenceError, SubcriticalError, solve_logistic
-from .grid import Field, Grid, GridMismatchError, WeightedOperator, factorize, laplacian
+from .grid import (
+    Domain, Field, Grid, GridMismatchError, Pattern, WeightedOperator, factorize, laplacian, negated,
+)
 from .model import ModelParams, ratio_coefficients, synchronized_state
 from .spectral import DEFAULT_TOL, EigenPair, EigenSolveError, Spectrum, check_residuals, eigenpairs
 
 __all__ = [
     "CoupledJacobian",
+    "coupled_pattern",
     "StabilityReport",
     "s_parameter",
     "mode_ratios",
@@ -97,6 +101,25 @@ def mode_ratios(b: float, c: float) -> tuple[float, float, bool]:
     return z1, z2, degenerate_distance(b, c) <= DEGENERATE_TOL
 
 
+@functools.lru_cache(maxsize=32)
+def coupled_pattern(domain: Domain) -> tuple[Pattern, np.ndarray, np.ndarray]:
+    """Pattern of kron(I₂, Δ) plus the ±N block diagonals, cached per
+    domain: the kron values with explicit zeros on the block diagonals, and
+    the positions of the +N (row i, column N+i) and -N (row N+i, column i)
+    entries. Δ's own entries lie within nx of the diagonal, below N."""
+    lap = laplacian(domain).tocoo()
+    n = lap.shape[0]
+    i = np.arange(n)
+    rows = np.concatenate([lap.row, lap.row + n, i, i + n])
+    cols = np.concatenate([lap.col, lap.col + n, i + n, i])
+    # kron(I₂, Δ) holds 1.0·Δ, which is Δ exactly
+    data = np.concatenate([lap.data, lap.data, np.zeros(2 * n)])
+    pattern = Pattern(sp.csr_matrix((data, (rows, cols)), shape=(2 * n, 2 * n)))
+    upper, lower = pattern.positions(n), pattern.positions(-n)
+    upper.flags.writeable = lower.flags.writeable = False
+    return pattern, upper, lower
+
+
 class CoupledJacobian:
     """Block linearization of the coupled system at a state (u, v)."""
 
@@ -115,22 +138,30 @@ class CoupledJacobian:
     def size(self) -> int:
         return 2 * self.grid.size
 
+    def _values(self) -> np.ndarray:
+        """Entries of J on coupled_pattern: the reaction diagonal added to
+        kron(I₂, Δ)'s, the blocks -b·u and c·v written into its zeros."""
+        pattern, upper, lower = coupled_pattern(self.grid.domain)
+        a = self.params.a_field(self.grid).values
+        b, c = self.params.b, self.params.c
+        u, v = self.u.values, self.v.values
+        data = pattern.values.copy()
+        data[pattern.diagonal] += np.concatenate([a - 2.0 * u - b * v, a - 2.0 * v + c * u])
+        data[upper] = -b * u
+        data[lower] = c * v
+        return data
+
     @property
     def matrix(self) -> sp.csr_matrix:
-        """kron(I₂, Δ) plus the reaction linearization on three diagonals."""
+        """kron(I₂, Δ) plus the reaction linearization on three diagonals,
+        equal in data, indices and indptr to that scipy.sparse sum."""
         if self._matrix is None:
-            n = self.grid.size
-            a = self.params.a_field(self.grid).values
-            b, c = self.params.b, self.params.c
-            u, v = self.u.values, self.v.values
-            reaction = sp.diags(
-                [np.concatenate([a - 2.0 * u - b * v, a - 2.0 * v + c * u]), -b * u, c * v],
-                [0, n, -n],
-                format="csr",
-            )
-            lap = laplacian(self.grid.domain)
-            self._matrix = sp.kron(sp.identity(2, format="csr"), lap, format="csr") + reaction
+            self._matrix = coupled_pattern(self.grid.domain)[0].matrix(self._values())
         return self._matrix
+
+    def negated_shift(self, sigma: float) -> sp.csr_matrix:
+        """-J - σI, equal to -matrix - σ·sp.identity(2N)."""
+        return coupled_pattern(self.grid.domain)[0].negated_shift(self._values(), sigma)
 
 
 def coupled_eigenpairs(
@@ -160,17 +191,18 @@ def coupled_eigenpairs(
     n2 = J.size
     if not 1 <= k <= n2:
         raise ValueError(f"k must be in [1, {n2}], got {k}")
-    M = (-J.matrix).tocsr()
+    M = negated(J.matrix)
 
     if k >= n2 - 1:
         vals, vecs = sla.eig(M.toarray())
     else:
         diag = M.diagonal()
-        offsum = np.asarray(np.abs(M).sum(axis=1)).ravel() - np.abs(diag)
+        # every row holds a Laplacian neighbour, so none is empty in reduceat
+        offsum = np.add.reduceat(np.abs(M.data), M.indptr[:-1]) - np.abs(diag)
         sigma = float((diag - offsum).min()) - 1.0
         v0 = np.random.default_rng(COUPLED_START_SEED).standard_normal(n2)
         kk = min(k + COUPLED_EXTRA_VALUES, n2 - 2)
-        lu = factorize(M - sigma * sp.identity(n2, format="csr"))
+        lu = factorize(J.negated_shift(sigma))
         OPinv = spla.LinearOperator((n2, n2), matvec=lu.solve, dtype=float)
         vals, vecs = spla.eigs(M, k=kk, sigma=sigma, which="LM", OPinv=OPinv, v0=v0)
 

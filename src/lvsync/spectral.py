@@ -42,7 +42,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .grid import Field, Grid, LapackFactor, WeightedOperator, factorize
+from .grid import Field, Grid, LapackFactor, WeightedOperator, factorize, negated
 
 __all__ = [
     "EigenPair",
@@ -140,11 +140,11 @@ def eigenpairs(op: WeightedOperator, k: int, tol: float = DEFAULT_TOL) -> Spectr
         raise ValueError(f"k must be in [1, {n}], got {k}")
     if not 0 < tol < np.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
-    A = (-op.matrix).tocsr()
+    A = negated(op.matrix)
     # the Rayleigh quotient of -(Δ+m) is bounded below by -max(m), so this
     # shift keeps A - sigma*I positive definite
     sigma = -float(op.weight.values.max()) - 1.0
-    lu = factorize(A - sigma * sp.identity(n, format="csr"))
+    lu = factorize(op.negated_shift(sigma))
 
     if k >= n - 1:
         w, V = sla.eigh(A.toarray())

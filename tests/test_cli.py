@@ -704,6 +704,10 @@ FIELD_20_NODES_NAN = "index,coord1,value\n" + "".join(
     pytest.param({}, ["theta", "--n", "20", "--tol", "inf"], id="theta-tol-inf"),
     pytest.param({"cfg.json": '{"tol": NaN}'}, ["theta", "--n", "20", "--config", "{tmp}/cfg.json"],
                  id="config-tol-nan"),
+    pytest.param({}, ["evolve", "--n", "20", "--t-end", "1", "--dt", "1e-320"],
+                 id="step-count-overflows-subnormal-dt"),
+    pytest.param({}, ["evolve", "--n", "20", "--t-end", "1e308", "--dt", "1e-3"],
+                 id="step-count-overflows-huge-t-end"),
 ])
 def test_config_errors_exit_before_out_is_created(files, args, tmp_path, capsys):
     for name, text in files.items():

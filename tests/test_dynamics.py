@@ -127,6 +127,13 @@ class TestEvolve:
         with pytest.raises(ValueError, match="nonnegative"):
             evolve(bad, Field.constant(g, 0.0), params, dt=1e-3, t_end=0.1)
 
+    @pytest.mark.parametrize("dt, t_end", [(1e-320, 1.0), (1e-3, 1e308), (np.nan, 1.0)])
+    def test_step_count_must_be_finite(self, dt, t_end):
+        g = grid1d(20)
+        one = Field.constant(g, 1.0)
+        with pytest.raises(ValueError, match="no finite step count"):
+            evolve(one, one, ModelParams(a=2.0, b=0.5, c=1.0), dt=dt, t_end=t_end)
+
     @pytest.mark.parametrize("species, node, value", [("u", 7, np.nan), ("v", 0, np.inf),
                                                       ("v", 19, -np.inf)])
     def test_non_finite_initial_data_rejected(self, species, node, value):
