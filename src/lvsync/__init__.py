@@ -26,7 +26,6 @@ from .model import (
     ModelParams,
     SteadyState,
     ratio_coefficients,
-    semi_trivial_state,
     synchronized_state,
     system_residual,
 )

@@ -7,8 +7,12 @@ merged effective config is echoed into the output directory as config.json.
 Every command runs one path: parse, merge, validate every outside input
 (config values and types, the growth-rate spec including a field file's
 contents, and every sweep job), create --out, run. A config error exits 1
-before --out is created. A rectangle sweep runs on n x n grids, so it needs
-a square --n or a --sweep-n axis.
+before --out is created. This module checks the option types, its own
+options and the a-spec; the numerical modules check the rest with the calls
+a library user meets: the domain (grid.Domain), the (b, c) range
+(model.ratio_coefficients) and evolve's time stepping, step bound and
+snapshot times (dynamics.step_schedule). A rectangle sweep runs on n x n
+grids, so it needs a square --n or a --sweep-n axis.
 
 Exit codes: 0 success, 1 usage, config or solver error, 2 mathematically
 expected negative result (subcritical growth rate).
@@ -52,6 +56,7 @@ from .dynamics import (
     decay_rate,
     evolve,
     random_perturbation,
+    step_schedule,
 )
 from .elliptic import NewtonDivergenceError, SubcriticalError, solve_logistic
 from .grid import (
@@ -72,7 +77,9 @@ from .linstab import (
     theta_half,
     verify_theorem,
 )
-from .model import ModelParams, SteadyState, synchronized_state, system_residual
+from .model import (
+    ModelParams, SteadyState, ratio_coefficients, synchronized_state, system_residual,
+)
 from .spectral import DEFAULT_TOL, EigenSolveError, eigenpairs, principal_eigenpair
 
 __all__ = ["main", "RunConfig"]
@@ -232,17 +239,17 @@ def _merge_config(file_cfg: dict, cli_overrides: dict) -> RunConfig:
 
 
 def validate_config(cfg: RunConfig, command: str) -> None:
-    """Check every numeric range before any solve (the a-spec is checked by
-    build_growth_field, which reads it)."""
+    """Check every numeric range before any solve; a ValueError of the
+    library's own checks (module docstring) becomes a ConfigError. The a-spec
+    is checked by build_growth_field, which reads it."""
     try:
         Domain(cfg.kind, cfg.extents, cfg.resolution)
+        if command in ("steady", "verify", "evolve", "sweep"):
+            ratio_coefficients(cfg.b, cfg.c)
+        if command == "evolve":
+            step_schedule(cfg.dt, cfg.t_end, cfg.store_every, cfg.snapshot_times)
     except ValueError as exc:
         raise ConfigError(str(exc))
-    if command in ("steady", "verify", "evolve", "sweep"):
-        if not 0.0 < cfg.b < 1.0:
-            raise ConfigError(f"b must lie in (0, 1), got {cfg.b}")
-        if not 0.0 < cfg.c < math.inf:
-            raise ConfigError(f"c must be positive and finite, got {cfg.c}")
     if cfg.tol <= 0:
         raise ConfigError(f"tol must be positive, got {cfg.tol}")
     if cfg.k < 1:
@@ -250,31 +257,8 @@ def validate_config(cfg: RunConfig, command: str) -> None:
     n_nodes = int(np.prod(cfg.resolution))
     if command in ("spectrum", "verify", "sweep") and cfg.k > n_nodes:
         raise ConfigError(f"k = {cfg.k} exceeds interior node count {n_nodes}")
-    if command == "evolve":
-        if cfg.dt <= 0:
-            raise ConfigError(f"dt must be positive, got {cfg.dt}")
-        if cfg.t_end <= 0:
-            raise ConfigError(f"t_end must be positive, got {cfg.t_end}")
-        if not math.isfinite(cfg.t_end / cfg.dt):
-            raise ConfigError(f"t_end / dt = {cfg.t_end} / {cfg.dt} overflows: no finite step count")
-        if cfg.store_every < 1:
-            raise ConfigError(f"store_every must be >= 1, got {cfg.store_every}")
-        outside = [t for t in cfg.snapshot_times if not 0.0 <= t <= cfg.t_end]
-        if outside:
-            raise ConfigError(f"snapshot times must lie in [0, t_end = {cfg.t_end}], got {outside}")
-        # a snapshot is a stored state: step 0, every store_every-th step or
-        # the last of evolve's ceil(t_end/dt) steps, up to rounding
-        last = math.ceil(cfg.t_end / cfg.dt - 1e-12)
-        steps = [(t, round(t / cfg.dt)) for t in cfg.snapshot_times]
-        unstored = [t for t, s in steps if not math.isclose(t / cfg.dt, s, rel_tol=1e-9)
-                    or (s % cfg.store_every and s != last)]
-        if unstored:
-            raise ConfigError(
-                f"snapshot times must be stored steps, multiples of store_every * dt = "
-                f"{cfg.store_every * cfg.dt:g} or the final time {last * cfg.dt:g}, got {unstored}"
-            )
-        if cfg.amplitude < 0:
-            raise ConfigError(f"amplitude must be nonnegative, got {cfg.amplitude}")
+    if command == "evolve" and cfg.amplitude < 0:
+        raise ConfigError(f"amplitude must be nonnegative, got {cfg.amplitude}")
     if command == "sweep" and isinstance(cfg.a, str):
         raise ConfigError("sweep requires a constant growth rate")
     if cfg.format not in ("csv", "json"):
@@ -310,8 +294,7 @@ def _sweep_jobs(cfg: RunConfig, axes: dict) -> list[RunConfig]:
         job = dataclasses.replace(cfg, a=a, b=b, c=c, resolution=(n,) * len(cfg.resolution))
         try:
             validate_config(job, "sweep")
-            ModelParams(a=a, b=b, c=c)
-        except ValueError as exc:
+        except ConfigError as exc:
             raise ConfigError(f"sweep job a={a} b={b} c={c} n={n}: {exc}")
         jobs.append(job)
     return jobs
@@ -377,10 +360,9 @@ def stability_report_dict(report: StabilityReport) -> dict:
 
 def write_eigentable_csv(report: StabilityReport, path):
     """Eigenvalue table: i,coupled_re,coupled_im,predicted,rel_err."""
-    coupled_sorted = sorted(report.coupled_eigs, key=lambda v: (v.real, v.imag))
     _write_csv(path, ["i", "coupled_re", "coupled_im", "predicted", "rel_err"], (
         [i, mu.real, mu.imag, pred, abs(mu.real - pred) / max(abs(pred), 1e-300)]
-        for i, (mu, pred) in enumerate(zip(coupled_sorted, report.predicted_eigs))
+        for i, (mu, pred) in enumerate(zip(report.coupled_eigs, report.predicted_eigs))
     ))
 
 
@@ -493,25 +475,12 @@ def cmd_evolve(cfg: RunConfig, out: Path, grid: Grid, a: Field) -> int:
         _write_field(u, out / f"snapshot_u_{i:03d}", cfg.format)
         _write_field(v, out / f"snapshot_v_{i:03d}", cfg.format)
     # predicted slowest decay: smaller principal eigenvalue of the two families
-    s1 = s_parameter(cfg.b, cfg.c)
     eig_tol = max(cfg.tol, 1e-8)
-    lam_s1 = principal_eigenpair(
-        WeightedOperator(grid, sol.a - s1 * sol.theta), tol=eig_tol
-    ).lam
-    lam_2 = principal_eigenpair(
-        WeightedOperator(grid, sol.a - 2.0 * sol.theta), tol=eig_tol
-    ).lam
-    mu1 = min(lam_s1, lam_2)
+    mu1 = min(principal_eigenpair(WeightedOperator(grid, sol.a - s * sol.theta), tol=eig_tol).lam
+              for s in (s_parameter(cfg.b, cfg.c), 2.0))
     try:
         fit = decay_rate(traj, steady)
-        fit_dict = {
-            "rate": fit.rate,
-            "r_squared": fit.r_squared,
-            "window": list(fit.window),
-            "n_samples": fit.n_samples,
-            "monotone": fit.monotone,
-            "mu1_predicted": mu1,
-        }
+        fit_dict = {**dataclasses.asdict(fit), "mu1_predicted": mu1}
         print(f"decay rate {fit.rate:.6g} (predicted -mu1 = {-mu1:.6g}), r^2 = {fit.r_squared:.6f}")
     except Exception as exc:  # fit is diagnostic; trajectory files already written
         fit_dict = {"error": str(exc), "mu1_predicted": mu1}

@@ -21,6 +21,11 @@ so forward and back substitution on a nonnegative right-hand side add
 only nonnegative terms. SuperLU's pivoted LU, on a wider 2D grid, has no
 such sign structure: roundoff-level negatives of its solve (within
 -1e-12·max(1, ‖state‖∞)) are floored to zero; anything below that raises.
+
+Checks: `step_schedule` owns dt, t_end, the step count and its bound,
+store_every, the stored steps and the snapshot times, for `evolve` and the
+CLI alike; `evolve` checks the initial data and, each step, the step-size
+rule and positivity. The (b, c) range is `model.ratio_coefficients`'s.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .grid import Field, GridMismatchError, factorize, l2_norm, laplacian
+from .grid import Field, GridMismatchError, as_field, factorize, l2_norm, laplacian
 from .model import ModelParams, SteadyState
 
 __all__ = [
@@ -41,6 +46,9 @@ __all__ = [
     "PositivityError",
     "InitialDataError",
     "DecayFitError",
+    "MAX_STEPS",
+    "StepSchedule",
+    "step_schedule",
     "evolve",
     "decay_rate",
     "random_perturbation",
@@ -50,6 +58,11 @@ __all__ = [
 REACTION_CFL = 0.5
 NORM_FLOOR = 1e-10
 TRANSIENT_FRACTION = 0.2
+# Most steps one evolve run may take: 20–31 min at the 12–19 µs of a 1D n=200
+# step (2-core x86-64 VM, BLAS on 1 thread), over 2,000 times the longest
+# run of the package's scripts (44,000 steps in scripts/decay_experiment.py),
+# while a mistyped t_end or dt becomes a config error, not an endless run.
+MAX_STEPS = 10**8
 
 
 class StepSizeError(ValueError):
@@ -98,6 +111,49 @@ class DecayFit:
     monotone: bool
 
 
+@dataclass(frozen=True)
+class StepSchedule:
+    """The steps of one evolve run: n_steps = ⌈t_end/dt⌉ of them, with the
+    state stored at step 0, at every store_every-th step and at the last."""
+
+    n_steps: int
+    store_every: int
+
+    def next_stored(self, step: int) -> int:
+        """The first stored step after `step`."""
+        return min(step - step % self.store_every + self.store_every, self.n_steps)
+
+
+def step_schedule(dt: float, t_end: float, store_every: int = 1, snapshot_times=()) -> StepSchedule:
+    """The StepSchedule of one evolve run; ValueError unless dt and t_end are
+    positive with at most MAX_STEPS steps, store_every >= 1 and each snapshot
+    time a stored step's, up to rounding. O(1) memory at any step count."""
+    if dt <= 0 or t_end <= 0:
+        raise ValueError(f"dt and t_end must be positive, got dt = {dt}, t_end = {t_end}")
+    if not t_end / dt <= MAX_STEPS:  # also an overflow to inf, or NaN
+        raise ValueError(f"t_end / dt = {t_end} / {dt} gives no finite step count "
+                         f"within MAX_STEPS = {MAX_STEPS:,}")
+    if int(store_every) < 1:
+        raise ValueError(f"store_every must be >= 1, got {store_every}")
+    schedule = StepSchedule(math.ceil(t_end / dt - 1e-12), int(store_every))
+    outside = [t for t in snapshot_times if not 0.0 <= t <= t_end]
+    if outside:
+        raise ValueError(f"snapshot times must lie in [0, t_end = {t_end}], got {outside}")
+    unstored = []
+    for t in snapshot_times:
+        step = round(t / dt)
+        if not (math.isclose(t / dt, step, rel_tol=1e-9)
+                and (step == 0 or schedule.next_stored(step - 1) == step)):
+            unstored.append(t)
+    if unstored:
+        raise ValueError(
+            f"snapshot times must be stored steps, multiples of store_every * dt = "
+            f"{schedule.store_every * dt:g} or the final time {schedule.n_steps * dt:g}, "
+            f"got {unstored}"
+        )
+    return schedule
+
+
 def _check_dt(dt: float, a_max: float, peak: float, b: float, c: float):
     bound = a_max + 2.0 * peak * (1.0 + b + c)
     if dt * bound > REACTION_CFL:
@@ -117,21 +173,16 @@ def evolve(
 ) -> Trajectory:
     """Integrate from nonnegative initial data until at least t_end - dt.
 
-    States are stored at step 0, every store_every-th step, and the final
-    step. Raises InitialDataError when u0 or v0 has a negative or
-    non-finite value, StepSizeError when the admissibility rule fails for
-    the current state and PositivityError on genuine positivity loss.
+    The steps and the stored states are step_schedule(dt, t_end,
+    store_every)'s, whose ValueError comes before any solve. Raises
+    InitialDataError when u0 or v0 has a negative or non-finite value,
+    StepSizeError when the admissibility rule fails for the current state
+    and PositivityError on genuine positivity loss.
     """
     if u0.grid != v0.grid:
         raise GridMismatchError("u0 and v0 live on different grids")
     grid = u0.grid
-    if dt <= 0 or t_end <= 0:
-        raise ValueError("dt and t_end must be positive")
-    if not math.isfinite(t_end / dt):
-        raise ValueError(f"t_end / dt = {t_end} / {dt} overflows: no finite step count")
-    if int(store_every) < 1:
-        raise ValueError("store_every must be a positive integer")
-    store_every = int(store_every)
+    schedule = step_schedule(dt, t_end, store_every)
     for name, w in (("u", u0.values), ("v", v0.values)):
         bad = np.flatnonzero(~((w >= 0) & (w < np.inf)))  # NaN fails both comparisons
         if bad.size:
@@ -143,7 +194,7 @@ def evolve(
     n = grid.size
     solver = factorize(sp.identity(n, format="csr") - dt * lap)
 
-    a = params.a_field(grid).values
+    a = as_field(grid, params.a).values
     a_max = float(np.abs(a).max())
     b, c = params.b, params.c
 
@@ -152,11 +203,11 @@ def evolve(
     W = np.column_stack((u0.values, v0.values))
     a, bc = a[:, None], np.array([b, -c])
     peak = float(W.max(initial=0.0))
-    n_steps = math.ceil(t_end / dt - 1e-12)
     times = [0.0]
     states = [(u0, v0)]
 
-    for step in range(1, n_steps + 1):
+    stored = schedule.next_stored(0)
+    for step in range(1, schedule.n_steps + 1):
         _check_dt(dt, a_max, peak, b, c)
         W = solver.solve(W + dt * (W * ((a - W) - W[:, ::-1] * bc)))
         t = step * dt
@@ -169,9 +220,10 @@ def evolve(
                 raise PositivityError(t, node, float(W[node, col]), "uv"[col])
             np.clip(W, 0.0, None, out=W)
         peak = max(hi, 0.0)  # the clip raises only negatives, to 0
-        if step % store_every == 0 or step == n_steps:
+        if step == stored:
             times.append(t)
             states.append((Field(grid, W[:, 0]), Field(grid, W[:, 1])))
+            stored = schedule.next_stored(step)
 
     return Trajectory(
         times=np.asarray(times), states=tuple(states), params=params, dt=dt

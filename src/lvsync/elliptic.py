@@ -20,9 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (
-    Field, Grid, GridMismatchError, WeightedOperator, factorize, l2_norm, laplacian, negated,
-)
+from .grid import Field, Grid, WeightedOperator, as_field, factorize, l2_norm, laplacian, negated
 from .spectral import DEFAULT_TOL, principal_eigenpair
 
 __all__ = [
@@ -70,17 +68,9 @@ class LogisticSolution:
     lambda1_of_a: float
 
 
-def _as_field(grid: Grid, a) -> Field:
-    if isinstance(a, Field):
-        if a.grid != grid:
-            raise GridMismatchError("growth rate lives on a different grid")
-        return a
-    return Field.constant(grid, float(a))
-
-
 def logistic_residual(theta: Field, a) -> float:
     """L2 norm of the discrete residual Δθ + θ(a - θ)."""
-    a = _as_field(theta.grid, a)
+    a = as_field(theta.grid, a)
     op = WeightedOperator(theta.grid, a - theta)
     return l2_norm(op.apply(theta))
 
@@ -146,7 +136,7 @@ def solve_logistic(grid: Grid, a, tol: float = DEFAULT_TOL) -> LogisticSolution:
     fails, from the constant max a. Raises SubcriticalError when λ1(a) >= 0
     and NewtonDivergenceError with the residual trace on failure.
     """
-    a = _as_field(grid, a)
+    a = as_field(grid, a)
     if not 0 < tol < np.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
 
@@ -227,7 +217,7 @@ def uniqueness_probe(
     solutions is observed and classified rather than masked. Non-convergent
     starts are counted, never fatal.
     """
-    a = _as_field(grid, a)
+    a = as_field(grid, a)
     if n_starts < 1:
         raise ValueError("n_starts must be >= 1")
     rng = np.random.default_rng(seed)

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,7 @@ __all__ = [
     "Domain",
     "Grid",
     "Field",
+    "as_field",
     "WeightedOperator",
     "GridMismatchError",
     "KIND_NDIM",
@@ -175,39 +177,25 @@ class Field:
     def max(self) -> float:
         return float(self.values.max())
 
-    def _coerce(self, other):
-        if isinstance(other, Field):
-            _check_same_grid(self, other)
-            return other.values
-        if np.isscalar(other):
-            return float(other)
-        return NotImplemented
+    def _apply(self, op, other):
+        """op(values, other's values) for a Field on this grid or a scalar."""
+        if not (isinstance(other, Field) or np.isscalar(other)):
+            return NotImplemented
+        return Field(self.grid, op(self.values, as_field(self.grid, other).values))
 
     def __add__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return Field(self.grid, self.values + v)
+        return self._apply(operator.add, other)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return Field(self.grid, self.values - v)
+        return self._apply(operator.sub, other)
 
     def __rsub__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return Field(self.grid, v - self.values)
+        return self._apply(lambda x, y: y - x, other)
 
     def __mul__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return Field(self.grid, self.values * v)
+        return self._apply(operator.mul, other)
 
     __rmul__ = __mul__
 
@@ -216,6 +204,16 @@ class Field:
 
     def __repr__(self) -> str:
         return f"Field({self.grid!r}, min={self.values.min():.3g}, max={self.values.max():.3g})"
+
+
+def as_field(grid: Grid, value) -> Field:
+    """A growth rate (or any weight) on grid: a Field on grid as it is, a
+    number as the constant Field. The one coercion every module uses."""
+    if isinstance(value, Field):
+        if value.grid != grid:
+            raise GridMismatchError(f"grid mismatch: {value.grid!r} vs {grid!r}")
+        return value
+    return Field.constant(grid, value)
 
 
 @functools.lru_cache(maxsize=32)

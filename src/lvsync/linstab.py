@@ -42,7 +42,8 @@ import scipy.sparse.linalg as spla
 
 from .elliptic import LogisticSolution, NewtonDivergenceError, SubcriticalError, solve_logistic
 from .grid import (
-    Domain, Field, Grid, GridMismatchError, Pattern, WeightedOperator, factorize, laplacian, negated,
+    Domain, Field, Grid, GridMismatchError, Pattern, WeightedOperator, as_field, factorize,
+    laplacian, negated,
 )
 from .model import ModelParams, ratio_coefficients, synchronized_state
 from .spectral import DEFAULT_TOL, EigenPair, EigenSolveError, Spectrum, check_residuals, eigenpairs
@@ -142,7 +143,7 @@ class CoupledJacobian:
         """Entries of J on coupled_pattern: the reaction diagonal added to
         kron(I₂, Δ)'s, the blocks -b·u and c·v written into its zeros."""
         pattern, upper, lower = coupled_pattern(self.grid.domain)
-        a = self.params.a_field(self.grid).values
+        a = as_field(self.grid, self.params.a).values
         b, c = self.params.b, self.params.c
         u, v = self.u.values, self.v.values
         data = pattern.values.copy()
@@ -386,7 +387,7 @@ def verify_theorem(
     z1, z2, degenerate = mode_ratios(b, c)
     band = degenerate_distance(b, c) <= DEGENERATE_WARN_BAND
 
-    a = params.a_field(grid)
+    a = as_field(grid, params.a)
     if shared is None:
         shared = theta_half(a, grid, k, tol)
     if shared.cause is not None:
@@ -406,7 +407,7 @@ def verify_theorem(
 
     pred_vals = np.array([p[0] for p in predicted])
     pred_fams = tuple(p[1] for p in predicted)
-    coupled_re = np.sort(coupled_vals.real)
+    coupled_re = coupled_vals.real  # ascending: coupled_eigenpairs lexsorts by (Re, Im)
     max_rel_mismatch = _cluster_mismatch(coupled_re, pred_vals)
     max_imag = float(np.abs(coupled_vals.imag).max())
 

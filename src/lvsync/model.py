@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, GridMismatchError, WeightedOperator, l2_norm
+from .grid import Field, GridMismatchError, WeightedOperator, as_field, l2_norm
 from .elliptic import LogisticSolution
 
 __all__ = [
@@ -30,15 +30,7 @@ __all__ = [
     "ratio_coefficients",
     "synchronized_state",
     "system_residual",
-    "semi_trivial_state",
 ]
-
-
-def _validate_bc(b: float, c: float):
-    if not (math.isfinite(b) and 0.0 < b < 1.0):
-        raise ValueError(f"predation rate b must lie in (0, 1), got {b}")
-    if not (math.isfinite(c) and c > 0.0):
-        raise ValueError(f"conversion rate c must be positive, got {c}")
 
 
 @dataclass(frozen=True)
@@ -50,24 +42,24 @@ class ModelParams:
     c: float
 
     def __post_init__(self):
-        _validate_bc(self.b, self.c)
+        ratio_coefficients(self.b, self.c)  # checks the (b, c) range
         if not isinstance(self.a, Field):
             a = float(self.a)
             if not math.isfinite(a):
                 raise ValueError(f"growth rate must be finite, got {a}")
             object.__setattr__(self, "a", a)
 
-    def a_field(self, grid) -> Field:
-        if isinstance(self.a, Field):
-            if self.a.grid != grid:
-                raise GridMismatchError("params.a lives on a different grid")
-            return self.a
-        return Field.constant(grid, self.a)
-
 
 def ratio_coefficients(b: float, c: float) -> tuple[float, float]:
-    """(α, β) = ((1-b)/(1+bc), (1+c)/(1+bc)); both strictly positive."""
-    _validate_bc(b, c)
+    """(α, β) = ((1-b)/(1+bc), (1+c)/(1+bc)); both strictly positive.
+
+    The one check of the parameter range 0 < b < 1, 0 < c < ∞: ModelParams,
+    s_parameter, mode_ratios and the CLI's config validation all call it.
+    """
+    if not 0.0 < b < 1.0:
+        raise ValueError(f"predation rate b must lie in (0, 1), got {b}")
+    if not 0.0 < c < math.inf:
+        raise ValueError(f"conversion rate c must be positive and finite, got {c}")
     denom = 1.0 + b * c
     return (1.0 - b) / denom, (1.0 + c) / denom
 
@@ -91,7 +83,7 @@ def synchronized_state(params: ModelParams, theta: LogisticSolution) -> SteadySt
     positive synchronized solution.
     """
     grid = theta.theta.grid
-    a = params.a_field(grid)
+    a = as_field(grid, params.a)
     if not np.allclose(a.values, theta.a.values, rtol=1e-13, atol=1e-13):
         raise ValueError("theta was solved for a different growth rate than params.a")
     if theta.theta.min() <= 0.0:
@@ -110,17 +102,7 @@ def system_residual(u: Field, v: Field, params: ModelParams) -> tuple[float, flo
     """L2 norms of the two coupled steady-state residuals at (u, v)."""
     if u.grid != v.grid:
         raise GridMismatchError("u and v live on different grids")
-    a = params.a_field(u.grid)
+    a = as_field(u.grid, params.a)
     r_u = WeightedOperator(u.grid, a - u - params.b * v).apply(u)
     r_v = WeightedOperator(u.grid, a - v + params.c * u).apply(v)
     return l2_norm(r_u), l2_norm(r_v)
-
-
-def semi_trivial_state(theta: LogisticSolution, which: str) -> tuple[Field, Field]:
-    """(θ, 0) or (0, θ): single-species baselines for dynamics comparisons."""
-    zero = Field.constant(theta.theta.grid, 0.0)
-    if which == "prey":
-        return theta.theta, zero
-    if which == "predator":
-        return zero, theta.theta
-    raise ValueError(f"which must be 'prey' or 'predator', got {which!r}")

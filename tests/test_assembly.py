@@ -22,7 +22,7 @@ from lvsync import (
     solve_logistic,
     synchronized_state,
 )
-from lvsync.grid import LapackFactor, factorize, laplacian, laplacian_pattern, negated
+from lvsync.grid import LapackFactor, as_field, factorize, laplacian, laplacian_pattern, negated
 from lvsync.linstab import coupled_eigenpairs, coupled_pattern
 
 # (domain, growth rate a): a is supercritical on each domain
@@ -69,7 +69,7 @@ def scipy_weighted(domain, w):
 
 def scipy_jacobian(J):
     n = J.grid.size
-    a = J.params.a_field(J.grid).values
+    a = as_field(J.grid, J.params.a).values
     b, c = J.params.b, J.params.c
     u, v = J.u.values, J.v.values
     reaction = sp.diags(

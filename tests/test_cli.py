@@ -708,6 +708,8 @@ FIELD_20_NODES_NAN = "index,coord1,value\n" + "".join(
                  id="step-count-overflows-subnormal-dt"),
     pytest.param({}, ["evolve", "--n", "20", "--t-end", "1e308", "--dt", "1e-3"],
                  id="step-count-overflows-huge-t-end"),
+    pytest.param({}, ["evolve", "--n", "20", "--t-end", "1e300", "--dt", "1e-3"],
+                 id="step-count-above-bound"),
 ])
 def test_config_errors_exit_before_out_is_created(files, args, tmp_path, capsys):
     for name, text in files.items():

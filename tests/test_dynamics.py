@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,8 +21,8 @@ from lvsync import (
     random_perturbation,
 )
 from lvsync.cli import write_trajectory_csv
-from lvsync.dynamics import Trajectory, state_distance
-from lvsync.grid import factorize, laplacian
+from lvsync.dynamics import MAX_STEPS, StepSchedule, Trajectory, state_distance, step_schedule
+from lvsync.grid import as_field, factorize, laplacian
 from lvsync.linstab import ansatz_coefficients, predicted_spectrum
 
 
@@ -48,7 +49,7 @@ def two_solve_evolve(u0, v0, params, dt, t_end, store_every=1):
     grid = u0.grid
     lhs = sp.identity(grid.size, format="csr") - dt * laplacian(grid.domain)
     solver = lvsync.dynamics.factorize(lhs)
-    a = params.a_field(grid).values
+    a = as_field(grid, params.a).values
     a_max = float(np.abs(a).max())
     b, c = params.b, params.c
     u, v = u0.values.copy(), v0.values.copy()
@@ -133,6 +134,51 @@ class TestEvolve:
         one = Field.constant(g, 1.0)
         with pytest.raises(ValueError, match="no finite step count"):
             evolve(one, one, ModelParams(a=2.0, b=0.5, c=1.0), dt=dt, t_end=t_end)
+
+    def test_step_bound_checked_before_factorize(self, monkeypatch):
+        def no_factorize(A):
+            raise AssertionError("evolve factorized before checking the step count")
+
+        monkeypatch.setattr(lvsync.dynamics, "factorize", no_factorize)
+        g = grid1d(20)
+        one = Field.constant(g, 1.0)
+        with pytest.raises(ValueError, match="within MAX_STEPS = 100,000,000"):
+            evolve(one, one, ModelParams(a=2.0, b=0.5, c=1.0), dt=1e-3, t_end=1e300)
+
+    def test_schedule_at_the_bound_in_constant_memory(self):
+        tracemalloc.start()
+        try:
+            schedule = step_schedule(1.0, float(MAX_STEPS), 1, (0.0, float(MAX_STEPS)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert schedule == StepSchedule(MAX_STEPS, 1)
+        assert peak < 10_000
+        with pytest.raises(ValueError, match="MAX_STEPS"):
+            step_schedule(1.0, MAX_STEPS + 1.0)
+
+    @pytest.mark.parametrize("n_steps", [1, 2, 9, 10, 11, 23])
+    @pytest.mark.parametrize("store_every", [1, 3, 10, 50])
+    def test_stored_steps_and_snapshot_rule(self, n_steps, store_every):
+        # the rule as evolve used to write it inline: step 0, every
+        # store_every-th step and the last
+        stored = [s for s in range(n_steps + 1) if s % store_every == 0 or s == n_steps]
+        schedule = step_schedule(0.5, 0.5 * n_steps, store_every)
+        assert schedule.n_steps == n_steps
+        walked = [0]
+        while walked[-1] < n_steps:
+            walked.append(schedule.next_stored(walked[-1]))
+        assert walked == stored
+        for s in range(n_steps + 1):
+            if s in stored:
+                step_schedule(0.5, 0.5 * n_steps, store_every, (0.5 * s,))
+            else:
+                with pytest.raises(ValueError, match="stored steps"):
+                    step_schedule(0.5, 0.5 * n_steps, store_every, (0.5 * s,))
+        z = Field.constant(grid1d(5), 0.0)
+        traj = evolve(z, z, ModelParams(a=2.0, b=0.5, c=1.0), dt=1 / 16, t_end=n_steps / 16,
+                      store_every=store_every)
+        assert np.array_equal(traj.times, np.array(stored) / 16)
 
     @pytest.mark.parametrize("species, node, value", [("u", 7, np.nan), ("v", 0, np.inf),
                                                       ("v", 19, -np.inf)])

@@ -238,6 +238,20 @@ class TestSpectralEquivalence:
             assert vecs.shape == (2 * g.size, k)
             assert np.allclose(vals, oracle[:k], rtol=1e-12, atol=1e-12)
 
+    @pytest.mark.parametrize("domain", [Domain("interval", (math.pi,), (40,)),
+                                        Domain("rectangle", (math.pi, math.pi), (12, 12))],
+                             ids=["1d-40", "2d-12x12"])
+    def test_values_come_lexsorted_by_real_then_imag(self, domain):
+        # on the degenerate locus the defective pairs split into complex
+        # conjugates with equal real parts, so the imaginary part decides
+        # their order; verify_theorem and the eigenvalue table rely on it
+        g = Grid(domain)
+        params = ModelParams(a=4.0 if g.ndim == 2 else 2.0, b=1.0 / 3.0, c=1.0)
+        steady = synchronized_state(params, solve_logistic(g, params.a, tol=1e-10))
+        vals, _ = coupled_eigenpairs(CoupledJacobian(g, steady.u, steady.v, params), 12)
+        assert np.count_nonzero(vals.imag) >= 4
+        assert np.array_equal(np.lexsort((vals.imag, vals.real)), np.arange(12))
+
     @pytest.mark.parametrize("n, k", [(10, 7), (14, 12)], ids=["10x10", "14x14"])
     def test_zero_state_window_edge_cuts_no_copy(self, n, k):
         # I2 x (lap + a) on the square makes the (i,j)/(j,i) eigenvalues

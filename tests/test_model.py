@@ -10,7 +10,6 @@ from lvsync import (
     ModelParams,
     logistic_residual,
     ratio_coefficients,
-    semi_trivial_state,
     solve_logistic,
     synchronized_state,
     system_residual,
@@ -91,14 +90,6 @@ class TestSystemResidual:
     def test_trivial_state(self, grid200, params_default):
         zero = Field.constant(grid200, 0.0)
         assert system_residual(zero, zero, params_default) == (0.0, 0.0)
-
-    def test_semi_trivial_state(self, params_default, theta200):
-        u, v = semi_trivial_state(theta200, "prey")
-        r_u, r_v = system_residual(u, v, params_default)
-        assert r_v == 0.0
-        assert r_u == pytest.approx(logistic_residual(theta200.theta, theta200.a), rel=1e-12)
-        u2, v2 = semi_trivial_state(theta200, "predator")
-        assert u2.max() == 0.0 and v2.min() > 0.0
 
     def test_reduction_identity_nonsolution(self, grid200, params_default):
         # any profile scaled by (alpha, beta) reduces both equations to the
