@@ -10,9 +10,10 @@ contents, and every sweep job), create --out, run. A config error exits 1
 before --out is created. This module checks the option types, its own
 options and the a-spec; the numerical modules check the rest with the calls
 a library user meets: the domain (grid.Domain), the (b, c) range
-(model.ratio_coefficients) and evolve's time stepping, step bound and
-snapshot times (dynamics.step_schedule). A rectangle sweep runs on n x n
-grids, so it needs a square --n or a --sweep-n axis.
+(model.ratio_coefficients) and evolve's time stepping, its bounds on the
+steps and the stored values, and the snapshot times (dynamics.step_schedule).
+A rectangle sweep runs on n x n grids, so it needs a square --n or a
+--sweep-n axis.
 
 Exit codes: 0 success, 1 usage, config or solver error, 2 mathematically
 expected negative result (subcritical growth rate).
@@ -243,18 +244,17 @@ def validate_config(cfg: RunConfig, command: str) -> None:
     library's own checks (module docstring) becomes a ConfigError. The a-spec
     is checked by build_growth_field, which reads it."""
     try:
-        Domain(cfg.kind, cfg.extents, cfg.resolution)
+        n_nodes = math.prod(Domain(cfg.kind, cfg.extents, cfg.resolution).resolution)
         if command in ("steady", "verify", "evolve", "sweep"):
             ratio_coefficients(cfg.b, cfg.c)
         if command == "evolve":
-            step_schedule(cfg.dt, cfg.t_end, cfg.store_every, cfg.snapshot_times)
+            step_schedule(cfg.dt, cfg.t_end, cfg.store_every, cfg.snapshot_times, nodes=n_nodes)
     except ValueError as exc:
         raise ConfigError(str(exc))
     if cfg.tol <= 0:
         raise ConfigError(f"tol must be positive, got {cfg.tol}")
     if cfg.k < 1:
         raise ConfigError(f"k must be >= 1, got {cfg.k}")
-    n_nodes = int(np.prod(cfg.resolution))
     if command in ("spectrum", "verify", "sweep") and cfg.k > n_nodes:
         raise ConfigError(f"k = {cfg.k} exceeds interior node count {n_nodes}")
     if command == "evolve" and cfg.amplitude < 0:

@@ -23,9 +23,10 @@ such sign structure: roundoff-level negatives of its solve (within
 -1e-12·max(1, ‖state‖∞)) are floored to zero; anything below that raises.
 
 Checks: `step_schedule` owns dt, t_end, the step count and its bound,
-store_every, the stored steps and the snapshot times, for `evolve` and the
-CLI alike; `evolve` checks the initial data and, each step, the step-size
-rule and positivity. The (b, c) range is `model.ratio_coefficients`'s.
+store_every, the stored steps, the bound on the values they hold and the
+snapshot times, for `evolve` and the CLI alike; `evolve` checks the initial
+data and, each step, the step-size rule and positivity. The (b, c) range is
+`model.ratio_coefficients`'s.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ __all__ = [
     "InitialDataError",
     "DecayFitError",
     "MAX_STEPS",
+    "MAX_STORED_VALUES",
     "StepSchedule",
     "step_schedule",
     "evolve",
@@ -63,6 +65,11 @@ TRANSIENT_FRACTION = 0.2
 # run of the package's scripts (44,000 steps in scripts/decay_experiment.py),
 # while a mistyped t_end or dt becomes a config error, not an endless run.
 MAX_STEPS = 10**8
+# Most float64 values one evolve run may store, two per node per stored state:
+# 0.8 GB, over 1,000 times the 221 states × 400 values of the package's 1D
+# n=200 runs to t = 22 stored every 0.1, while a run that would store more
+# (say 10⁸ steps each stored) becomes a config error, not exhausted memory.
+MAX_STORED_VALUES = 10**8
 
 
 class StepSizeError(ValueError):
@@ -124,10 +131,14 @@ class StepSchedule:
         return min(step - step % self.store_every + self.store_every, self.n_steps)
 
 
-def step_schedule(dt: float, t_end: float, store_every: int = 1, snapshot_times=()) -> StepSchedule:
-    """The StepSchedule of one evolve run; ValueError unless dt and t_end are
-    positive with at most MAX_STEPS steps, store_every >= 1 and each snapshot
-    time a stored step's, up to rounding. O(1) memory at any step count."""
+def step_schedule(
+    dt: float, t_end: float, store_every: int = 1, snapshot_times=(), *, nodes: int
+) -> StepSchedule:
+    """The StepSchedule of one evolve run on a grid of `nodes` nodes;
+    ValueError unless dt and t_end are positive with at most MAX_STEPS
+    steps, store_every >= 1, the stored states hold at most
+    MAX_STORED_VALUES values and each snapshot time is a stored step's, up
+    to rounding. O(1) memory at any step count."""
     if dt <= 0 or t_end <= 0:
         raise ValueError(f"dt and t_end must be positive, got dt = {dt}, t_end = {t_end}")
     if not t_end / dt <= MAX_STEPS:  # also an overflow to inf, or NaN
@@ -136,6 +147,11 @@ def step_schedule(dt: float, t_end: float, store_every: int = 1, snapshot_times=
     if int(store_every) < 1:
         raise ValueError(f"store_every must be >= 1, got {store_every}")
     schedule = StepSchedule(math.ceil(t_end / dt - 1e-12), int(store_every))
+    # ⌈n_steps/store_every⌉ + 1 stored states (next_stored's), u and v in each
+    n_values = (-(-schedule.n_steps // schedule.store_every) + 1) * 2 * nodes
+    if n_values > MAX_STORED_VALUES:
+        raise ValueError(f"the stored states would hold {n_values:,} values, more than "
+                         f"MAX_STORED_VALUES = {MAX_STORED_VALUES:,}; raise store_every")
     outside = [t for t in snapshot_times if not 0.0 <= t <= t_end]
     if outside:
         raise ValueError(f"snapshot times must lie in [0, t_end = {t_end}], got {outside}")
@@ -174,7 +190,7 @@ def evolve(
     """Integrate from nonnegative initial data until at least t_end - dt.
 
     The steps and the stored states are step_schedule(dt, t_end,
-    store_every)'s, whose ValueError comes before any solve. Raises
+    store_every, nodes=N)'s, whose ValueError comes before any solve. Raises
     InitialDataError when u0 or v0 has a negative or non-finite value,
     StepSizeError when the admissibility rule fails for the current state
     and PositivityError on genuine positivity loss.
@@ -182,7 +198,7 @@ def evolve(
     if u0.grid != v0.grid:
         raise GridMismatchError("u0 and v0 live on different grids")
     grid = u0.grid
-    schedule = step_schedule(dt, t_end, store_every)
+    schedule = step_schedule(dt, t_end, store_every, nodes=grid.size)
     for name, w in (("u", u0.values), ("v", v0.values)):
         bad = np.flatnonzero(~((w >= 0) & (w < np.inf)))  # NaN fails both comparisons
         if bad.size:

@@ -26,7 +26,8 @@ a defective double eigenvalue of the single weight a - 2θ; the projection
 ξ = (2c+1)φ - ψ then maps any eigenvector into the scalar eigenspace.
 Since s₁ > 1 and 2 > 1, both families are strictly positive whenever θ is
 the positive logistic state, which is the stability assertion this module
-verifies numerically.
+verifies numerically, against the spectrum of -J itself from `spectral`'s
+shift-invert route.
 """
 
 from __future__ import annotations
@@ -36,17 +37,16 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .elliptic import LogisticSolution, NewtonDivergenceError, SubcriticalError, solve_logistic
 from .grid import (
-    Domain, Field, Grid, GridMismatchError, Pattern, WeightedOperator, as_field, factorize,
-    laplacian, negated,
+    Domain, Field, Grid, GridMismatchError, Pattern, WeightedOperator, as_field, laplacian,
 )
 from .model import ModelParams, ratio_coefficients, synchronized_state
-from .spectral import DEFAULT_TOL, EigenPair, EigenSolveError, Spectrum, check_residuals, eigenpairs
+from .spectral import (
+    DEFAULT_TOL, EigenPair, EigenSolveError, Spectrum, _shift_invert, check_residuals, eigenpairs,
+)
 
 __all__ = [
     "CoupledJacobian",
@@ -172,16 +172,8 @@ def coupled_eigenpairs(
 
     Returns (values, vectors) with values sorted ascending by (Re, Im) and
     vectors normalized to unit combined L2 norm; every pair passes
-    check_residuals.
-
-    ARPACK eigs in shift-invert mode; k >= 2N - 1 runs LAPACK eig, since
-    ARPACK cannot. The shift sits one unit below the Gershgorin lower bound
-    on the real parts, and the Arnoldi start vector is a fixed seeded
-    Gaussian (COUPLED_START_SEED). ARPACK's inverse operator is the
-    `grid.factorize` LU of -J - σI, so eigs neither assembles nor factors
-    a shifted matrix of its own. ARPACK runs to machine precision: an
-    ARPACK tolerance of 1e-12 leaves residuals up to 4e-10 on the defective
-    eigenvalues of the degenerate locus in 2D, above the default gate.
+    check_residuals. `spectral._shift_invert` solves with the shift one
+    unit below the Gershgorin lower bound on the real parts.
 
     A single-vector Krylov space can miss one copy of an exactly double
     eigenvalue (the 2D square's (i,j)/(j,i) pairs, or I₂⊗(Δ+a) at the
@@ -189,33 +181,22 @@ def coupled_eigenpairs(
     ARPACK is asked for COUPLED_EXTRA_VALUES more values than k and only
     the k smallest are kept.
     """
-    n2 = J.size
-    if not 1 <= k <= n2:
-        raise ValueError(f"k must be in [1, {n2}], got {k}")
-    M = negated(J.matrix)
-
-    if k >= n2 - 1:
-        vals, vecs = sla.eig(M.toarray())
-    else:
-        diag = M.diagonal()
-        # every row holds a Laplacian neighbour, so none is empty in reduceat
-        offsum = np.add.reduceat(np.abs(M.data), M.indptr[:-1]) - np.abs(diag)
-        sigma = float((diag - offsum).min()) - 1.0
-        v0 = np.random.default_rng(COUPLED_START_SEED).standard_normal(n2)
-        kk = min(k + COUPLED_EXTRA_VALUES, n2 - 2)
-        lu = factorize(J.negated_shift(sigma))
-        OPinv = spla.LinearOperator((n2, n2), matvec=lu.solve, dtype=float)
-        vals, vecs = spla.eigs(M, k=kk, sigma=sigma, which="LM", OPinv=OPinv, v0=v0)
-
+    Jm = J.matrix
+    diag = Jm.diagonal()
+    # -J's bound -diag - offsum, exactly; every row holds a Laplacian neighbour
+    offsum = np.add.reduceat(np.abs(Jm.data), Jm.indptr[:-1]) - np.abs(diag)
+    sigma = -float((diag + offsum).max()) - 1.0
+    si, vals, vecs = _shift_invert(
+        J, k, tol, sigma, COUPLED_START_SEED, symmetric=False, extra=COUPLED_EXTRA_VALUES
+    )
     order = np.lexsort((vals.imag, vals.real))[:k]
-    vals = vals[order]
-    vecs = vecs[:, order]
+    vals, vecs = vals[order], vecs[:, order]
 
     scale = math.sqrt(J.grid.cell_volume)
-    out_vecs = np.empty((n2, k), dtype=complex)
+    out_vecs = np.empty((J.size, k), dtype=complex)
     for j in range(k):
         out_vecs[:, j] = vecs[:, j] / (np.linalg.norm(vecs[:, j]) * scale)
-    check_residuals(M, vals, out_vecs, J.grid, tol, "coupled eigenpair")
+    check_residuals(si.A, vals, out_vecs, J.grid, tol, "coupled eigenpair")
     return vals, out_vecs
 
 

@@ -9,24 +9,23 @@ bounded below. The smallest eigenvalue λ1(m) is simple with a strictly
 positive eigenfunction; λ_i(m) is nonincreasing in m, strictly at i=1 when
 the weights differ somewhere.
 
-One production route computes the k smallest eigenpairs: ARPACK's
-shift-invert Lanczos (``eigsh``) with the shift sigma = -max(m) - 1, which
-lies strictly below the spectrum, so A - sigma*I is positive definite and
-the wanted eigenvalues are those of largest magnitude of its inverse. One
-factorization of A - sigma*I (`grid.factorize` picks its kernel) serves
-both as ARPACK's inverse operator and in the refinement that
-re-evaluates every eigenvalue through the shifted inverse. The Lanczos
-start vector is a fixed seeded Gaussian (SCALAR_START_SEED), so results
-are reproducible run to run.
+One shift-invert route, `_shift_invert`, serves this problem and the
+coupled one of `linstab.coupled_eigenpairs` (Ericsson & Ruhe, *Math.
+Comp.* 35, 1980). For A = -op.matrix and a shift σ below the wanted
+eigenvalues, the one `grid.factorize` factorization of A - σI is ARPACK's
+inverse operator (``eigsh``, or ``eigs`` for the nonsymmetric coupled
+matrix), from a fixed seeded Gaussian start vector so that results are
+reproducible run to run. Dense LAPACK (``eigh``, ``eig``) runs only for
+k >= n - 1, where ARPACK cannot; elsewhere it is the tests' oracle. Here
+σ = -max(m) - 1 lies strictly below the spectrum, so A - σI is positive
+definite, and its factorization also serves the refinement that
+re-evaluates every eigenvalue through the shifted inverse.
 
 Each eigenvector's sign makes its inner product with the fixed positive
 weight exp(x/Lx + √2·y/Ly) positive (`_sign_weight`), so the sign of an
 eigenfunction of a simple eigenvalue does not depend on the kernel or
 the library that computed it. The basis returned for an exactly multiple
 eigenvalue does: any orthonormal basis of its eigenspace is an answer.
-
-Dense LAPACK ``eigh`` runs only for k >= n - 1, where ARPACK cannot return
-(nearly) the whole spectrum; elsewhere it is the tests' oracle.
 
 Every eigenpair this package returns, scalar or coupled, passes one gate,
 `check_residuals`: its L2 residual must not exceed tol * max(1, |λ|).
@@ -131,39 +130,58 @@ def principal_eigenpair(op: WeightedOperator, tol: float = DEFAULT_TOL) -> Eigen
 def eigenpairs(op: WeightedOperator, k: int, tol: float = DEFAULT_TOL) -> Spectrum:
     """k smallest eigenpairs of -(Δ + diag(m)), ascending, L2-orthonormal.
 
-    ARPACK eigsh in shift-invert mode; k >= n - 1 runs LAPACK eigh, since
-    ARPACK cannot. Either way the eigenvalues are refined through the
-    shifted inverse and every pair passes check_residuals.
+    `_shift_invert` with eigsh (eigh for k >= n - 1); the eigenvalues are
+    then refined through the shifted inverse and every pair passes
+    check_residuals.
     """
-    n = op.grid.size
-    if not 1 <= k <= n:
-        raise ValueError(f"k must be in [1, {n}], got {k}")
-    if not 0 < tol < np.inf:
-        raise ValueError(f"tol must be positive and finite, got {tol}")
-    A = negated(op.matrix)
     # the Rayleigh quotient of -(Δ+m) is bounded below by -max(m), so this
     # shift keeps A - sigma*I positive definite
     sigma = -float(op.weight.values.max()) - 1.0
-    lu = factorize(op.negated_shift(sigma))
-
-    if k >= n - 1:
-        w, V = sla.eigh(A.toarray())
-        w, V = w[:k], V[:, :k]
-    else:
-        OPinv = spla.LinearOperator((n, n), matvec=lu.solve, dtype=float)
-        v0 = np.random.default_rng(SCALAR_START_SEED).standard_normal(n)
-        w, V = spla.eigsh(A, k, sigma=sigma, which="LM", OPinv=OPinv, v0=v0)
-    w, V = _refine_through_inverse(lu, sigma, w, V)
+    si, w, V = _shift_invert(op, k, tol, sigma, SCALAR_START_SEED, symmetric=True)
+    w, V = _refine_through_inverse(si, w, V)
 
     # normalize in the discrete L2 norm and fix signs by the fixed weight
     scale = 1.0 / np.sqrt(op.grid.cell_volume)
     V = V * np.where(_sign_weight(op.grid) @ V < 0, -scale, scale)
-    residuals = check_residuals(A, w, V, op.grid, tol)
-    pairs = tuple(
-        EigenPair(lam=float(w[j]), phi=Field(op.grid, V[:, j]), residual=residuals[j])
-        for j in range(k)
-    )
-    return Spectrum(pairs=pairs, weight=op.weight, tol=tol)
+    residuals = check_residuals(si.A, w, V, op.grid, tol)
+    pairs = (EigenPair(float(lam), Field(op.grid, x), r) for lam, x, r in zip(w, V.T, residuals))
+    return Spectrum(pairs=tuple(pairs), weight=op.weight, tol=tol)
+
+
+@dataclass(frozen=True)
+class _ShiftInvert:
+    """A = -op.matrix, the shift σ and the `grid.factorize` result of A - σI."""
+
+    A: sp.csr_matrix
+    sigma: float
+    lu: LapackFactor | spla.SuperLU
+
+
+def _shift_invert(
+    op, k: int, tol: float, sigma: float, seed: int, *, symmetric: bool, extra: int = 0
+) -> tuple[_ShiftInvert, np.ndarray, np.ndarray]:
+    """Eigenpairs of A = -op.matrix nearest σ for an operator with `grid`,
+    `matrix` and `negated_shift(σ)`: ARPACK's k + extra (at most n - 2) in
+    its order, or for k >= n - 1 LAPACK's first k by (Re, Im). ValueError
+    unless 1 <= k <= n and tol is positive and finite. ARPACK runs to
+    machine precision: an ARPACK tolerance of 1e-12 left residuals up to
+    4e-10 on the coupled defective eigenvalues of the 2D degenerate locus."""
+    A = negated(op.matrix)
+    n = A.shape[0]
+    if not 1 <= k <= n:
+        raise ValueError(f"k must be in [1, {n}], got {k}")
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+    si = _ShiftInvert(A, sigma, factorize(op.negated_shift(sigma)))
+    if k >= n - 1:
+        w, V = (sla.eigh if symmetric else sla.eig)(A.toarray())
+        order = np.lexsort((w.imag, w.real))[:k]
+        return si, w[order], V[:, order]
+    OPinv = spla.LinearOperator((n, n), matvec=si.lu.solve, dtype=float)
+    v0 = np.random.default_rng(seed).standard_normal(n)
+    arpack = spla.eigsh if symmetric else spla.eigs
+    w, V = arpack(A, min(k + extra, n - 2), sigma=sigma, which="LM", OPinv=OPinv, v0=v0)
+    return si, w, V
 
 
 def _sign_weight(grid: Grid) -> np.ndarray:
@@ -184,7 +202,7 @@ def _sign_weight(grid: Grid) -> np.ndarray:
 
 
 def _refine_through_inverse(
-    lu: LapackFactor | spla.SuperLU, sigma: float, w: np.ndarray, V: np.ndarray
+    si: _ShiftInvert, w: np.ndarray, V: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Re-evaluate eigenvalues through the shifted inverse operator.
 
@@ -194,7 +212,7 @@ def _refine_through_inverse(
     instead scales the rounding with |lam - sigma| = O(1), and the
     eigenvector's angle error only enters quadratically. Buys ~3 digits.
     """
-    nu = np.sum(V * lu.solve(V), axis=0) / np.sum(V * V, axis=0)
-    refined = sigma + 1.0 / nu
+    nu = np.sum(V * si.lu.solve(V), axis=0) / np.sum(V * V, axis=0)
+    refined = si.sigma + 1.0 / nu
     order = np.argsort(refined, kind="stable")
     return refined[order], V[:, order]

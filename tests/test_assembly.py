@@ -11,7 +11,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.linalg.lapack import dpbtrs, dpttrs
 
-import lvsync.linstab
+import lvsync.spectral
 from lvsync import (
     CoupledJacobian,
     Domain,
@@ -145,7 +145,7 @@ class TestRefillEqualsScipy:
             factored.append(A)
             return factorize(A)
 
-        monkeypatch.setattr(lvsync.linstab, "factorize", spy)
+        monkeypatch.setattr(lvsync.spectral, "factorize", spy)
         coupled_eigenpairs(J, 4)
         M = (-scipy_jacobian(J)).tocsr()
         sigma = scipy_gershgorin_shift(M)

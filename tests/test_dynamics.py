@@ -21,7 +21,9 @@ from lvsync import (
     random_perturbation,
 )
 from lvsync.cli import write_trajectory_csv
-from lvsync.dynamics import MAX_STEPS, StepSchedule, Trajectory, state_distance, step_schedule
+from lvsync.dynamics import (
+    MAX_STEPS, MAX_STORED_VALUES, StepSchedule, Trajectory, state_distance, step_schedule,
+)
 from lvsync.grid import as_field, factorize, laplacian
 from lvsync.linstab import ansatz_coefficients, predicted_spectrum
 
@@ -145,17 +147,29 @@ class TestEvolve:
         with pytest.raises(ValueError, match="within MAX_STEPS = 100,000,000"):
             evolve(one, one, ModelParams(a=2.0, b=0.5, c=1.0), dt=1e-3, t_end=1e300)
 
+    def test_stored_values_bound_checked_before_factorize(self, monkeypatch):
+        # 10⁸ steps, within MAX_STEPS, each stored: 4·10¹⁰ values on n=200
+        def no_factorize(A):
+            raise AssertionError("evolve factorized before checking the stored values")
+
+        monkeypatch.setattr(lvsync.dynamics, "factorize", no_factorize)
+        one = Field.constant(grid1d(200), 1.0)
+        with pytest.raises(ValueError, match="40,000,000,400 values, more than "
+                                             "MAX_STORED_VALUES = 100,000,000"):
+            evolve(one, one, ModelParams(a=2.0, b=0.5, c=1.0), dt=1e-3, t_end=1e5)
+
     def test_schedule_at_the_bound_in_constant_memory(self):
         tracemalloc.start()
         try:
-            schedule = step_schedule(1.0, float(MAX_STEPS), 1, (0.0, float(MAX_STEPS)))
+            schedule = step_schedule(1.0, float(MAX_STEPS), 1000, (0.0, float(MAX_STEPS)),
+                                     nodes=1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert schedule == StepSchedule(MAX_STEPS, 1)
+        assert schedule == StepSchedule(MAX_STEPS, 1000)
         assert peak < 10_000
         with pytest.raises(ValueError, match="MAX_STEPS"):
-            step_schedule(1.0, MAX_STEPS + 1.0)
+            step_schedule(1.0, MAX_STEPS + 1.0, nodes=1)
 
     @pytest.mark.parametrize("n_steps", [1, 2, 9, 10, 11, 23])
     @pytest.mark.parametrize("store_every", [1, 3, 10, 50])
@@ -163,7 +177,7 @@ class TestEvolve:
         # the rule as evolve used to write it inline: step 0, every
         # store_every-th step and the last
         stored = [s for s in range(n_steps + 1) if s % store_every == 0 or s == n_steps]
-        schedule = step_schedule(0.5, 0.5 * n_steps, store_every)
+        schedule = step_schedule(0.5, 0.5 * n_steps, store_every, nodes=5)
         assert schedule.n_steps == n_steps
         walked = [0]
         while walked[-1] < n_steps:
@@ -171,10 +185,15 @@ class TestEvolve:
         assert walked == stored
         for s in range(n_steps + 1):
             if s in stored:
-                step_schedule(0.5, 0.5 * n_steps, store_every, (0.5 * s,))
+                step_schedule(0.5, 0.5 * n_steps, store_every, (0.5 * s,), nodes=5)
             else:
                 with pytest.raises(ValueError, match="stored steps"):
-                    step_schedule(0.5, 0.5 * n_steps, store_every, (0.5 * s,))
+                    step_schedule(0.5, 0.5 * n_steps, store_every, (0.5 * s,), nodes=5)
+        # the stored states hold u and v at every node, at most MAX_STORED_VALUES
+        nodes = MAX_STORED_VALUES // (2 * len(stored))
+        step_schedule(0.5, 0.5 * n_steps, store_every, nodes=nodes)
+        with pytest.raises(ValueError, match="MAX_STORED_VALUES"):
+            step_schedule(0.5, 0.5 * n_steps, store_every, nodes=nodes + 1)
         z = Field.constant(grid1d(5), 0.0)
         traj = evolve(z, z, ModelParams(a=2.0, b=0.5, c=1.0), dt=1 / 16, t_end=n_steps / 16,
                       store_every=store_every)

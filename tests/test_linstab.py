@@ -226,14 +226,15 @@ class TestSpectralEquivalence:
         assert np.allclose(arnoldi.real, dense, rtol=1e-8)
 
     def test_dense_route_for_nearly_the_whole_spectrum(self):
-        # k >= 2N - 1 is beyond ARPACK and takes the LAPACK route, gated alike
+        # k >= 2N - 1 is beyond ARPACK and takes the LAPACK route, gated alike;
+        # k = 2N - 2 is ARPACK's largest, its extra values capped away
         g = grid1d(10)
         params = ModelParams(a=2.0, b=0.5, c=1.0)
         steady = synchronized_state(params, solve_logistic(g, 2.0, tol=1e-10))
         J = CoupledJacobian(g, steady.u, steady.v, params)
         oracle = sla.eigvals((-J.matrix).toarray())
         oracle = oracle[np.lexsort((oracle.imag, oracle.real))]
-        for k in (2 * g.size - 1, 2 * g.size):
+        for k in (2 * g.size - 2, 2 * g.size - 1, 2 * g.size):
             vals, vecs = coupled_eigenpairs(J, k, tol=1e-10)
             assert vecs.shape == (2 * g.size, k)
             assert np.allclose(vals, oracle[:k], rtol=1e-12, atol=1e-12)

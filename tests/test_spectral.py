@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,16 +8,19 @@ import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lvsync
 from lvsync import (
     Domain,
     Field,
     Grid,
+    ModelParams,
     WeightedOperator,
     eigenpairs,
     l2_inner,
     l2_norm,
     principal_eigenpair,
 )
+from lvsync.linstab import CoupledJacobian, coupled_eigenpairs
 from lvsync.spectral import EigenSolveError, check_residuals
 
 # dense LAPACK oracle values for the weight a - s1*theta (a=2, b=0.5, c=1,
@@ -84,7 +89,8 @@ class TestPrincipal:
 
 class TestEigenpairs:
     # k >= n - 1 takes the dense LAPACK route, smaller k the ARPACK one
-    @pytest.mark.parametrize("k", [399, 5], ids=["dense", "shift_invert"])
+    @pytest.mark.parametrize("k", [400, 399, 398, 5],
+                             ids=["dense-all", "dense", "shift_invert-largest", "shift_invert"])
     def test_zero_weight_first_five(self, k):
         op, g = zero_weight_op(400)
         h = g.spacing[0]
@@ -143,12 +149,19 @@ class TestEigenpairs:
         with pytest.raises(ValueError, match="k"):
             eigenpairs(op, 11, tol=1e-10)
 
-    @pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0])
-    def test_tol_must_be_positive_and_finite(self, tol):
-        # an infinite gate would accept any residual
-        op, _ = zero_weight_op(10)
+    @pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1.0])
+    @pytest.mark.parametrize("solver", ["scalar", "coupled"])
+    def test_tol_must_be_positive_and_finite(self, solver, tol):
+        # an infinite gate would accept any residual, a NaN or nonpositive
+        # one none
+        op, g = zero_weight_op(10)
         with pytest.raises(ValueError, match="tol must be positive and finite"):
-            eigenpairs(op, 2, tol=tol)
+            if solver == "scalar":
+                eigenpairs(op, 2, tol=tol)
+            else:
+                zero = Field.constant(g, 0.0)
+                coupled_eigenpairs(CoupledJacobian(g, zero, zero, ModelParams(2.0, 0.5, 1.0)),
+                                   2, tol=tol)
 
     def test_2d_square_degenerate_cluster(self):
         g = Grid(Domain("rectangle", (1.0, 1.0), (20, 20)))
@@ -236,3 +249,40 @@ class TestMonotonicityAndConvergence:
         spec_it = eigenpairs(op, 6, tol=1e-10)
         dense_oracle = np.sort(sla.eigvalsh((-op.matrix).toarray()))[:6]
         assert np.allclose(spec_it.values, dense_oracle, rtol=1e-9, atol=1e-9)
+
+
+SCIPY_EIGEN_NAMES = {"eig", "eigh", "eigs", "eigsh", "LinearOperator"}
+
+
+def scipy_eigen_references(path: Path) -> list[str]:
+    """Each reference in a module to one of SCIPY_EIGEN_NAMES of scipy: a
+    name imported from scipy, or an attribute of a name bound to scipy."""
+    tree = ast.parse(path.read_text())
+    refs, scipy_names = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            scipy_names |= {a.asname or a.name.split(".")[0] for a in node.names
+                            if a.name.split(".")[0] == "scipy"}
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy":
+            for a in node.names:
+                if a.name in SCIPY_EIGEN_NAMES:
+                    refs.append(a.name)
+                else:
+                    scipy_names.add(a.asname or a.name)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in SCIPY_EIGEN_NAMES:
+            root = node.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if isinstance(root, ast.Name) and root.id in scipy_names:
+                refs.append(node.attr)
+    return refs
+
+
+def test_one_eigen_route_lives_in_spectral():
+    # the scalar and the coupled eigenproblem share spectral's one
+    # shift-invert route: no other module reaches for a scipy eigensolver
+    package = Path(lvsync.__file__).parent
+    refs = {path.name: scipy_eigen_references(path) for path in sorted(package.glob("*.py"))}
+    assert {name: r for name, r in refs.items() if r and name != "spectral.py"} == {}
+    assert sorted(refs["spectral.py"]) == sorted(SCIPY_EIGEN_NAMES)
