@@ -16,7 +16,6 @@ import math
 import sys
 
 from lvsync import (
-    Domain,
     Grid,
     ModelParams,
     decay_rate,
@@ -36,7 +35,7 @@ def main():
     amplitude = float(sys.argv[1]) if len(sys.argv) > 1 else 1e-3
     seed = int(sys.argv[2]) if len(sys.argv) > 2 else 0
 
-    grid = Grid(Domain("interval", (math.pi,), (200,)))
+    grid = Grid("interval", (math.pi,), (200,))
     params = ModelParams(a=2.0, b=0.5, c=1.0)
     report = verify_theorem(params, grid, 6, tol=1e-10)
     print(f"spectral verdict: {report.verdict}, mu1 = {report.mu1:.9f}")

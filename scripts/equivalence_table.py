@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from lvsync import Domain, Grid, ModelParams, verify_theorem
+from lvsync import Grid, ModelParams, verify_theorem
 from lvsync.linstab import mode_ratios
 
 
@@ -26,7 +26,7 @@ def main():
     n = int(argv[3]) if len(argv) > 3 else 200
     k = int(argv[4]) if len(argv) > 4 else 6
 
-    grid = Grid(Domain("interval", (math.pi,), (n,)))
+    grid = Grid("interval", (math.pi,), (n,))
     report = verify_theorem(ModelParams(a=a, b=b, c=c), grid, k, tol=1e-10)
     z1, z2, _ = mode_ratios(b, c)
 

@@ -16,7 +16,6 @@ import numpy as np
 import scipy.linalg as sla
 
 from lvsync import (
-    Domain,
     Field,
     Grid,
     ModelParams,
@@ -31,7 +30,7 @@ from lvsync.linstab import s_parameter
 
 
 def grid1d(n, length=math.pi):
-    return Grid(Domain("interval", (length,), (n,)))
+    return Grid("interval", (length,), (n,))
 
 
 def main():

@@ -3,7 +3,6 @@ system with Dirichlet boundaries: elliptic solver, spectral stability
 verification, and time-domain decay checks."""
 
 from .grid import (
-    Domain,
     Field,
     Grid,
     GridMismatchError,

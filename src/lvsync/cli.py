@@ -9,7 +9,7 @@ Every command runs one path: parse, merge, validate every outside input
 contents, and every sweep job), create --out, run. A config error exits 1
 before --out is created. This module checks the option types, its own
 options and the a-spec; the numerical modules check the rest with the calls
-a library user meets: the domain (grid.Domain), the (b, c) range
+a library user meets: the grid (grid.Grid), the (b, c) range
 (model.ratio_coefficients) and evolve's time stepping, its bounds on the
 steps and the stored values, and the snapshot times (dynamics.step_schedule).
 A rectangle sweep runs on n x n grids, so it needs a square --n or a
@@ -62,7 +62,6 @@ from .dynamics import (
 from .elliptic import NewtonDivergenceError, SubcriticalError, solve_logistic
 from .grid import (
     KIND_NDIM,
-    Domain,
     Field,
     Grid,
     WeightedOperator,
@@ -70,6 +69,7 @@ from .grid import (
 )
 from .linstab import (
     DEGENERATE_WARN_BAND,
+    SUBCRITICAL_CAUSE,
     StabilityReport,
     ThetaHalf,
     degenerate_distance,
@@ -195,7 +195,7 @@ def build_growth_field(cfg: RunConfig, grid: Grid) -> Field:
             return Field.constant(grid, float(cfg.a0))
         if name == "sin":
             # a0 + (a1·sin(πx/Lx))·sin(πy/Ly), one axis factor at a time
-            sines = np.sin(math.pi * grid.coords() / grid.domain.extents)
+            sines = np.sin(math.pi * grid.coords() / grid.extents)
             return Field(grid, cfg.a0 + functools.reduce(operator.mul, sines.T, cfg.a1))
         raise ConfigError(f"unknown profile {name!r} (known: const, sin)")
     if isinstance(a, str) and a.startswith("file:"):
@@ -244,7 +244,7 @@ def validate_config(cfg: RunConfig, command: str) -> None:
     library's own checks (module docstring) becomes a ConfigError. The a-spec
     is checked by build_growth_field, which reads it."""
     try:
-        n_nodes = math.prod(Domain(cfg.kind, cfg.extents, cfg.resolution).resolution)
+        n_nodes = Grid(cfg.kind, cfg.extents, cfg.resolution).size
         if command in ("steady", "verify", "evolve", "sweep"):
             ratio_coefficients(cfg.b, cfg.c)
         if command == "evolve":
@@ -457,7 +457,7 @@ def cmd_verify(cfg: RunConfig, out: Path, grid: Grid, a: Field) -> int:
     )
     if report.verdict in ("stable", "unstable"):
         return EXIT_OK
-    if report.cause and "no positive steady state" in report.cause:
+    if report.cause and report.cause.startswith(SUBCRITICAL_CAUSE):
         return EXIT_SUBCRITICAL
     return EXIT_ERROR
 
@@ -494,7 +494,7 @@ def _sweep_shared(job: RunConfig) -> ThetaHalf | None:
     solved once for all of them. None on a failure outside the solvers, so
     that each job meets and records it itself."""
     try:
-        grid = Grid(Domain(job.kind, job.extents, job.resolution))
+        grid = Grid(job.kind, job.extents, job.resolution)
         return theta_half(Field.constant(grid, job.a), grid, job.k, job.tol)
     except Exception:
         return None
@@ -506,7 +506,7 @@ def _sweep_job(job: RunConfig, shared: ThetaHalf | None) -> dict:
     t0 = time.perf_counter()
     params = ModelParams(a=job.a, b=job.b, c=job.c)
     try:
-        grid = Grid(Domain(job.kind, job.extents, job.resolution))
+        grid = Grid(job.kind, job.extents, job.resolution)
         report = verify_theorem(params, grid, job.k, tol=job.tol, shared=shared)
     except Exception as exc:  # any failure becomes an inconclusive record
         report = inconclusive_report(params, job.k, f"job failure: {exc}")
@@ -675,7 +675,7 @@ def main(argv=None) -> int:
     try:
         cfg, axes = _load_config(args)
         validate_config(cfg, args.command)
-        grid = Grid(Domain(cfg.kind, cfg.extents, cfg.resolution))
+        grid = Grid(cfg.kind, cfg.extents, cfg.resolution)
         a = build_growth_field(cfg, grid)
         inputs = (_sweep_jobs(cfg, axes),) if args.command == "sweep" else (grid, a)
     except ConfigError as exc:

@@ -206,7 +206,7 @@ def evolve(
                 f"initial data must be finite and nonnegative: {name}[{bad[0]}] = {w[bad[0]]:.3e}"
             )
 
-    lap = laplacian(grid.domain)
+    lap = laplacian(grid)
     n = grid.size
     solver = factorize(sp.identity(n, format="csr") - dt * lap)
 

@@ -92,10 +92,9 @@ def _newton(
     hitting the damping floor is a hard failure. Without it (uniqueness
     probe), iterates may roam through zero and sign changes.
     """
-    lap = laplacian(grid.domain)
-    vol = np.sqrt(grid.cell_volume)
+    lap = laplacian(grid)
     theta = theta0.copy()
-    res = float(np.linalg.norm(_residual_vec(lap, theta, a_vals)) * vol)
+    res = grid.norm(_residual_vec(lap, theta, a_vals))
     trace = [res]
     for it in range(1, MAX_NEWTON + 1):
         if res <= tol:
@@ -113,7 +112,7 @@ def _newton(
             if enforce_positive and candidate.min() <= 0.0:
                 t *= 0.5
                 continue
-            new_res = float(np.linalg.norm(_residual_vec(lap, candidate, a_vals)) * vol)
+            new_res = grid.norm(_residual_vec(lap, candidate, a_vals))
             if new_res < res or new_res <= tol:
                 theta, res = candidate, new_res
                 break

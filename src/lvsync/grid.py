@@ -11,9 +11,9 @@ The weighted operator Δ + diag(m) uses the standard second-order 3-point
 (1D) / 5-point (2D) stencil. Norms and inner products use the uniform
 quadrature weight h1*...*hd with no boundary correction.
 
-Every operator matrix refills a CSR `Pattern` cached per domain (this
-module's `laplacian_pattern`, `linstab.coupled_pattern`) instead of
-summing scipy.sparse matrices, with the same data, indices and indptr as
+Every operator matrix refills a CSR `Pattern` cached per grid value
+(this module's `laplacian_pattern`, `linstab.coupled_pattern`; equal
+grids share one) instead of summing scipy.sparse matrices, with the same data, indices and indptr as
 that sum. Every sparse solve in the package factors through `factorize`,
 which picks its kernel from the matrix. One code path serves 1D and 2D: the Laplacian
 is the Kronecker sum of the per-axis 3-point stencils, the coordinates one
@@ -25,7 +25,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -33,7 +33,6 @@ import scipy.sparse.linalg as spla
 from scipy.linalg.lapack import dpbtrf, dpbtrs, dpttrf, dpttrs
 
 __all__ = [
-    "Domain",
     "Grid",
     "Field",
     "as_field",
@@ -57,23 +56,34 @@ class GridMismatchError(ValueError):
     """Two fields/operators built on different grids were combined."""
 
 
-@dataclass(frozen=True)
-class Domain:
-    """Axis-aligned box anchored at the origin.
+@dataclass(frozen=True, repr=False)
+class Grid:
+    """Interior nodes of an axis-aligned box anchored at the origin.
 
     extents are the side lengths per axis, resolution the interior node
-    counts. A 1D interval has one entry each, a rectangle two.
+    counts: one entry each for an interval, two for a rectangle. Equality,
+    hashing and the constructor go by these three fields alone; spacing,
+    size, cell_volume and the read-only axes are derived from them.
     """
 
     kind: str
     extents: tuple[float, ...]
     resolution: tuple[int, ...]
+    spacing: tuple[float, ...] = field(init=False, compare=False)
+    size: int = field(init=False, compare=False)
+    # quadrature weight h1*...*hd shared by every interior node
+    cell_volume: float = field(init=False, compare=False)
+    # interior coordinates per axis: h, 2h, ..., nh
+    axes: tuple[np.ndarray, ...] = field(init=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in KIND_NDIM:
             raise ValueError(f"unknown domain kind {self.kind!r}")
-        object.__setattr__(self, "extents", tuple(float(e) for e in self.extents))
-        object.__setattr__(self, "resolution", tuple(int(n) for n in self.resolution))
+        if any(isinstance(n, bool) or not float(n).is_integer() for n in self.resolution):
+            raise ValueError(f"resolution must be whole node counts, got {self.resolution}")
+        setattr_ = functools.partial(object.__setattr__, self)
+        setattr_("extents", tuple(float(e) for e in self.extents))
+        setattr_("resolution", tuple(int(n) for n in self.resolution))
         ndim = KIND_NDIM[self.kind]
         if len(self.extents) != ndim or len(self.resolution) != ndim:
             raise ValueError(
@@ -84,55 +94,29 @@ class Domain:
             raise ValueError(f"extents must be positive, got {self.extents}")
         if any(n < 3 for n in self.resolution):
             raise ValueError(f"resolution too small: need >= 3 interior nodes per axis, got {self.resolution}")
-
-    @property
-    def ndim(self) -> int:
-        return KIND_NDIM[self.kind]
-
-
-class Grid:
-    """Discretized domain: interior node coordinates and spacing.
-
-    Equality and hashing are by Domain; coordinates are derived
-    deterministically from it.
-    """
-
-    def __init__(self, domain: Domain):
-        self.domain = domain
-        self.spacing = tuple(
-            e / (n + 1) for e, n in zip(domain.extents, domain.resolution)
-        )
-        self.size = math.prod(domain.resolution)
-        # quadrature weight h1*...*hd shared by every interior node
-        self.cell_volume = math.prod(self.spacing)
-        # interior coordinates per axis: h, 2h, ..., nh
-        self.axes = tuple(
-            h * np.arange(1, n + 1) for h, n in zip(self.spacing, domain.resolution)
-        )
+        setattr_("spacing", tuple(e / (n + 1) for e, n in zip(self.extents, self.resolution)))
+        setattr_("size", math.prod(self.resolution))
+        setattr_("cell_volume", math.prod(self.spacing))
+        setattr_("axes", tuple(h * np.arange(1, n + 1) for h, n in zip(self.spacing, self.resolution)))
         for ax in self.axes:
             ax.flags.writeable = False
 
     @property
-    def shape(self) -> tuple[int, ...]:
-        return self.domain.resolution
-
-    @property
     def ndim(self) -> int:
-        return self.domain.ndim
+        return KIND_NDIM[self.kind]
 
     def coords(self) -> np.ndarray:
         """(size, ndim) array of node coordinates in lexicographic order (x fastest)."""
         mesh = np.meshgrid(*self.axes[::-1], indexing="ij")[::-1]
         return np.stack([m.ravel() for m in mesh], axis=1)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Grid) and self.domain == other.domain
-
-    def __hash__(self) -> int:
-        return hash(self.domain)
+    def norm(self, x: np.ndarray) -> float:
+        """Discrete L2 norm sqrt(sum x_i^2 * h1*...*hd) of node values x,
+        real or complex, one entry per node."""
+        return float(np.linalg.norm(x) * math.sqrt(self.cell_volume))
 
     def __repr__(self) -> str:
-        return f"Grid({self.domain.kind}, extents={self.domain.extents}, n={self.domain.resolution})"
+        return f"Grid({self.kind}, extents={self.extents}, n={self.resolution})"
 
 
 def _check_same_grid(a: "Field | WeightedOperator", b: "Field | WeightedOperator"):
@@ -217,10 +201,10 @@ def as_field(grid: Grid, value) -> Field:
 
 
 @functools.lru_cache(maxsize=32)
-def laplacian(domain: Domain) -> sp.csr_matrix:
-    """Discrete Dirichlet Laplacian (negative definite), cached per domain."""
+def laplacian(grid: Grid) -> sp.csr_matrix:
+    """Discrete Dirichlet Laplacian (negative definite), cached per grid."""
     mats = []
-    for e, n in zip(domain.extents, domain.resolution):
+    for e, n in zip(grid.extents, grid.resolution):
         h2 = (e / (n + 1)) ** 2
         mats.append(sp.diags([1.0 / h2, -2.0 / h2, 1.0 / h2], [-1, 0, 1], shape=(n, n)))
     # kronsum(A, B) = kron(I, A) + kron(B, I): the x block is the inner
@@ -231,7 +215,7 @@ def laplacian(domain: Domain) -> sp.csr_matrix:
 
 
 class Pattern:
-    """Sparsity pattern shared by every matrix of one kind on one domain.
+    """Sparsity pattern shared by every matrix of one kind on one grid.
 
     The canonical CSR `indices`/`indptr`, the template `values` (explicit
     zeros included) and the positions of the diagonal entries, all
@@ -280,9 +264,9 @@ class Pattern:
 
 
 @functools.lru_cache(maxsize=32)
-def laplacian_pattern(domain: Domain) -> Pattern:
-    """The pattern of laplacian(domain) with its values, cached per domain."""
-    return Pattern(laplacian(domain))
+def laplacian_pattern(grid: Grid) -> Pattern:
+    """The pattern of laplacian(grid) with its values, cached per grid."""
+    return Pattern(laplacian(grid))
 
 
 def negated(A: sp.csr_matrix) -> sp.csr_matrix:
@@ -394,7 +378,7 @@ class WeightedOperator:
     """Discrete Δ + diag(m) with structural Dirichlet boundary.
 
     The Laplacian and the weight are stored separately; `matrix` materializes
-    their sum on demand, on the domain's cached `laplacian_pattern`.
+    their sum on demand, on the grid's cached `laplacian_pattern`.
     """
 
     __slots__ = ("grid", "weight", "_matrix")
@@ -408,7 +392,7 @@ class WeightedOperator:
 
     def _values(self) -> np.ndarray:
         """Entries of Δ + diag(weight) on the Laplacian's pattern."""
-        pattern = laplacian_pattern(self.grid.domain)
+        pattern = laplacian_pattern(self.grid)
         data = pattern.values.copy()
         data[pattern.diagonal] += self.weight.values
         return data
@@ -416,14 +400,14 @@ class WeightedOperator:
     @property
     def matrix(self) -> sp.csr_matrix:
         """Sparse symmetric matrix of Δ + diag(weight), equal in data,
-        indices and indptr to laplacian(domain) + sp.diags(weight)."""
+        indices and indptr to laplacian(grid) + sp.diags(weight)."""
         if self._matrix is None:
-            self._matrix = laplacian_pattern(self.grid.domain).matrix(self._values())
+            self._matrix = laplacian_pattern(self.grid).matrix(self._values())
         return self._matrix
 
     def negated_shift(self, sigma: float) -> sp.csr_matrix:
         """-(Δ + diag(weight)) - σI, equal to -matrix - σ·sp.identity(n)."""
-        return laplacian_pattern(self.grid.domain).negated_shift(self._values(), sigma)
+        return laplacian_pattern(self.grid).negated_shift(self._values(), sigma)
 
     def apply(self, f: Field) -> Field:
         _check_same_grid(self, f)
@@ -435,7 +419,7 @@ class WeightedOperator:
 
 def l2_norm(f: Field) -> float:
     """Discrete L2 norm sqrt(sum f_i^2 * h1*...*hd)."""
-    return float(np.linalg.norm(f.values) * math.sqrt(f.grid.cell_volume))
+    return f.grid.norm(f.values)
 
 
 def l2_inner(f: Field, g: Field) -> float:
@@ -459,8 +443,8 @@ def interpolate(f: Field, point) -> float:
     if np.isnan(pt).any():
         raise ValueError(f"point {pt[0]} has a NaN coordinate")
     grid = f.grid
-    axes = [np.concatenate(([0.0], ax, [e])) for ax, e in zip(grid.axes, grid.domain.extents)]
+    axes = [np.concatenate(([0.0], ax, [e])) for ax, e in zip(grid.axes, grid.extents)]
     # x index fastest: the values reshape to (ny, nx), the interpolator
     # takes them indexed (ix, iy)
-    values = np.pad(f.values.reshape(grid.shape[::-1]).T, 1)
+    values = np.pad(f.values.reshape(grid.resolution[::-1]).T, 1)
     return float(RegularGridInterpolator(axes, values)(pt)[0])

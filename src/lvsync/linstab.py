@@ -41,7 +41,7 @@ import scipy.sparse as sp
 
 from .elliptic import LogisticSolution, NewtonDivergenceError, SubcriticalError, solve_logistic
 from .grid import (
-    Domain, Field, Grid, GridMismatchError, Pattern, WeightedOperator, as_field, laplacian,
+    Field, Grid, GridMismatchError, Pattern, WeightedOperator, as_field, laplacian,
 )
 from .model import ModelParams, ratio_coefficients, synchronized_state
 from .spectral import (
@@ -73,6 +73,9 @@ DEGENERATE_WARN_BAND = 1e-4
 COUPLED_START_SEED = 0xC0
 # extra Ritz values ARPACK is asked for beyond the k kept (see coupled_eigenpairs)
 COUPLED_EXTRA_VALUES = 2
+# how the cause of a subcritical growth rate begins (theta_half); the CLI
+# exits 2 on it
+SUBCRITICAL_CAUSE = "no positive steady state"
 
 
 def s_parameter(b: float, c: float) -> float:
@@ -103,12 +106,12 @@ def mode_ratios(b: float, c: float) -> tuple[float, float, bool]:
 
 
 @functools.lru_cache(maxsize=32)
-def coupled_pattern(domain: Domain) -> tuple[Pattern, np.ndarray, np.ndarray]:
+def coupled_pattern(grid: Grid) -> tuple[Pattern, np.ndarray, np.ndarray]:
     """Pattern of kron(I₂, Δ) plus the ±N block diagonals, cached per
-    domain: the kron values with explicit zeros on the block diagonals, and
+    grid: the kron values with explicit zeros on the block diagonals, and
     the positions of the +N (row i, column N+i) and -N (row N+i, column i)
     entries. Δ's own entries lie within nx of the diagonal, below N."""
-    lap = laplacian(domain).tocoo()
+    lap = laplacian(grid).tocoo()
     n = lap.shape[0]
     i = np.arange(n)
     rows = np.concatenate([lap.row, lap.row + n, i, i + n])
@@ -142,7 +145,7 @@ class CoupledJacobian:
     def _values(self) -> np.ndarray:
         """Entries of J on coupled_pattern: the reaction diagonal added to
         kron(I₂, Δ)'s, the blocks -b·u and c·v written into its zeros."""
-        pattern, upper, lower = coupled_pattern(self.grid.domain)
+        pattern, upper, lower = coupled_pattern(self.grid)
         a = as_field(self.grid, self.params.a).values
         b, c = self.params.b, self.params.c
         u, v = self.u.values, self.v.values
@@ -157,12 +160,12 @@ class CoupledJacobian:
         """kron(I₂, Δ) plus the reaction linearization on three diagonals,
         equal in data, indices and indptr to that scipy.sparse sum."""
         if self._matrix is None:
-            self._matrix = coupled_pattern(self.grid.domain)[0].matrix(self._values())
+            self._matrix = coupled_pattern(self.grid)[0].matrix(self._values())
         return self._matrix
 
     def negated_shift(self, sigma: float) -> sp.csr_matrix:
         """-J - σI, equal to -matrix - σ·sp.identity(2N)."""
-        return coupled_pattern(self.grid.domain)[0].negated_shift(self._values(), sigma)
+        return coupled_pattern(self.grid)[0].negated_shift(self._values(), sigma)
 
 
 def coupled_eigenpairs(
@@ -192,10 +195,9 @@ def coupled_eigenpairs(
     order = np.lexsort((vals.imag, vals.real))[:k]
     vals, vecs = vals[order], vecs[:, order]
 
-    scale = math.sqrt(J.grid.cell_volume)
     out_vecs = np.empty((J.size, k), dtype=complex)
     for j in range(k):
-        out_vecs[:, j] = vecs[:, j] / (np.linalg.norm(vecs[:, j]) * scale)
+        out_vecs[:, j] = vecs[:, j] / J.grid.norm(vecs[:, j])
     check_residuals(si.A, vals, out_vecs, J.grid, tol, "coupled eigenpair")
     return vals, out_vecs
 
@@ -253,7 +255,7 @@ def ansatz_residual(J: CoupledJacobian, pair: EigenPair, coeffs: tuple[float, fl
     """
     A, B = coeffs
     big = np.concatenate([A * pair.phi.values, B * pair.phi.values])
-    return float(np.linalg.norm(J.matrix @ big + pair.lam * big) * math.sqrt(J.grid.cell_volume))
+    return J.grid.norm(J.matrix @ big + pair.lam * big)
 
 
 def component_projection(vec: np.ndarray, w_phi: float, w_psi: float, grid: Grid) -> np.ndarray:
@@ -340,7 +342,7 @@ def theta_half(a: Field, grid: Grid, k: int, tol: float = DEFAULT_TOL) -> ThetaH
         weight = logistic.a - 2.0 * logistic.theta
         two = eigenpairs(WeightedOperator(grid, weight), min(2 * k, grid.size), tol)
     except SubcriticalError as exc:
-        return ThetaHalf(None, None, f"no positive steady state: {exc}")
+        return ThetaHalf(None, None, f"{SUBCRITICAL_CAUSE}: {exc}")
     except (NewtonDivergenceError, EigenSolveError) as exc:
         return ThetaHalf(None, None, f"solver failure: {exc}")
     return ThetaHalf(logistic, two, None)

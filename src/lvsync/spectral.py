@@ -73,13 +73,12 @@ def check_residuals(
     vectors[:, j]): one sparse product for all pairs, one norm per vector;
     raises EigenSolveError for the first pair whose residual exceeds
     tol * max(1, |λ_j|) or is NaN."""
-    scale = math.sqrt(grid.cell_volume)
     AV = A @ vectors
     residuals = []
     for j, lam in enumerate(values):
         # λ·x per column: numpy's SIMD loops for a broadcast complex
         # product V * w round differently from the scalar product
-        res = float(np.linalg.norm(AV[:, j] - lam * vectors[:, j]) * scale)
+        res = grid.norm(AV[:, j] - lam * vectors[:, j])
         # a NaN residual fails the gate too
         if not res <= tol * max(1.0, abs(lam)):
             raise EigenSolveError(
@@ -197,7 +196,7 @@ def _sign_weight(grid: Grid) -> np.ndarray:
     symmetry of the square, so it is not orthogonal to the modes that a
     symmetric weight m makes antisymmetric under x <-> y either.
     """
-    rates = np.array([1.0, math.sqrt(2.0)][: grid.ndim]) / np.array(grid.domain.extents)
+    rates = np.array([1.0, math.sqrt(2.0)][: grid.ndim]) / np.array(grid.extents)
     return np.exp(grid.coords() @ rates)
 
 

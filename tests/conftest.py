@@ -3,7 +3,6 @@ import math
 import pytest
 
 from lvsync import (
-    Domain,
     Grid,
     ModelParams,
     solve_logistic,
@@ -14,12 +13,12 @@ from lvsync import (
 
 @pytest.fixture(scope="session")
 def grid200():
-    return Grid(Domain("interval", (math.pi,), (200,)))
+    return Grid("interval", (math.pi,), (200,))
 
 
 @pytest.fixture(scope="session")
 def grid400():
-    return Grid(Domain("interval", (math.pi,), (400,)))
+    return Grid("interval", (math.pi,), (400,))
 
 
 @pytest.fixture(scope="session")

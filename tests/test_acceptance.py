@@ -26,7 +26,6 @@ import scipy.sparse as sp
 
 from lvsync import (
     CoupledJacobian,
-    Domain,
     Field,
     Grid,
     ModelParams,
@@ -63,7 +62,7 @@ def report_line(num, label, ok, detail=""):
 
 
 def grid1d(n, length=math.pi):
-    return Grid(Domain("interval", (length,), (n,)))
+    return Grid("interval", (length,), (n,))
 
 
 @pytest.fixture(scope="module")
@@ -190,7 +189,7 @@ def test_criterion_3_degenerate_case(grid200):
     means_ok = (np.abs(pair_means - scalar) / scalar).max() <= 1e-8
 
     # reduction xi = (2c+1)phi - psi lands in the a-2*theta eigenspace (or 0)
-    M2 = laplacian(grid200.domain) + sp.diags(sol.a.values - 2.0 * sol.theta.values)
+    M2 = laplacian(grid200) + sp.diags(sol.a.values - 2.0 * sol.theta.values)
     scale = math.sqrt(grid200.cell_volume)
     worst_red = 0.0
     for j in range(vals.size):
@@ -319,7 +318,7 @@ def test_criterion_7_steady_state_identities(theta200, steady200, params_default
 
 def test_criterion_8_uniqueness_probes(grid200):
     rep1 = uniqueness_probe(grid200, 2.0, 20, tol=1e-10, seed=0)
-    g2 = Grid(Domain("rectangle", (1.0, 1.0), (24, 24)))
+    g2 = Grid("rectangle", (1.0, 1.0), (24, 24))
     rep2 = uniqueness_probe(g2, 25.0, 20, tol=1e-9, seed=0)
     ok = rep1.n_distinct_positive == 1 and rep2.n_distinct_positive == 1
     report_line(8, "uniqueness probes", ok,

@@ -16,7 +16,7 @@ from lvsync.cli import (
     read_field_csv,
     write_field_csv,
 )
-from lvsync.grid import Domain, Field, Grid
+from lvsync.grid import Field, Grid
 
 
 def run(*args):
@@ -24,7 +24,7 @@ def run(*args):
 
 
 def grid1d(n, length=math.pi):
-    return Grid(Domain("interval", (length,), (n,)))
+    return Grid("interval", (length,), (n,))
 
 
 class TestParsing:
@@ -68,7 +68,7 @@ class TestFieldFiles:
         assert np.array_equal(back.values, f.values)
 
     def test_field_csv_roundtrip_2d(self, tmp_path):
-        g = Grid(Domain("rectangle", (1.0, 2.0), (4, 5)))
+        g = Grid("rectangle", (1.0, 2.0), (4, 5))
         rng = np.random.default_rng(0)
         f = Field(g, rng.normal(size=g.size))
         path = tmp_path / "f.csv"
@@ -145,8 +145,8 @@ class TestTheta:
     def test_file_profile_matches_named_profile(self, tmp_path):
         # write the sin profile as a field file, then solve via file: and via
         # profile:sin; the routes must agree bitwise
-        from lvsync import Domain, Field, Grid
-        g = Grid(Domain("interval", (math.pi,), (100,)))
+        from lvsync import Field, Grid
+        g = Grid("interval", (math.pi,), (100,))
         # same float expression the sin profile evaluates, for a bitwise match
         a = Field.from_function(g, lambda x: 1.5 + 0.5 * np.sin(math.pi * x / math.pi))
         a_path = tmp_path / "a.csv"
@@ -440,13 +440,13 @@ class TestSweep:
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_shared_half_matches_per_job_verify(self, tmp_path, workers):
-        from lvsync import Domain, Grid, ModelParams, verify_theorem
+        from lvsync import Grid, ModelParams, verify_theorem
 
         out = tmp_path / "o"
         assert run(*self.ORACLE_ARGS, "--workers", workers, "--out", str(out)) == 0
         expected = []
         for a, b, c, n in itertools.product((0.5, 2.0), (0.4, 0.7), (1.0, 2.0), (40, 60)):
-            grid = Grid(Domain("interval", (math.pi,), (n,)))
+            grid = Grid("interval", (math.pi,), (n,))
             report = verify_theorem(ModelParams(a=a, b=b, c=c), grid, 3, tol=1e-10)
             expected.append(json.dumps({
                 "a": a, "b": b, "c": c, "resolution": n,
@@ -505,7 +505,7 @@ class TestSweep:
         assert failed == [(40, 6), (60, 6)]
         records = [json.loads(l) for l in (out / "results.jsonl").read_text().splitlines()]
         for r in records:
-            grid = Grid(Domain("interval", (math.pi,), (r["resolution"],)))
+            grid = Grid("interval", (math.pi,), (r["resolution"],))
             params = ModelParams(a=r["a"], b=r["b"], c=r["c"])
             report = verify_theorem(params, grid, 3, tol=1e-10)
             assert r["verdict"] == report.verdict == "inconclusive"
@@ -644,7 +644,7 @@ FIELD_100_NODES = "index,coord1,value\n" + "".join(f"{i},{i},2\n" for i in range
 # a growth-rate file on the default interval's 20-node grid with a NaN at node 10
 FIELD_20_NODES_NAN = "index,coord1,value\n" + "".join(
     f"{i},{x!r},{'nan' if i == 10 else 2}\n"
-    for i, x in enumerate(Grid(Domain("interval", (math.pi,), (20,))).coords()[:, 0].tolist())
+    for i, x in enumerate(Grid("interval", (math.pi,), (20,)).coords()[:, 0].tolist())
 )
 
 

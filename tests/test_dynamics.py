@@ -9,7 +9,6 @@ from scipy.linalg.lapack import dpbtrs, dpttrs
 import lvsync.dynamics
 from lvsync import (
     DecayFitError,
-    Domain,
     Field,
     Grid,
     InitialDataError,
@@ -29,7 +28,7 @@ from lvsync.linstab import ansatz_coefficients, predicted_spectrum
 
 
 def grid1d(n, length=math.pi):
-    return Grid(Domain("interval", (length,), (n,)))
+    return Grid("interval", (length,), (n,))
 
 
 def sub_trajectory(traj, t0, t1):
@@ -49,7 +48,7 @@ def two_solve_evolve(u0, v0, params, dt, t_end, store_every=1):
     It factors through lvsync.dynamics.factorize, looked up at call time,
     so the solver evolve uses, real or leak_solves's fake, serves both."""
     grid = u0.grid
-    lhs = sp.identity(grid.size, format="csr") - dt * laplacian(grid.domain)
+    lhs = sp.identity(grid.size, format="csr") - dt * laplacian(grid)
     solver = lvsync.dynamics.factorize(lhs)
     a = as_field(grid, params.a).values
     a_max = float(np.abs(a).max())
@@ -259,7 +258,7 @@ class TestEvolve:
         underflows = 0
         for _ in range(20):
             dt = 10.0 ** rng.uniform(-6, 0)
-            solver = factorize(sp.identity(n, format="csr") - dt * laplacian(g.domain))
+            solver = factorize(sp.identity(n, format="csr") - dt * laplacian(g))
             assert solver.routine is routine
             # column 0 is zero; columns 1 and 2 are nonzero on a random
             # window only, with magnitudes from subnormal to 1e3 and half
@@ -288,7 +287,7 @@ class TestEvolve:
         # I - dt·Δ is a Stieltjes matrix, so its Cholesky factor has a
         # positive diagonal and no positive entry off it (Fiedler & Pták,
         # 1962), and substitution again adds only nonnegative terms
-        g = Grid(Domain("rectangle", (math.pi, math.pi), (n, n)))
+        g = Grid("rectangle", (math.pi, math.pi), (n, n))
         self.assert_implicit_solve_exactly_nonnegative(g, dpbtrs)
 
     def test_store_every_and_final_time(self):
@@ -303,7 +302,7 @@ class TestEvolve:
     def test_2d_fixed_point(self):
         from lvsync import ModelParams, solve_logistic, synchronized_state
 
-        g = Grid(Domain("rectangle", (1.0, 1.0), (14, 14)))
+        g = Grid("rectangle", (1.0, 1.0), (14, 14))
         params = ModelParams(a=25.0, b=0.5, c=1.0)
         sol = solve_logistic(g, 25.0, tol=1e-10)
         st = synchronized_state(params, sol)
@@ -338,7 +337,7 @@ class TestStackedStepMatchesTwoSolves:
     def test_2d_random_data_through_the_clip(self, monkeypatch):
         # roundoff-level negatives at three nodes of both species, above
         # the floor, so every step takes the clip
-        g = Grid(Domain("rectangle", (1.0, 1.0), (20, 20)))
+        g = Grid("rectangle", (1.0, 1.0), (20, 20))
         rng = np.random.default_rng(4)
         u0 = Field(g, rng.uniform(0.0, 2.0, g.size))
         v0 = Field(g, rng.uniform(0.0, 2.0, g.size) * (rng.uniform(size=g.size) < 0.5))

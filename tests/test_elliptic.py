@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from lvsync import (
-    Domain,
     Field,
     Grid,
     NewtonDivergenceError,
@@ -25,7 +24,7 @@ THETA_N400_TOL = 5e-6
 
 
 def grid1d(n, length=math.pi):
-    return Grid(Domain("interval", (length,), (n,)))
+    return Grid("interval", (length,), (n,))
 
 
 class TestSolveLogistic:
@@ -172,7 +171,7 @@ class TestUniquenessProbe:
         assert report.n_positive == 0
 
     def test_supercritical_2d_single_solution(self):
-        g = Grid(Domain("rectangle", (1.0, 1.0), (24, 24)))
+        g = Grid("rectangle", (1.0, 1.0), (24, 24))
         report = uniqueness_probe(g, 25.0, 10, tol=1e-9, seed=0)
         assert report.n_distinct_positive == 1
 

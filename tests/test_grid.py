@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from hypothesis import strategies as st
 from scipy.linalg.lapack import dpbtrs, dpttrs
 
 from lvsync import (
-    Domain,
     Field,
     Grid,
     GridMismatchError,
@@ -28,46 +28,62 @@ from lvsync.linstab import CoupledJacobian
 
 
 def grid1d(n, length=math.pi):
-    return Grid(Domain("interval", (length,), (n,)))
+    return Grid("interval", (length,), (n,))
 
 
 def lap_eig_1d(k, h, L):
     return (4.0 / h**2) * math.sin(k * math.pi * h / (2.0 * L)) ** 2
 
 
-class TestDomain:
+class TestGrid:
     def test_interval_spacing_and_nodes(self):
         g = grid1d(3)
         assert g.spacing[0] == pytest.approx(math.pi / 4, rel=1e-15)
         assert np.allclose(g.axes[0], [math.pi / 4, math.pi / 2, 3 * math.pi / 4], rtol=1e-15)
 
     def test_rectangle_node_count(self):
-        g = Grid(Domain("rectangle", (1.0, 2.0), (4, 8)))
+        g = Grid("rectangle", (1.0, 2.0), (4, 8))
         assert g.size == 32
         assert g.coords().shape == (32, 2)
 
-    def test_resolution_too_small(self):
+    def test_bad_resolution(self):
         with pytest.raises(ValueError, match="resolution too small"):
-            Domain("interval", (1.0,), (2,))
+            Grid("interval", (1.0,), (2,))
+        # a fractional or boolean node count is rejected, not truncated
+        for kind, extents, resolution in (("interval", (math.pi,), (30.7,)),
+                                          ("interval", (math.pi,), (True,)),
+                                          ("rectangle", (1.0, 1.0), (3.9, 4.2))):
+            with pytest.raises(ValueError, match="whole node counts"):
+                Grid(kind, extents, resolution)
+        assert Grid("interval", (1.0,), (np.int64(5),)).resolution == (5,)
+
+    def test_equal_fields_make_equal_grids(self):
+        # the operator caches and the sweep's process pool rely on this
+        g = Grid("rectangle", (1, 2), (4, 5))
+        same = Grid("rectangle", (1.0, 2.0), (4, 5))
+        assert g == same and hash(g) == hash(same)
+        assert g != Grid("rectangle", (1.0, 2.0), (5, 4))
+        assert pickle.loads(pickle.dumps(g)) == g
+        assert repr(g) == "Grid(rectangle, extents=(1.0, 2.0), n=(4, 5))"
 
     def test_nonpositive_extent(self):
         with pytest.raises(ValueError, match="positive"):
-            Domain("interval", (0.0,), (5,))
+            Grid("interval", (0.0,), (5,))
         with pytest.raises(ValueError, match="positive"):
-            Domain("rectangle", (1.0, -2.0), (4, 4))
+            Grid("rectangle", (1.0, -2.0), (4, 4))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            Domain("interval", (1.0, 2.0), (4, 4))
+            Grid("interval", (1.0, 2.0), (4, 4))
         with pytest.raises(ValueError):
-            Domain("rectangle", (1.0,), (4,))
+            Grid("rectangle", (1.0,), (4,))
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="kind"):
-            Domain("disk", (1.0,), (4,))
+            Grid("disk", (1.0,), (4,))
 
     def test_lexicographic_order_x_fastest(self):
-        g = Grid(Domain("rectangle", (1.0, 2.0), (3, 4)))
+        g = Grid("rectangle", (1.0, 2.0), (3, 4))
         coords = g.coords()
         # first three nodes share the lowest y and walk x
         assert np.allclose(coords[:3, 1], coords[0, 1])
@@ -91,7 +107,7 @@ class TestOperator:
         assert np.abs(A - (A0 + 3.5 * np.eye(5))).max() == 0.0
 
     def test_2d_five_point_counts(self):
-        g = Grid(Domain("rectangle", (1.0, 1.0), (3, 3)))
+        g = Grid("rectangle", (1.0, 1.0), (3, 3))
         h = g.spacing[0]
         A = WeightedOperator(g, Field.constant(g, 0.0)).matrix.toarray()
         assert np.allclose(np.diag(A), -4.0 / h**2, rtol=1e-15)
@@ -101,8 +117,7 @@ class TestOperator:
 
     def test_symmetry_exact_random_weight(self):
         rng = np.random.default_rng(7)
-        for domain in (Domain("interval", (2.0,), (17,)), Domain("rectangle", (1.0, 1.5), (5, 7))):
-            g = Grid(domain)
+        for g in (Grid("interval", (2.0,), (17,)), Grid("rectangle", (1.0, 1.5), (5, 7))):
             A = WeightedOperator(g, Field(g, rng.normal(size=g.size))).matrix
             assert abs(A - A.T).max() == 0.0
 
@@ -123,7 +138,7 @@ class TestOperator:
 
 
 def square(n):
-    return Grid(Domain("rectangle", (math.pi, math.pi), (n, n)))
+    return Grid("rectangle", (math.pi, math.pi), (n, n))
 
 
 def shifted_matrices(g):
@@ -142,7 +157,7 @@ def shifted_matrices(g):
 
 
 def imex_matrix(g, dt=1e-3):
-    return sp.identity(g.size, format="csr") - dt * laplacian(g.domain)
+    return sp.identity(g.size, format="csr") - dt * laplacian(g)
 
 
 def eigenfunction_start_jacobian(g, a=8.0):
@@ -171,7 +186,7 @@ def kernel_matrices():
         A[0, offset] *= 1.0 + 2.0**-52
         return A.tocsr()
 
-    wide = Grid(Domain("rectangle", (math.pi, 1.0), (BAND_CHOLESKY_MAX_KD + 1, 3)))
+    wide = Grid("rectangle", (math.pi, 1.0), (BAND_CHOLESKY_MAX_KD + 1, 3))
     return {
         "imex-1d": imex_matrix(g),
         "shifted-scalar-1d": shifted_matrices(g)["scalar"],
@@ -205,7 +220,7 @@ class TestFactorize:
         # banded: the 8×8 shifted scalar matrix and the same on a 12×7
         # rectangle, whose bandwidth nx = 12 differs from ny
         square8 = shifted_matrices(square(8))
-        rectangle = Grid(Domain("rectangle", (math.pi, 2.0), (12, 7)))
+        rectangle = Grid("rectangle", (math.pi, 2.0), (12, 7))
         matrices = {
             "scalar": [square8["scalar"]],
             "coupled": [square8["coupled"]],
@@ -319,7 +334,7 @@ class TestFieldArithmeticAndIO:
         assert interpolate(f, [0.0]) == 0.0
 
     def test_interpolate_2d_bilinear(self):
-        g = Grid(Domain("rectangle", (1.0, 1.0), (7, 7)))
+        g = Grid("rectangle", (1.0, 1.0), (7, 7))
         f = Field.from_function(g, lambda x, y: x * y)
         assert interpolate(f, [0.5, 0.5]) == pytest.approx(0.25, rel=1e-12)
 
@@ -334,6 +349,6 @@ class TestFieldArithmeticAndIO:
         pytest.param(2, [0.5, math.nan], "NaN", id="nan-in-2d"),
     ])
     def test_interpolate_rejects_points_off_the_box(self, ndim, point, match):
-        g = grid1d(9) if ndim == 1 else Grid(Domain("rectangle", (1.0, 2.0), (7, 5)))
+        g = grid1d(9) if ndim == 1 else Grid("rectangle", (1.0, 2.0), (7, 5))
         with pytest.raises(ValueError, match=match):
             interpolate(Field.constant(g, 1.0), point)

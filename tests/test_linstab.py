@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from lvsync import (
     CoupledJacobian,
-    Domain,
     Field,
     Grid,
     ModelParams,
@@ -43,7 +42,7 @@ valid_c = st.floats(0.01, 20.0)
 
 
 def grid1d(n, length=math.pi):
-    return Grid(Domain("interval", (length,), (n,)))
+    return Grid("interval", (length,), (n,))
 
 
 class TestParameterAlgebra:
@@ -103,7 +102,7 @@ class TestJacobianAssembly:
         params = ModelParams(a=2.0, b=0.5, c=1.0)
         zero = Field.constant(g, 0.0)
         J = CoupledJacobian(g, zero, zero, params).matrix.toarray()
-        block = (laplacian(g.domain) + sp.diags(np.full(g.size, 2.0))).toarray()
+        block = (laplacian(g) + sp.diags(np.full(g.size, 2.0))).toarray()
         n = g.size
         assert np.array_equal(J[:n, :n], block)
         assert np.array_equal(J[n:, n:], block)
@@ -122,21 +121,20 @@ class TestJacobianAssembly:
         assert mus[0].real == pytest.approx(-1.0, abs=1e-3)  # unstable origin
 
     @pytest.mark.parametrize(
-        "domain, a",
+        "g, a",
         [
-            (Domain("interval", (math.pi,), (60,)), 2.0),
-            (Domain("rectangle", (math.pi, 2.0), (9, 7)), 4.0),
+            (Grid("interval", (math.pi,), (60,)), 2.0),
+            (Grid("rectangle", (math.pi, 2.0), (9, 7)), 4.0),
         ],
         ids=["1d", "2d"],
     )
-    def test_kron_assembly_equals_block_matrix(self, domain, a):
+    def test_kron_assembly_equals_block_matrix(self, g, a):
         # kron(I2, lap) + three diagonals against the 2x2 block layout of
         # the module docstring, entry for entry at the synchronized state
-        g = Grid(domain)
         params = ModelParams(a=a, b=0.3, c=1.7)
         steady = synchronized_state(params, solve_logistic(g, a, tol=1e-10))
         u, v = steady.u.values, steady.v.values
-        lap = laplacian(g.domain)
+        lap = laplacian(g)
         blocks = sp.bmat(
             [
                 [lap + sp.diags(a - 2.0 * u - params.b * v), sp.diags(-params.b * u)],
@@ -166,7 +164,7 @@ class TestJacobianAssembly:
         J = CoupledJacobian(grid200, steady200.u, steady200.v, params_default).matrix
         n = grid200.size
         alpha, beta = ratio_coefficients(params_default.b, params_default.c)
-        lap = laplacian(grid200.domain)
+        lap = laplacian(grid200)
         a_vals = theta200.a.values
         th = theta200.theta.values
         w1 = J[:n, :n].toarray() - lap.toarray()
@@ -205,17 +203,16 @@ class TestSpectralEquivalence:
         assert rel.max() <= 1e-8
 
     @pytest.mark.parametrize(
-        "domain, a, k",
+        "g, a, k",
         [
-            (Domain("interval", (math.pi,), (120,)), 2.0, 8),
+            (Grid("interval", (math.pi,), (120,)), 2.0, 8),
             # the square's (i,j)/(j,i) modes give exactly double eigenvalues;
             # k=14 cuts the window between the two copies of one of them
-            (Domain("rectangle", (math.pi, math.pi), (12, 12)), 4.0, 14),
+            (Grid("rectangle", (math.pi, math.pi), (12, 12)), 4.0, 14),
         ],
         ids=["1d-120", "2d-12x12"],
     )
-    def test_iterative_coupled_solver_matches_dense_oracle(self, domain, a, k):
-        g = Grid(domain)
+    def test_iterative_coupled_solver_matches_dense_oracle(self, g, a, k):
         params = ModelParams(a=a, b=0.5, c=1.0)
         sol = solve_logistic(g, a, tol=1e-10)
         steady = synchronized_state(params, sol)
@@ -239,14 +236,13 @@ class TestSpectralEquivalence:
             assert vecs.shape == (2 * g.size, k)
             assert np.allclose(vals, oracle[:k], rtol=1e-12, atol=1e-12)
 
-    @pytest.mark.parametrize("domain", [Domain("interval", (math.pi,), (40,)),
-                                        Domain("rectangle", (math.pi, math.pi), (12, 12))],
+    @pytest.mark.parametrize("g", [Grid("interval", (math.pi,), (40,)),
+                                   Grid("rectangle", (math.pi, math.pi), (12, 12))],
                              ids=["1d-40", "2d-12x12"])
-    def test_values_come_lexsorted_by_real_then_imag(self, domain):
+    def test_values_come_lexsorted_by_real_then_imag(self, g):
         # on the degenerate locus the defective pairs split into complex
         # conjugates with equal real parts, so the imaginary part decides
         # their order; verify_theorem and the eigenvalue table rely on it
-        g = Grid(domain)
         params = ModelParams(a=4.0 if g.ndim == 2 else 2.0, b=1.0 / 3.0, c=1.0)
         steady = synchronized_state(params, solve_logistic(g, params.a, tol=1e-10))
         vals, _ = coupled_eigenpairs(CoupledJacobian(g, steady.u, steady.v, params), 12)
@@ -258,7 +254,7 @@ class TestSpectralEquivalence:
         # I2 x (lap + a) on the square makes the (i,j)/(j,i) eigenvalues
         # fourfold; k cuts the window inside such a cluster, and an Arnoldi
         # solve for exactly k values returns one copy short
-        g = Grid(Domain("rectangle", (math.pi, math.pi), (n, n)))
+        g = Grid("rectangle", (math.pi, math.pi), (n, n))
         zero = Field.constant(g, 0.0)
         J = CoupledJacobian(g, zero, zero, ModelParams(a=4.0, b=0.5, c=1.0))
         arnoldi, _ = coupled_eigenpairs(J, k, tol=1e-10)
@@ -291,7 +287,7 @@ class TestSpectralEquivalence:
         steady = synchronized_state(params, sol)
         J = CoupledJacobian(g, steady.u, steady.v, params)
         vals, vecs = coupled_eigenpairs(J, 8, tol=1e-10)
-        M2 = laplacian(g.domain) + sp.diags(sol.a.values - 2.0 * sol.theta.values)
+        M2 = laplacian(g) + sp.diags(sol.a.values - 2.0 * sol.theta.values)
         scale = math.sqrt(g.cell_volume)
         for j in range(len(vals)):
             xi = component_projection(vecs[:, j], 2.0 * c + 1.0, -1.0, g)
@@ -307,7 +303,7 @@ class TestSpectralEquivalence:
         J = CoupledJacobian(grid200, steady200.u, steady200.v, params_default)
         vals, vecs = coupled_eigenpairs(J, 6, tol=1e-10)
         s1 = s_parameter(b, c)
-        lap = laplacian(grid200.domain)
+        lap = laplacian(grid200)
         m_s1 = lap + sp.diags(theta200.a.values - s1 * theta200.theta.values)
         m_2 = lap + sp.diags(theta200.a.values - 2.0 * theta200.theta.values)
         scale = math.sqrt(grid200.cell_volume)
@@ -381,7 +377,7 @@ class TestVerifyTheorem:
     def test_square_edge_pair_not_missed(self):
         # s1 = 3.73 puts one copy of the a-2θ family's exactly double
         # (2,3)/(3,2) eigenvalue at the edge of the 12 requested values
-        g = Grid(Domain("rectangle", (math.pi, math.pi), (30, 30)))
+        g = Grid("rectangle", (math.pi, math.pi), (30, 30))
         params = ModelParams(a=4.0, b=0.0887739738730586, c=3.1962470317855978)
         report = verify_theorem(params, g, 6)
         assert report.verdict == "stable"
@@ -389,21 +385,21 @@ class TestVerifyTheorem:
 
     @pytest.mark.parametrize("b, c", [(0.5, 1.0), (1.0 / 3.0, 1.0)], ids=["generic", "locus"])
     @pytest.mark.parametrize(
-        "domain, a",
+        "g, a",
         [
-            (Domain("interval", (math.pi,), (200,)), 2.0),
-            (Domain("interval", (math.pi,), (600,)), 2.0),
-            (Domain("rectangle", (math.pi, math.pi), (60, 60)), 4.0),
+            (Grid("interval", (math.pi,), (200,)), 2.0),
+            (Grid("interval", (math.pi,), (600,)), 2.0),
+            (Grid("rectangle", (math.pi, math.pi), (60, 60)), 4.0),
         ],
         ids=["1d-200", "1d-600", "2d-60x60"],
     )
-    def test_grid_ladder_default_tol_without_dense(self, monkeypatch, domain, a, b, c):
+    def test_grid_ladder_default_tol_without_dense(self, monkeypatch, g, a, b, c):
         def forbidden(*args, **kwargs):
             raise AssertionError("dense LAPACK eigensolver called")
 
         monkeypatch.setattr(sla, "eig", forbidden)
         monkeypatch.setattr(sla, "eigh", forbidden)
-        report = verify_theorem(ModelParams(a=a, b=b, c=c), Grid(domain), 6)
+        report = verify_theorem(ModelParams(a=a, b=b, c=c), g, 6)
         assert report.verdict == "stable", report.cause
 
     def test_nan_coupled_pair_is_inconclusive(self, monkeypatch):
@@ -473,7 +469,7 @@ class TestVerifyTheorem:
             assert report.mu1 > 0
 
     def test_2d_rectangle_pipeline(self):
-        g = Grid(Domain("rectangle", (1.0, 1.0), (14, 14)))
+        g = Grid("rectangle", (1.0, 1.0), (14, 14))
         report = verify_theorem(ModelParams(a=25.0, b=0.5, c=1.0), g, 4, tol=1e-10)
         assert report.verdict == "stable"
         assert report.max_rel_mismatch <= 1e-8

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 import lvsync
 from lvsync import (
-    Domain,
     Field,
     Grid,
     ModelParams,
@@ -40,7 +39,7 @@ GOLDEN_WEIGHTED_EIGS_N400 = [
 
 
 def grid1d(n, length=math.pi):
-    return Grid(Domain("interval", (length,), (n,)))
+    return Grid("interval", (length,), (n,))
 
 
 def lap_eig_1d(k, h, L):
@@ -164,7 +163,7 @@ class TestEigenpairs:
                                    2, tol=tol)
 
     def test_2d_square_degenerate_cluster(self):
-        g = Grid(Domain("rectangle", (1.0, 1.0), (20, 20)))
+        g = Grid("rectangle", (1.0, 1.0), (20, 20))
         h = g.spacing[0]
         spec = eigenpairs(WeightedOperator(g, Field.constant(g, 0.0)), 6, tol=1e-9)
         exact = sorted(
@@ -185,7 +184,7 @@ class TestEigenpairs:
         "fourfold 23.7936 and k=48 also drops a copy",
     )
     def test_square_multiple_eigenvalues_keep_every_copy(self):
-        g = Grid(Domain("rectangle", (math.pi, math.pi), (14, 14)))
+        g = Grid("rectangle", (math.pi, math.pi), (14, 14))
         op = WeightedOperator(g, Field.constant(g, 0.0))
         dense = sla.eigvalsh((-op.matrix).toarray())
         for k in (17, 46, 48):
