@@ -36,9 +36,8 @@ def main():
     print(f"component ratios: z1 = b/c = {z1:.6f}, z2 = (1-b)/(1+c) = {z2:.6f}")
     print()
     print(f"{'i':>3} {'coupled Re':>18} {'coupled Im':>12} {'predicted':>18} {'family':>10} {'rel err':>10}")
-    coupled = sorted(report.coupled_eigs, key=lambda v: (v.real, v.imag))
     for i, (mu, pred, fam) in enumerate(
-        zip(coupled, report.predicted_eigs, report.predicted_families)
+        zip(report.coupled_eigs, report.predicted_eigs, report.predicted_families)
     ):
         rel = abs(mu.real - pred) / max(abs(pred), 1e-300)
         print(f"{i:>3} {mu.real:>18.12f} {mu.imag:>12.2e} {pred:>18.12f} {fam:>10} {rel:>10.2e}")

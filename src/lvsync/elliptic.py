@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, Grid, WeightedOperator, as_field, factorize, l2_norm, laplacian, negated
+from .grid import Field, Grid, WeightedOperator, as_field, factorize, l2_norm, laplacian
 from .spectral import DEFAULT_TOL, principal_eigenpair
 
 __all__ = [
@@ -101,7 +101,7 @@ def _newton(
             return theta, res, it - 1
         # -J δ = F: -J is symmetric positive definite near the solution,
         # where factorize hands it to LAPACK
-        neg_J = negated(WeightedOperator(grid, Field(grid, a_vals - 2.0 * theta)).matrix)
+        neg_J = -WeightedOperator(grid, Field(grid, a_vals - 2.0 * theta)).matrix
         try:
             delta = factorize(neg_J).solve(_residual_vec(lap, theta, a_vals))
         except RuntimeError as exc:  # singular Jacobian

@@ -13,11 +13,14 @@ quadrature weight h1*...*hd with no boundary correction.
 
 Every operator matrix refills a CSR `Pattern` cached per grid value
 (this module's `laplacian_pattern`, `linstab.coupled_pattern`; equal
-grids share one) instead of summing scipy.sparse matrices, with the same data, indices and indptr as
-that sum. Every sparse solve in the package factors through `factorize`,
-which picks its kernel from the matrix. One code path serves 1D and 2D: the Laplacian
-is the Kronecker sum of the per-axis 3-point stencils, the coordinates one
-meshgrid. Reading and writing field files is the CLI's job (`lvsync.cli`).
+grids share one) instead of summing scipy.sparse matrices, with the same
+data, indices and indptr as that sum; `laplacian` hands out the cached,
+read-only arrays themselves. Operators hand out only their `matrix`.
+Every sparse solve in the package factors through `factorize(A, σ)`,
+which picks its kernel from the matrix and is the one place that forms
+A - σI. One code path serves 1D and 2D: the Laplacian is the Kronecker
+sum of the per-axis 3-point stencils, the coordinates one meshgrid.
+Reading and writing field files is the CLI's job (`lvsync.cli`).
 """
 
 from __future__ import annotations
@@ -42,7 +45,6 @@ __all__ = [
     "laplacian",
     "laplacian_pattern",
     "Pattern",
-    "negated",
     "factorize",
     "l2_norm",
     "l2_inner",
@@ -115,6 +117,10 @@ class Grid:
         real or complex, one entry per node."""
         return float(np.linalg.norm(x) * math.sqrt(self.cell_volume))
 
+    def __reduce__(self):
+        # unpickle through the constructor, so the axes come back read-only
+        return Grid, (self.kind, self.extents, self.resolution)
+
     def __repr__(self) -> str:
         return f"Grid({self.kind}, extents={self.extents}, n={self.resolution})"
 
@@ -186,6 +192,10 @@ class Field:
     def __neg__(self):
         return Field(self.grid, -self.values)
 
+    def __reduce__(self):
+        # unpickle through the constructor, so the values come back read-only
+        return Field, (self.grid, self.values)
+
     def __repr__(self) -> str:
         return f"Field({self.grid!r}, min={self.values.min():.3g}, max={self.values.max():.3g})"
 
@@ -198,20 +208,6 @@ def as_field(grid: Grid, value) -> Field:
             raise GridMismatchError(f"grid mismatch: {value.grid!r} vs {grid!r}")
         return value
     return Field.constant(grid, value)
-
-
-@functools.lru_cache(maxsize=32)
-def laplacian(grid: Grid) -> sp.csr_matrix:
-    """Discrete Dirichlet Laplacian (negative definite), cached per grid."""
-    mats = []
-    for e, n in zip(grid.extents, grid.resolution):
-        h2 = (e / (n + 1)) ** 2
-        mats.append(sp.diags([1.0 / h2, -2.0 / h2, 1.0 / h2], [-1, 0, 1], shape=(n, n)))
-    # kronsum(A, B) = kron(I, A) + kron(B, I): the x block is the inner
-    # Kronecker factor, so the x index runs fastest
-    lap = functools.reduce(sp.kronsum, mats).tocsr()
-    lap.sort_indices()
-    return lap
 
 
 class Pattern:
@@ -255,23 +251,27 @@ class Pattern:
         indptr = np.concatenate(([0], np.cumsum(keep)))[self.indptr]
         return sp.csr_matrix((data[keep], self.indices[keep], indptr), shape=self.shape)
 
-    def negated_shift(self, values: np.ndarray, sigma: float) -> sp.csr_matrix:
-        """-A - σI for the matrix A with these values, entry for entry
-        what the sparse sum -A - σ·I gives."""
-        data = np.negative(values)
-        data[self.diagonal] -= sigma
-        return self.matrix(data)
-
 
 @functools.lru_cache(maxsize=32)
 def laplacian_pattern(grid: Grid) -> Pattern:
-    """The pattern of laplacian(grid) with its values, cached per grid."""
-    return Pattern(laplacian(grid))
+    """The pattern of the discrete Dirichlet Laplacian with its values,
+    cached per grid."""
+    mats = []
+    for e, n in zip(grid.extents, grid.resolution):
+        h2 = (e / (n + 1)) ** 2
+        mats.append(sp.diags([1.0 / h2, -2.0 / h2, 1.0 / h2], [-1, 0, 1], shape=(n, n)))
+    # kronsum(A, B) = kron(I, A) + kron(B, I): the x block is the inner
+    # Kronecker factor, so the x index runs fastest
+    lap = functools.reduce(sp.kronsum, mats).tocsr()
+    lap.sort_indices()
+    return Pattern(lap)
 
 
-def negated(A: sp.csr_matrix) -> sp.csr_matrix:
-    """-A on A's own index arrays."""
-    return sp.csr_matrix((np.negative(A.data), A.indices, A.indptr), shape=A.shape)
+def laplacian(grid: Grid) -> sp.csr_matrix:
+    """Discrete Dirichlet Laplacian (negative definite) on the read-only
+    arrays of laplacian_pattern(grid)."""
+    pattern = laplacian_pattern(grid)
+    return pattern.matrix(pattern.values)
 
 
 # Widest band that gets LAPACK's banded Cholesky. Its factor fills the whole
@@ -338,18 +338,23 @@ def _symmetric_band(A: sp.spmatrix) -> np.ndarray | None:
     return ab
 
 
-def factorize(A: sp.spmatrix) -> LapackFactor | spla.SuperLU:
-    """Factorization of the square matrix A, the one entry point for every
-    sparse solve; `.solve(b)` takes a vector or an (N, r) block.
+def factorize(A: sp.spmatrix, sigma: float = 0.0) -> LapackFactor | spla.SuperLU:
+    """Factorization of A - σI for the square matrix A, the one entry point
+    for every sparse solve and the one place that applies a shift;
+    `.solve(b)` takes a vector or an (N, r) block. A is never changed: σ
+    comes off the diagonal of the kernel's own copy (LAPACK's band array,
+    or SuperLU's CSC matrix, which then drops its exact zeros), entry for
+    entry as in the scipy.sparse sum A - σ·I, where a diagonal entry that
+    A lacks becomes -σ.
 
-    An exactly symmetric A of bandwidth kd <= BAND_CHOLESKY_MAX_KD that
-    LAPACK finds positive definite, with a finite factor, gets a LAPACK
-    kernel: no pivoting, backward stable (Golub & Van Loan, *Matrix
+    An exactly symmetric A of bandwidth kd <= BAND_CHOLESKY_MAX_KD whose
+    A - σI LAPACK finds positive definite, with a finite factor, gets a
+    LAPACK kernel: no pivoting, backward stable (Golub & Van Loan, *Matrix
     Computations*, §4.3), and cheaper than SuperLU at the sizes that reach
     it. At kd <= 1 that is LDLᵀ (`dpttrf`/`dpttrs`, 2–3× faster than
     `dpbtrs` at bandwidth 1), at kd >= 2 banded Cholesky
     (`dpbtrf`/`dpbtrs`). In 2D with the x index fastest the bandwidth is
-    nx. So I - dt·Δ, Δ + diag(m) - σI shifted below the spectrum and
+    nx. So I - dt·Δ, -(Δ + diag(m)) shifted below the spectrum and
     Newton's -J near the solution reach LAPACK in 1D and on 2D grids up
     to BAND_CHOLESKY_MAX_KD nodes across.
 
@@ -358,10 +363,12 @@ def factorize(A: sp.spmatrix) -> LapackFactor | spla.SuperLU:
     minimum-degree ordering of the pattern of Aᵀ + A. COLAMD, SuperLU's
     default, orders for unsymmetric patterns; the matrices that reach
     SuperLU here have symmetric patterns, where the minimum-degree
-    ordering leaves less fill. Raises RuntimeError on an exactly singular A.
+    ordering leaves less fill. Raises RuntimeError on an exactly singular
+    A - σI.
     """
     ab = _symmetric_band(A)
     if ab is not None:
+        ab[-1] -= sigma
         if len(ab) == 2:
             # scipy's dpttrf wants e of length max(n - 1, 1)
             e = ab[0, 1:] if ab.shape[1] > 1 else ab[0]
@@ -371,7 +378,17 @@ def factorize(A: sp.spmatrix) -> LapackFactor | spla.SuperLU:
         # factors[0] is LDLᵀ's d or the band holding Cholesky's diagonal
         if info == 0 and np.isfinite(factors[0]).all():
             return LapackFactor(routine, *factors)
-    return spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A")
+    # a copy even of a CSC A, which the shift must leave alone
+    C = A.tocsc(copy=True)
+    if sigma:
+        n = C.shape[0]
+        diag = np.flatnonzero(C.indices == np.repeat(np.arange(n), np.diff(C.indptr)))
+        if len(diag) < n:  # the sum puts -σ where A has no diagonal entry
+            C = C - sigma * sp.identity(n, format="csc")
+        else:
+            C.data[diag] -= sigma
+            C.eliminate_zeros()
+    return spla.splu(C, permc_spec="MMD_AT_PLUS_A")
 
 
 class WeightedOperator:
@@ -390,24 +407,16 @@ class WeightedOperator:
         self.weight = weight
         self._matrix = None
 
-    def _values(self) -> np.ndarray:
-        """Entries of Δ + diag(weight) on the Laplacian's pattern."""
-        pattern = laplacian_pattern(self.grid)
-        data = pattern.values.copy()
-        data[pattern.diagonal] += self.weight.values
-        return data
-
     @property
     def matrix(self) -> sp.csr_matrix:
         """Sparse symmetric matrix of Δ + diag(weight), equal in data,
         indices and indptr to laplacian(grid) + sp.diags(weight)."""
         if self._matrix is None:
-            self._matrix = laplacian_pattern(self.grid).matrix(self._values())
+            pattern = laplacian_pattern(self.grid)
+            data = pattern.values.copy()
+            data[pattern.diagonal] += self.weight.values
+            self._matrix = pattern.matrix(data)
         return self._matrix
-
-    def negated_shift(self, sigma: float) -> sp.csr_matrix:
-        """-(Δ + diag(weight)) - σI, equal to -matrix - σ·sp.identity(n)."""
-        return laplacian_pattern(self.grid).negated_shift(self._values(), sigma)
 
     def apply(self, f: Field) -> Field:
         _check_same_grid(self, f)

@@ -142,30 +142,23 @@ class CoupledJacobian:
     def size(self) -> int:
         return 2 * self.grid.size
 
-    def _values(self) -> np.ndarray:
-        """Entries of J on coupled_pattern: the reaction diagonal added to
-        kron(I₂, Δ)'s, the blocks -b·u and c·v written into its zeros."""
-        pattern, upper, lower = coupled_pattern(self.grid)
-        a = as_field(self.grid, self.params.a).values
-        b, c = self.params.b, self.params.c
-        u, v = self.u.values, self.v.values
-        data = pattern.values.copy()
-        data[pattern.diagonal] += np.concatenate([a - 2.0 * u - b * v, a - 2.0 * v + c * u])
-        data[upper] = -b * u
-        data[lower] = c * v
-        return data
-
     @property
     def matrix(self) -> sp.csr_matrix:
         """kron(I₂, Δ) plus the reaction linearization on three diagonals,
-        equal in data, indices and indptr to that scipy.sparse sum."""
+        equal in data, indices and indptr to that scipy.sparse sum: the
+        reaction diagonal added to kron(I₂, Δ)'s entries, the blocks -b·u
+        and c·v written into coupled_pattern's zeros."""
         if self._matrix is None:
-            self._matrix = coupled_pattern(self.grid)[0].matrix(self._values())
+            pattern, upper, lower = coupled_pattern(self.grid)
+            a = as_field(self.grid, self.params.a).values
+            b, c = self.params.b, self.params.c
+            u, v = self.u.values, self.v.values
+            data = pattern.values.copy()
+            data[pattern.diagonal] += np.concatenate([a - 2.0 * u - b * v, a - 2.0 * v + c * u])
+            data[upper] = -b * u
+            data[lower] = c * v
+            self._matrix = pattern.matrix(data)
         return self._matrix
-
-    def negated_shift(self, sigma: float) -> sp.csr_matrix:
-        """-J - σI, equal to -matrix - σ·sp.identity(2N)."""
-        return coupled_pattern(self.grid)[0].negated_shift(self._values(), sigma)
 
 
 def coupled_eigenpairs(
@@ -270,25 +263,26 @@ def component_projection(vec: np.ndarray, w_phi: float, w_psi: float, grid: Grid
     return w_phi * vec[:n] + w_psi * vec[n:]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class StabilityReport:
-    """Coupled vs predicted spectra with diagnostics and verdict."""
+    """Coupled vs predicted spectra with diagnostics and verdict; the
+    defaults are those of a report with no spectra."""
 
     s_value: float
-    s_second: float
+    s_second: float = 2.0
     degenerate: bool
     band_warning: bool
-    coupled_eigs: tuple[complex, ...]
-    predicted_eigs: tuple[float, ...]
-    predicted_families: tuple[str, ...]
-    max_rel_mismatch: float
-    max_imag: float
-    ratio_errors: tuple[float, ...]
-    mu1: float
+    coupled_eigs: tuple[complex, ...] = ()
+    predicted_eigs: tuple[float, ...] = ()
+    predicted_families: tuple[str, ...] = ()
+    max_rel_mismatch: float = math.nan
+    max_imag: float = math.nan
+    ratio_errors: tuple[float, ...] = ()
+    mu1: float = math.nan
     verdict: str
     cause: str | None
     k: int
-    mismatch_threshold: float
+    mismatch_threshold: float = math.nan
 
 
 def inconclusive_report(params: ModelParams, k: int, cause: str) -> StabilityReport:
@@ -296,20 +290,11 @@ def inconclusive_report(params: ModelParams, k: int, cause: str) -> StabilityRep
     b, c = params.b, params.c
     return StabilityReport(
         s_value=s_parameter(b, c),
-        s_second=2.0,
         degenerate=degenerate_distance(b, c) <= DEGENERATE_TOL,
         band_warning=degenerate_distance(b, c) <= DEGENERATE_WARN_BAND,
-        coupled_eigs=(),
-        predicted_eigs=(),
-        predicted_families=(),
-        max_rel_mismatch=math.nan,
-        max_imag=math.nan,
-        ratio_errors=(),
-        mu1=math.nan,
         verdict="inconclusive",
         cause=cause,
         k=k,
-        mismatch_threshold=math.nan,
     )
 
 
@@ -438,7 +423,6 @@ def verify_theorem(
 
     return StabilityReport(
         s_value=s1,
-        s_second=2.0,
         degenerate=degenerate,
         band_warning=band,
         coupled_eigs=tuple(complex(v) for v in coupled_vals),

@@ -11,10 +11,11 @@ the weights differ somewhere.
 
 One shift-invert route, `_shift_invert`, serves this problem and the
 coupled one of `linstab.coupled_eigenpairs` (Ericsson & Ruhe, *Math.
-Comp.* 35, 1980). For A = -op.matrix and a shift σ below the wanted
-eigenvalues, the one `grid.factorize` factorization of A - σI is ARPACK's
-inverse operator (``eigsh``, or ``eigs`` for the nonsymmetric coupled
-matrix), from a fixed seeded Gaussian start vector so that results are
+Comp.* 35, 1980). For A = -op.matrix, formed once, and a shift σ below
+the wanted eigenvalues, `grid.factorize(A, σ)`, the one place that
+applies a shift, factors A - σI; that factorization is ARPACK's inverse
+operator (``eigsh``, or ``eigs`` for the nonsymmetric coupled matrix),
+from a fixed seeded Gaussian start vector so that results are
 reproducible run to run. Dense LAPACK (``eigh``, ``eig``) runs only for
 k >= n - 1, where ARPACK cannot; elsewhere it is the tests' oracle. Here
 σ = -max(m) - 1 lies strictly below the spectrum, so A - σI is positive
@@ -41,7 +42,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .grid import Field, Grid, LapackFactor, WeightedOperator, factorize, negated
+from .grid import Field, Grid, LapackFactor, WeightedOperator, factorize
 
 __all__ = [
     "EigenPair",
@@ -149,7 +150,8 @@ def eigenpairs(op: WeightedOperator, k: int, tol: float = DEFAULT_TOL) -> Spectr
 
 @dataclass(frozen=True)
 class _ShiftInvert:
-    """A = -op.matrix, the shift σ and the `grid.factorize` result of A - σI."""
+    """A = -op.matrix, the shift σ and factorize(A, σ), the factorization
+    of A - σI."""
 
     A: sp.csr_matrix
     sigma: float
@@ -159,19 +161,20 @@ class _ShiftInvert:
 def _shift_invert(
     op, k: int, tol: float, sigma: float, seed: int, *, symmetric: bool, extra: int = 0
 ) -> tuple[_ShiftInvert, np.ndarray, np.ndarray]:
-    """Eigenpairs of A = -op.matrix nearest σ for an operator with `grid`,
-    `matrix` and `negated_shift(σ)`: ARPACK's k + extra (at most n - 2) in
-    its order, or for k >= n - 1 LAPACK's first k by (Re, Im). ValueError
-    unless 1 <= k <= n and tol is positive and finite. ARPACK runs to
+    """Eigenpairs of A = -op.matrix nearest σ for an operator with `grid`
+    and `matrix`, with A - σI factored by factorize(A, σ): ARPACK's
+    k + extra (at most n - 2) in its order, or for k >= n - 1 LAPACK's
+    first k by (Re, Im). ValueError unless 1 <= k <= n and tol is
+    positive and finite. ARPACK runs to
     machine precision: an ARPACK tolerance of 1e-12 left residuals up to
     4e-10 on the coupled defective eigenvalues of the 2D degenerate locus."""
-    A = negated(op.matrix)
+    A = -op.matrix
     n = A.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
     if not 0 < tol < np.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
-    si = _ShiftInvert(A, sigma, factorize(op.negated_shift(sigma)))
+    si = _ShiftInvert(A, sigma, factorize(A, sigma))
     if k >= n - 1:
         w, V = (sla.eigh if symmetric else sla.eig)(A.toarray())
         order = np.lexsort((w.imag, w.real))[:k]

@@ -1,7 +1,9 @@
-"""Every operator matrix is a refill of a cached per-grid pattern. These
-tests pin each refill to the scipy.sparse construction it replaces, entry
-for entry, and check that nothing a caller does to a returned matrix
-reaches the cache."""
+"""Every operator matrix is a refill of a cached per-grid pattern, and
+every shifted matrix A - σI is formed inside factorize(A, σ). These tests
+pin each refill to the scipy.sparse construction it replaces, entry for
+entry, each shifted factorization to that of the scipy.sparse sum, and
+check that nothing a caller does to a returned matrix reaches the
+cache."""
 
 import itertools
 import math
@@ -9,6 +11,7 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from scipy.linalg.lapack import dpbtrs, dpttrs
 
 import lvsync.spectral
@@ -21,14 +24,21 @@ from lvsync import (
     solve_logistic,
     synchronized_state,
 )
-from lvsync.grid import LapackFactor, as_field, factorize, laplacian, laplacian_pattern, negated
+from lvsync.grid import (
+    BAND_CHOLESKY_MAX_KD, LapackFactor, as_field, factorize, laplacian, laplacian_pattern,
+)
 from lvsync.linstab import coupled_eigenpairs, coupled_pattern
 
-# (grid, growth rate a): a is supercritical on each grid
+# (grid, growth rate a): a is supercritical on each grid. The 110×3
+# rectangle is wider than the band Cholesky limit, so its shifted matrices
+# go to SuperLU, and its cancelled diagonal entry makes factorize insert -σ
+WIDE = Grid("rectangle", (3.0, 1.0), (110, 3))
+assert WIDE.resolution[0] > BAND_CHOLESKY_MAX_KD
 GRIDS = {
     "interval-40": (Grid("interval", (math.pi,), (40,)), 2.0),
     "square-8x8": (Grid("rectangle", (math.pi, math.pi), (8, 8)), 4.0),
     "rectangle-5x7": (Grid("rectangle", (1.0, 2.0), (5, 7)), 20.0),
+    "wide-110x3": (WIDE, 20.0),
 }
 PARAMS = dict(b=0.4, c=1.5)
 
@@ -49,6 +59,22 @@ def kernel(lu):
 def assert_same_matrix_and_kernel(A, B):
     assert_same_csr(A, B)
     assert kernel(factorize(A)) is kernel(factorize(B))
+
+
+def assert_same_shifted_factor(A, sigma, shifted):
+    """factorize(A, σ), for A in CSR and in CSC, picks the kernel of
+    factorize(shifted), the scipy.sparse sum A - σ·I, solves bit for bit
+    as it does and leaves A as it was."""
+    ref = factorize(shifted)
+    rhs = np.random.default_rng(5).standard_normal((A.shape[0], 3))
+    for M in (A, A.tocsc()):
+        before = [x.copy() for x in (M.data, M.indices, M.indptr)]
+        lu = factorize(M, sigma)
+        assert kernel(lu) is kernel(ref)
+        assert np.array_equal(lu.solve(rhs), ref.solve(rhs))
+        assert np.array_equal(lu.solve(rhs[:, 0]), ref.solve(rhs[:, 0]))
+        for x, y in zip(before, (M.data, M.indices, M.indptr)):
+            assert x.dtype == y.dtype and np.array_equal(x, y)
 
 
 def weights(grid):
@@ -106,13 +132,14 @@ class TestRefillEqualsScipy:
         op = WeightedOperator(grid, Field(grid, w))
         old = scipy_weighted(grid, w)
         assert_same_matrix_and_kernel(op.matrix, old)
-        assert_same_matrix_and_kernel(negated(op.matrix), -old)
+        assert_same_matrix_and_kernel(-op.matrix, -old)
         sigma = -float(w.max()) - 1.0
-        assert_same_matrix_and_kernel(
-            op.negated_shift(sigma), (-old).tocsr() - sigma * sp.identity(len(w), format="csr")
+        assert_same_shifted_factor(
+            -op.matrix, sigma, (-old).tocsr() - sigma * sp.identity(len(w), format="csr")
         )
         if which == "cancelled-diagonal":
-            # the sum drops the exact zero, and so does the refill
+            # the sum drops the exact zero, and so does the refill;
+            # factorize puts -σ back in its place
             assert op.matrix.nnz == laplacian(grid).nnz - 1
             assert op.matrix[2, 2] == 0.0
 
@@ -123,40 +150,52 @@ class TestRefillEqualsScipy:
         old = scipy_jacobian(J)
         assert_same_matrix_and_kernel(J.matrix, old)
         M = (-old).tocsr()
-        sigma = scipy_gershgorin_shift(M)
-        assert_same_matrix_and_kernel(
-            J.negated_shift(sigma), M - sigma * sp.identity(J.size, format="csr")
-        )
+        assert_same_csr(-J.matrix, M)
+        sigmas = [scipy_gershgorin_shift(M)]
+        if state == "synchronized":
+            # a diagonal entry of M, which the sum drops from M - σ·I and
+            # factorize from its CSC copy (at u = v = 0 the diagonal is
+            # constant, and M - σI singular on the square)
+            sigmas.append(M[5, 5])
+        for sigma in sigmas:
+            shifted = M - sigma * sp.identity(J.size, format="csr")
+            assert_same_shifted_factor(-J.matrix, sigma, shifted)
         if state == "zero-state":
             # -b·u and c·v are exact zeros: only kron(I₂, Δ)'s entries remain
             assert J.matrix.nnz == 2 * laplacian(grid).nnz
 
     @pytest.mark.parametrize("state", ["synchronized", "zero-state"])
     def test_coupled_eigenpairs_factors_the_scipy_shift(self, name, state, monkeypatch):
-        """coupled_eigenpairs' Gershgorin shift and -J - σI equal the sparse
-        sums' to the last bit."""
+        """coupled_eigenpairs factors -J, equal to the sparse sum's to the
+        last bit, with the scipy Gershgorin shift σ."""
         grid, a = GRIDS[name]
         J = jacobians(grid, a)[state]
         factored = []
 
-        def spy(A):
-            factored.append(A)
-            return factorize(A)
+        def spy(A, sigma):
+            factored.append((A, sigma))
+            return factorize(A, sigma)
 
         monkeypatch.setattr(lvsync.spectral, "factorize", spy)
         coupled_eigenpairs(J, 4)
         M = (-scipy_jacobian(J)).tocsr()
-        sigma = scipy_gershgorin_shift(M)
-        (shifted,) = factored
-        assert_same_csr(shifted, M - sigma * sp.identity(J.size, format="csr"))
+        ((A, sigma),) = factored
+        assert_same_csr(A, M)
+        assert sigma == scipy_gershgorin_shift(M)
 
     def test_zero_state_shift_reaches_lapack(self, name):
         """With the block diagonals dropped, -J - σI at u = v = 0 is two
-        copies of a scalar stencil: tridiagonal in 1D, banded in 2D."""
+        copies of a scalar stencil: tridiagonal in 1D, banded in 2D, and
+        on SuperLU only where the band is wider than the limit."""
         grid, a = GRIDS[name]
         J = jacobians(grid, a)["zero-state"]
-        lu = factorize(J.negated_shift(scipy_gershgorin_shift((-J.matrix).tocsr())))
-        assert kernel(lu) is (dpttrs if grid.ndim == 1 else dpbtrs)
+        lu = factorize(-J.matrix, scipy_gershgorin_shift((-J.matrix).tocsr()))
+        if grid.ndim == 1:
+            assert kernel(lu) is dpttrs
+        elif grid.resolution[0] <= BAND_CHOLESKY_MAX_KD:
+            assert kernel(lu) is dpbtrs
+        else:
+            assert kernel(lu) is spla.SuperLU
 
 
 MUTATIONS = {
@@ -173,7 +212,9 @@ class TestCacheIntegrity:
     def test_cached_arrays_are_read_only(self, name):
         grid, _ = GRIDS[name]
         coupled, upper, lower = coupled_pattern(grid)
-        for pattern, extra in ((laplacian_pattern(grid), ()), (coupled, (upper, lower))):
+        lap = laplacian(grid)
+        for pattern, extra in ((laplacian_pattern(grid), (lap.data, lap.indices, lap.indptr)),
+                               (coupled, (upper, lower))):
             for arr in (pattern.indices, pattern.indptr, pattern.values, pattern.diagonal, *extra):
                 assert not arr.flags.writeable
                 with pytest.raises(ValueError, match="read-only"):
@@ -187,10 +228,8 @@ class TestCacheIntegrity:
         J = jacobians(grid, a)["synchronized"]
         returned = [
             WeightedOperator(grid, Field(grid, w)).matrix,
-            negated(WeightedOperator(grid, Field(grid, w)).matrix),
-            WeightedOperator(grid, Field(grid, w)).negated_shift(-3.0),
+            -WeightedOperator(grid, Field(grid, w)).matrix,
             CoupledJacobian(grid, J.u, J.v, J.params).matrix,
-            CoupledJacobian(grid, J.u, J.v, J.params).negated_shift(-3.0),
         ]
         for M in returned:
             shares = np.shares_memory(M.indices, laplacian_pattern(grid).indices) or \

@@ -229,6 +229,7 @@ class TestSteadyAndSpectrum:
         # a LAPACK kernel or SuperLU. On (0, π) the ± peaks of modes 5, 6
         # and 9 agree to rounding; index 3 of the square is its (2, 2)
         # mode, orthogonal to every weight linear in x and y
+        import scipy.sparse as sp
         import scipy.sparse.linalg as spla
 
         import lvsync.spectral
@@ -240,8 +241,10 @@ class TestSteadyAndSpectrum:
             return lam, [read_field_csv(out / f"eigenfunction_{i:03d}.csv")[1] for i in simple]
 
         lam, lapack = spectrum(tmp_path / "lapack")
-        monkeypatch.setattr(lvsync.spectral, "factorize",
-                            lambda A: spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A"))
+        monkeypatch.setattr(
+            lvsync.spectral, "factorize",
+            lambda A, sigma: spla.splu((A - sigma * sp.identity(A.shape[0])).tocsc(),
+                                       permc_spec="MMD_AT_PLUS_A"))
         _, superlu = spectrum(tmp_path / "superlu")
         gaps = np.abs(lam[:, None] - lam[None, :]) + np.eye(len(lam))
         for i, x, y in zip(simple, lapack, superlu):

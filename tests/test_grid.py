@@ -1,3 +1,4 @@
+import itertools
 import math
 import pickle
 
@@ -64,6 +65,9 @@ class TestGrid:
         assert g == same and hash(g) == hash(same)
         assert g != Grid("rectangle", (1.0, 2.0), (5, 4))
         assert pickle.loads(pickle.dumps(g)) == g
+        # unpickled through the constructor: the axes stay read-only
+        for ax in pickle.loads(pickle.dumps(g)).axes:
+            assert not ax.flags.writeable
         assert repr(g) == "Grid(rectangle, extents=(1.0, 2.0), n=(4, 5))"
 
     def test_nonpositive_extent(self):
@@ -218,7 +222,8 @@ class TestFactorize:
     @pytest.mark.parametrize("name", ["scalar", "coupled", "tridiagonal", "banded"])
     def test_solves_match_dense(self, name):
         # banded: the 8×8 shifted scalar matrix and the same on a 12×7
-        # rectangle, whose bandwidth nx = 12 differs from ny
+        # rectangle, whose bandwidth nx = 12 differs from ny. Each matrix
+        # is factored as it is and shifted, A - σI with σ = -1.5
         square8 = shifted_matrices(square(8))
         rectangle = Grid("rectangle", (math.pi, 2.0), (12, 7))
         matrices = {
@@ -227,13 +232,14 @@ class TestFactorize:
             "tridiagonal": [imex_matrix(grid1d(40))],
             "banded": [square8["scalar"], shifted_matrices(rectangle)["scalar"]],
         }[name]
-        for A in matrices:
+        for A, sigma in itertools.product(matrices, (0.0, -1.5)):
             if name == "banded":
-                assert kernel(factorize(A)) is dpbtrs
+                assert kernel(factorize(A, sigma)) is dpbtrs
+            dense = A.toarray() - sigma * np.eye(A.shape[0])
             for shape in [(A.shape[0],), (A.shape[0], 2), (A.shape[0], 12)]:
                 rhs = np.random.default_rng(5).standard_normal(shape)
-                x = factorize(A).solve(rhs)
-                ref = np.linalg.solve(A.toarray(), rhs)
+                x = factorize(A, sigma).solve(rhs)
+                ref = np.linalg.solve(dense, rhs)
                 assert x.shape == shape
                 assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
 
@@ -313,8 +319,10 @@ class TestNorms:
 class TestFieldArithmeticAndIO:
     def test_values_immutable(self):
         f = Field.constant(grid1d(5), 1.0)
-        with pytest.raises(ValueError):
-            f.values[0] = 2.0
+        # a sweep's worker receives its fields pickled
+        for field in (f, pickle.loads(pickle.dumps(f))):
+            with pytest.raises(ValueError):
+                field.values[0] = 2.0
 
     def test_arithmetic(self):
         g = grid1d(6)

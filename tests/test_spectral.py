@@ -251,11 +251,12 @@ class TestMonotonicityAndConvergence:
 
 
 SCIPY_EIGEN_NAMES = {"eig", "eigh", "eigs", "eigsh", "LinearOperator"}
+SCIPY_FACTOR_NAMES = {"splu", "dpttrf", "dpttrs", "dpbtrf", "dpbtrs"}
 
 
-def scipy_eigen_references(path: Path) -> list[str]:
-    """Each reference in a module to one of SCIPY_EIGEN_NAMES of scipy: a
-    name imported from scipy, or an attribute of a name bound to scipy."""
+def scipy_references(path: Path, names: set[str]) -> list[str]:
+    """Each reference in a module to one of `names` of scipy: a name
+    imported from scipy, or an attribute of a name bound to scipy."""
     tree = ast.parse(path.read_text())
     refs, scipy_names = [], set()
     for node in ast.walk(tree):
@@ -264,12 +265,12 @@ def scipy_eigen_references(path: Path) -> list[str]:
                             if a.name.split(".")[0] == "scipy"}
         elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy":
             for a in node.names:
-                if a.name in SCIPY_EIGEN_NAMES:
+                if a.name in names:
                     refs.append(a.name)
                 else:
                     scipy_names.add(a.asname or a.name)
     for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute) and node.attr in SCIPY_EIGEN_NAMES:
+        if isinstance(node, ast.Attribute) and node.attr in names:
             root = node.value
             while isinstance(root, ast.Attribute):
                 root = root.value
@@ -280,8 +281,11 @@ def scipy_eigen_references(path: Path) -> list[str]:
 
 def test_one_eigen_route_lives_in_spectral():
     # the scalar and the coupled eigenproblem share spectral's one
-    # shift-invert route: no other module reaches for a scipy eigensolver
+    # shift-invert route, and every factorization goes through grid's one
+    # factorize: no other module reaches for a scipy eigensolver or a
+    # sparse or LAPACK factorization
     package = Path(lvsync.__file__).parent
-    refs = {path.name: scipy_eigen_references(path) for path in sorted(package.glob("*.py"))}
-    assert {name: r for name, r in refs.items() if r and name != "spectral.py"} == {}
-    assert sorted(refs["spectral.py"]) == sorted(SCIPY_EIGEN_NAMES)
+    for owner, names in (("spectral.py", SCIPY_EIGEN_NAMES), ("grid.py", SCIPY_FACTOR_NAMES)):
+        refs = {path.name: scipy_references(path, names) for path in sorted(package.glob("*.py"))}
+        assert {name: r for name, r in refs.items() if r and name != owner} == {}
+        assert sorted(refs[owner]) == sorted(names)
