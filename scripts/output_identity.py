@@ -3,11 +3,13 @@
     python scripts/output_identity.py --base <rev> [--slow] [--rounding RTOL]
 
 The base revision's tree is exported with `git archive` into a temporary
-directory, so no network and no git worktree is involved. Every case of
-CASES (and, with --slow, of SLOW_CASES) runs once on each tree, each run in
-a fresh interpreter with that tree's `src` on PYTHONPATH. For each case the
-exit code, stdout and every output file are compared; `timing.jsonl` (a
-wall-clock diagnostic) and the `out` field of `config.json` are left out.
+directory, so no network and no git worktree is involved. Every CLI case of
+CASES (and, with --slow, of SLOW_CASES) and every script of SCRIPT_CASES
+runs once on each tree, each run in a fresh interpreter with that tree's
+`src` on PYTHONPATH. For each case the exit code, stdout and every output
+file are compared; `timing.jsonl` (a wall-clock diagnostic) and the `out`
+field of `config.json` are left out. A script writes no file, so its
+stdout is its output.
 A file that is not identical is reported with the largest absolute and
 relative difference over the numbers it holds.
 
@@ -127,6 +129,16 @@ SLOW_CASES = [
 ]
 
 
+# (name, script in scripts/, arguments), as CI runs them; make_goldens.py
+# prints wall times, so it is left out
+SCRIPT_CASES = [
+    ("script-equivalence-table", "equivalence_table.py", []),
+    ("script-equivalence-table-locus", "equivalence_table.py",
+     ["2", "0.3333333333333333", "1", "200", "6"]),
+    ("script-decay-experiment", "decay_experiment.py", []),
+]
+
+
 def _field_csv(n: int, length: float, value) -> str:
     h = length / (n + 1)
     return "index,coord1,value\n" + "".join(f"{i},{h * (i + 1)!r},{value(i)!r}\n"
@@ -214,10 +226,12 @@ def compare_runs(base: Run, head: Run, rtol: float | None = None) -> tuple[bool,
 
 
 def _run(tree: Path, args: list[str], out: Path, data: Path) -> Run:
-    argv = [a.format(data=data, tree=tree) for a in args]
+    """Run the interpreter on `args`, with "{data}", "{tree}" and "{out}"
+    filled in."""
+    argv = [a.format(data=data, tree=tree, out=out) for a in args]
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     # a run that never ends fails the check with TimeoutExpired
-    proc = subprocess.run([sys.executable, "-m", "lvsync.cli", *argv, "--out", str(out)],
+    proc = subprocess.run([sys.executable, *argv],
                           env=env, capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
     return Run(proc.returncode, proc.stdout, out)
 
@@ -237,7 +251,10 @@ def main(argv=None) -> int:
                         help="accept numeric differences within this relative tolerance")
     args = parser.parse_args(argv)
 
-    cases = CASES + (SLOW_CASES if args.slow else [])
+    cases = [(name, ["-m", "lvsync.cli", *cli_args, "--out", "{out}"])
+             for name, cli_args in CASES + (SLOW_CASES if args.slow else [])]
+    cases += [(name, ["{tree}/scripts/" + script, *script_args])
+              for name, script, script_args in SCRIPT_CASES]
     failed = []
     with tempfile.TemporaryDirectory(prefix="output_identity_") as tmp:
         work = Path(tmp)

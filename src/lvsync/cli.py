@@ -6,10 +6,10 @@ merged effective config is echoed into the output directory as config.json.
 
 Every command runs one path: parse, merge, validate every outside input
 (config values and types, the growth-rate spec including a field file's
-contents, and every sweep job), create --out, run. A config error exits 1
-before --out is created. This module checks the option types, its own
-options and the a-spec; the numerical modules check the rest with the calls
-a library user meets: the grid (grid.Grid), the (b, c) range
+contents; a sweep's through its jobs alone), create --out, run. A config
+error exits 1 before --out is created. This module checks the option types,
+its own options and the a-spec; the numerical modules check the rest with
+the calls a library user meets: the grid (grid.Grid), the (b, c) range
 (model.ratio_coefficients) and evolve's time stepping, its bounds on the
 steps and the stored values, and the snapshot times (dynamics.step_schedule).
 A rectangle sweep runs on n x n grids, so it needs a square --n or a
@@ -186,18 +186,16 @@ def parse_value_list(spec: str) -> list[float]:
 
 
 def build_growth_field(cfg: RunConfig, grid: Grid) -> Field:
-    """Resolve the a-spec into a field: const, sin profile, or file.
+    """Resolve the a-spec into a field: constant, sin profile, or file.
     An unknown profile, a bad growth-rate file or a non-finite a is a ConfigError."""
     a = cfg.a
     if isinstance(a, str) and a.startswith("profile:"):
         name = a.split(":", 1)[1]
-        if name == "const":
-            return Field.constant(grid, float(cfg.a0))
         if name == "sin":
             # a0 + (a1·sin(πx/Lx))·sin(πy/Ly), one axis factor at a time
             sines = np.sin(math.pi * grid.coords() / grid.extents)
             return Field(grid, cfg.a0 + functools.reduce(operator.mul, sines.T, cfg.a1))
-        raise ConfigError(f"unknown profile {name!r} (known: const, sin)")
+        raise ConfigError(f"unknown profile {name!r} (known: sin)")
     if isinstance(a, str) and a.startswith("file:"):
         path = Path(a.split(":", 1)[1])
         if not path.exists():
@@ -239,48 +237,51 @@ def _merge_config(file_cfg: dict, cli_overrides: dict) -> RunConfig:
     return cfg
 
 
-def validate_config(cfg: RunConfig, command: str) -> None:
-    """Check every numeric range before any solve; a ValueError of the
-    library's own checks (module docstring) becomes a ConfigError. The a-spec
-    is checked by build_growth_field, which reads it."""
+def validate_config(cfg: RunConfig, command: str) -> Grid:
+    """Check every numeric range before any solve and return the run's grid;
+    a ValueError of the library's own checks (module docstring) becomes a
+    ConfigError. The a-spec is checked by build_growth_field, which reads it."""
     try:
-        n_nodes = Grid(cfg.kind, cfg.extents, cfg.resolution).size
+        grid = Grid(cfg.kind, cfg.extents, cfg.resolution)
         if command in ("steady", "verify", "evolve", "sweep"):
             ratio_coefficients(cfg.b, cfg.c)
         if command == "evolve":
-            step_schedule(cfg.dt, cfg.t_end, cfg.store_every, cfg.snapshot_times, nodes=n_nodes)
+            step_schedule(cfg.dt, cfg.t_end, cfg.store_every, cfg.snapshot_times, nodes=grid.size)
     except ValueError as exc:
         raise ConfigError(str(exc))
     if cfg.tol <= 0:
         raise ConfigError(f"tol must be positive, got {cfg.tol}")
     if cfg.k < 1:
         raise ConfigError(f"k must be >= 1, got {cfg.k}")
-    if command in ("spectrum", "verify", "sweep") and cfg.k > n_nodes:
-        raise ConfigError(f"k = {cfg.k} exceeds interior node count {n_nodes}")
+    if command in ("spectrum", "verify", "sweep") and cfg.k > grid.size:
+        raise ConfigError(f"k = {cfg.k} exceeds interior node count {grid.size}")
     if command == "evolve" and cfg.amplitude < 0:
         raise ConfigError(f"amplitude must be nonnegative, got {cfg.amplitude}")
-    if command == "sweep" and isinstance(cfg.a, str):
-        raise ConfigError("sweep requires a constant growth rate")
     if cfg.format not in ("csv", "json"):
         raise ConfigError(f"format must be csv or json, got {cfg.format!r}")
     if cfg.workers < 1:
         raise ConfigError(f"workers must be >= 1, got {cfg.workers}")
     if cfg.seed < 0 or cfg.seed > 2**64 - 1:
         raise ConfigError(f"seed must be a u64, got {cfg.seed}")
+    return grid
 
 
 def _sweep_jobs(cfg: RunConfig, axes: dict) -> list[RunConfig]:
     """Expand the sweep axes into one validated RunConfig per job, sorted by
-    (a, b, c, n); an axis left out takes its value from cfg."""
+    (a, b, c, n); an axis left out takes its value from cfg. The sweep's only
+    check: a value of cfg that every job replaces is never checked."""
     if not axes:
         raise ConfigError("empty sweep: no axes given")
     if set(axes) - set(SWEEP_AXES):
         raise ConfigError(f"unknown sweep axes {sorted(set(axes) - set(SWEEP_AXES))}")
+    if "a" not in axes and isinstance(cfg.a, str):
+        raise ConfigError("sweep requires a constant growth rate")
     if "resolution" not in axes and len(set(cfg.resolution)) > 1:
         raise ConfigError("a rectangle sweep runs on n x n grids: give a square --n or --sweep-n")
     values = []
     for name in SWEEP_AXES:
-        vals = axes.get(name, [cfg.resolution[0] if name == "resolution" else getattr(cfg, name)])
+        default = list(cfg.resolution[:1]) if name == "resolution" else [getattr(cfg, name)]
+        vals = axes.get(name, default)
         if not isinstance(vals, list):
             raise ConfigError(f"sweep axis {name!r} must be a list")
         if not vals:
@@ -489,18 +490,18 @@ def cmd_evolve(cfg: RunConfig, out: Path, grid: Grid, a: Field) -> int:
     return EXIT_OK
 
 
-def _sweep_shared(job: RunConfig) -> ThetaHalf | None:
+def _sweep_shared(job: RunConfig) -> ThetaHalf:
     """θ and the a - 2θ family of the (a, n) group of jobs that `job` heads,
-    solved once for all of them. None on a failure outside the solvers, so
-    that each job meets and records it itself."""
+    solved once for all of them. A failure outside the solvers becomes the
+    group's cause, `job failure: ...`, which every job of the group records."""
     try:
         grid = Grid(job.kind, job.extents, job.resolution)
         return theta_half(Field.constant(grid, job.a), grid, job.k, job.tol)
-    except Exception:
-        return None
+    except Exception as exc:
+        return ThetaHalf(None, None, f"job failure: {exc}")
 
 
-def _sweep_job(job: RunConfig, shared: ThetaHalf | None) -> dict:
+def _sweep_job(job: RunConfig, shared: ThetaHalf) -> dict:
     """One verify job on its group's shared half; returns the deterministic
     record plus the job's own wall time."""
     t0 = time.perf_counter()
@@ -674,10 +675,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg, axes = _load_config(args)
-        validate_config(cfg, args.command)
-        grid = Grid(cfg.kind, cfg.extents, cfg.resolution)
-        a = build_growth_field(cfg, grid)
-        inputs = (_sweep_jobs(cfg, axes),) if args.command == "sweep" else (grid, a)
+        if args.command == "sweep":
+            inputs = (_sweep_jobs(cfg, axes),)
+        else:
+            grid = validate_config(cfg, args.command)
+            inputs = (grid, build_growth_field(cfg, grid))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_ERROR

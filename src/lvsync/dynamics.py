@@ -138,7 +138,8 @@ def step_schedule(
     ValueError unless dt and t_end are positive with at most MAX_STEPS
     steps, store_every >= 1, the stored states hold at most
     MAX_STORED_VALUES values and each snapshot time is a stored step's, up
-    to rounding. O(1) memory at any step count."""
+    to rounding: 0, a multiple of store_every·dt or the last step's time
+    n_steps·dt, which may pass t_end. O(1) memory at any step count."""
     if dt <= 0 or t_end <= 0:
         raise ValueError(f"dt and t_end must be positive, got dt = {dt}, t_end = {t_end}")
     if not t_end / dt <= MAX_STEPS:  # also an overflow to inf, or NaN
@@ -152,20 +153,20 @@ def step_schedule(
     if n_values > MAX_STORED_VALUES:
         raise ValueError(f"the stored states would hold {n_values:,} values, more than "
                          f"MAX_STORED_VALUES = {MAX_STORED_VALUES:,}; raise store_every")
-    outside = [t for t in snapshot_times if not 0.0 <= t <= t_end]
-    if outside:
-        raise ValueError(f"snapshot times must lie in [0, t_end = {t_end}], got {outside}")
     unstored = []
     for t in snapshot_times:
-        step = round(t / dt)
-        if not (math.isclose(t / dt, step, rel_tol=1e-9)
+        x = t / dt
+        # the span test fails NaN, ±inf and negative times; next_stored never
+        # passes n_steps, so a time after the last stored step fails too
+        if not (0.0 <= x <= schedule.n_steps + 1
+                and math.isclose(x, step := round(x), rel_tol=1e-9)
                 and (step == 0 or schedule.next_stored(step - 1) == step)):
             unstored.append(t)
     if unstored:
         raise ValueError(
-            f"snapshot times must be stored steps, multiples of store_every * dt = "
-            f"{schedule.store_every * dt:g} or the final time {schedule.n_steps * dt:g}, "
-            f"got {unstored}"
+            f"snapshot times must be stored steps: 0, the multiples of store_every * dt = "
+            f"{schedule.store_every * dt:g} before the final time, and the final time "
+            f"{schedule.n_steps * dt:g}, got {unstored}"
         )
     return schedule
 

@@ -11,7 +11,9 @@ damped by step halving whenever the residual fails to decrease or an
 iterate loses positivity. Each iteration factors -J and solves for the
 residual itself: at the positive solution, -J = -(Δ + a - θ) + diag(θ) has
 smallest eigenvalue above λ1(a - θ) = 0, so it is symmetric positive
-definite there, which `grid.factorize` factors without pivoting.
+definite there, which `grid.factorize` factors without pivoting. The
+Newton loop, which `solve_logistic` and `uniqueness_probe` both run, owns
+the one check of the tolerance: 0 < tol < inf.
 """
 
 from __future__ import annotations
@@ -92,6 +94,8 @@ def _newton(
     hitting the damping floor is a hard failure. Without it (uniqueness
     probe), iterates may roam through zero and sign changes.
     """
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     lap = laplacian(grid)
     theta = theta0.copy()
     res = grid.norm(_residual_vec(lap, theta, a_vals))
@@ -136,8 +140,6 @@ def solve_logistic(grid: Grid, a, tol: float = DEFAULT_TOL) -> LogisticSolution:
     and NewtonDivergenceError with the residual trace on failure.
     """
     a = as_field(grid, a)
-    if not 0 < tol < np.inf:
-        raise ValueError(f"tol must be positive and finite, got {tol}")
 
     # eigen tolerance fixed at 1e-7: the gate needs the sign and rough size
     # of lambda1, and the residual floor eps*h^-2 rules out tighter demands
@@ -214,7 +216,7 @@ def uniqueness_probe(
     over (0, max a], and seeded random positive fields. The inner Newton does
     not enforce positivity, so convergence to zero or to sign-changing
     solutions is observed and classified rather than masked. Non-convergent
-    starts are counted, never fatal.
+    starts are counted, never fatal; a tol outside (0, inf) is a ValueError.
     """
     a = as_field(grid, a)
     if n_starts < 1:

@@ -141,8 +141,6 @@ class Field:
 
     def __init__(self, grid: Grid, values):
         vals = np.ascontiguousarray(values, dtype=float)
-        if vals.shape == ():
-            vals = np.full(grid.size, float(vals))
         if vals.ndim != 1 or vals.size != grid.size:
             raise ValueError(
                 f"field needs {grid.size} values for grid {grid!r}, got shape {vals.shape}"

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -285,8 +285,9 @@ class StabilityReport:
     mismatch_threshold: float = math.nan
 
 
-def inconclusive_report(params: ModelParams, k: int, cause: str) -> StabilityReport:
-    """Report with verdict "inconclusive", the given cause and no spectra."""
+def inconclusive_report(params: ModelParams, k: int, cause: str | None) -> StabilityReport:
+    """Report with verdict "inconclusive", the given cause and no spectra;
+    every report, verify_theorem's too, takes s₁ and the locus flags from it."""
     b, c = params.b, params.c
     return StabilityReport(
         s_value=s_parameter(b, c),
@@ -351,9 +352,7 @@ def verify_theorem(
     a plain call run the same solves and report the same cause.
     """
     b, c = params.b, params.c
-    s1 = s_parameter(b, c)
     z1, z2, degenerate = mode_ratios(b, c)
-    band = degenerate_distance(b, c) <= DEGENERATE_WARN_BAND
 
     a = as_field(grid, params.a)
     if shared is None:
@@ -403,8 +402,9 @@ def verify_theorem(
             err = min(abs(z_fit - z1) / max(1.0, abs(z1)), abs(z_fit - z2) / max(1.0, abs(z2)))
             ratio_errors.append(err)
 
+    base = inconclusive_report(params, k, None)
     threshold = 100.0 * tol
-    if degenerate or band:
+    if base.band_warning:  # the locus lies inside the band
         threshold = max(threshold, 1e-6)
     min_pred = float(pred_vals.min())
     min_re = float(coupled_re.min())
@@ -421,10 +421,8 @@ def verify_theorem(
             f"spectral mismatch {max_rel_mismatch:.3e} exceeds threshold {threshold:.1e}"
         )
 
-    return StabilityReport(
-        s_value=s1,
-        degenerate=degenerate,
-        band_warning=band,
+    return replace(
+        base,
         coupled_eigs=tuple(complex(v) for v in coupled_vals),
         predicted_eigs=tuple(float(v) for v in pred_vals),
         predicted_families=pred_fams,
@@ -434,7 +432,6 @@ def verify_theorem(
         mu1=min_re,
         verdict=verdict,
         cause=cause,
-        k=k,
         mismatch_threshold=threshold,
     )
 

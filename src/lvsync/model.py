@@ -72,7 +72,6 @@ class SteadyState:
     v: Field
     alpha: float
     beta: float
-    theta: Field
 
 
 def synchronized_state(params: ModelParams, theta: LogisticSolution) -> SteadyState:
@@ -94,7 +93,6 @@ def synchronized_state(params: ModelParams, theta: LogisticSolution) -> SteadySt
         v=beta * theta.theta,
         alpha=alpha,
         beta=beta,
-        theta=theta.theta,
     )
 
 

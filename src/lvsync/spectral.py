@@ -103,7 +103,6 @@ class Spectrum:
     """Ascending eigenpairs of -(Δ + diag(m)) for one weight."""
 
     pairs: tuple[EigenPair, ...]
-    weight: Field
     tol: float
 
     @property
@@ -145,7 +144,7 @@ def eigenpairs(op: WeightedOperator, k: int, tol: float = DEFAULT_TOL) -> Spectr
     V = V * np.where(_sign_weight(op.grid) @ V < 0, -scale, scale)
     residuals = check_residuals(si.A, w, V, op.grid, tol)
     pairs = (EigenPair(float(lam), Field(op.grid, x), r) for lam, x, r in zip(w, V.T, residuals))
-    return Spectrum(pairs=tuple(pairs), weight=op.weight, tol=tol)
+    return Spectrum(pairs=tuple(pairs), tol=tol)
 
 
 @dataclass(frozen=True)

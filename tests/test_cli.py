@@ -328,6 +328,19 @@ class TestEvolve:
         assert np.allclose(times, [0.0, 0.1, 0.2, 0.25], rtol=1e-12)
         assert (out / "snapshot_v_001.csv").exists()
 
+    def test_final_stored_step_past_t_end_is_a_snapshot(self, tmp_path, capsys):
+        # ⌈0.01 / 3e-3⌉ = 4 steps end at 0.012: the run to t_end = 0.012
+        # takes the same steps and stores the same final state
+        args = ("evolve", "--n", "20", "--dt", "3e-3", "--store-every", "1")
+        assert run(*args, "--t-end", "0.01", "--snapshots", "0.01",
+                   "--out", str(tmp_path / "never")) == 1
+        assert "the final time 0.012, got [0.01]" in capsys.readouterr().err
+        for t_end in ("0.01", "0.012"):
+            assert run(*args, "--t-end", t_end, "--snapshots", "0.012",
+                       "--out", str(tmp_path / t_end)) == 0
+        assert ((tmp_path / "0.01" / "snapshot_u_000.csv").read_bytes()
+                == (tmp_path / "0.012" / "snapshot_u_000.csv").read_bytes())
+
     def test_zero_amplitude_fit_unavailable(self, tmp_path):
         out = tmp_path / "o"
         code = run("evolve", "--domain", "interval:0:pi", "--n", "60", "--a", "2",
@@ -407,6 +420,26 @@ class TestSweep:
         assert code == 0
         assert seen == [2]
         assert len((out / "results.jsonl").read_text().splitlines()) == 2
+
+    @pytest.mark.parametrize("args", [
+        ("--n", "10", "--k", "12", "--sweep-n", "40,60", "--sweep-b", "0.5"),
+        ("--n", "40", "--a", "profile:sin", "--sweep-a", "1.5,2", "--sweep-b", "0.5"),
+    ], ids=["k-above-base-n", "profile-a-replaced-by-axis"])
+    def test_checked_through_its_jobs_only(self, tmp_path, args):
+        # the base value that fails (n = 10 < k, a non-constant a) is one
+        # that no job takes
+        out = tmp_path / "o"
+        assert run("sweep", *args, "--out", str(out)) == 0
+        records = [json.loads(l) for l in (out / "results.jsonl").read_text().splitlines()]
+        assert len(records) == 2
+        assert {r["verdict"] for r in records} == {"stable"}
+
+    def test_profile_a_without_an_a_axis_is_a_config_error(self, tmp_path, capsys):
+        out = tmp_path / "never"
+        assert run("sweep", "--n", "40", "--a", "profile:sin", "--sweep-b", "0.5",
+                   "--out", str(out)) == 1
+        assert "config error: sweep requires a constant growth rate" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_empty_axis_errors(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -516,6 +549,29 @@ class TestSweep:
         causes = {r["cause"] for r in records if r["a"] == 2.0}
         assert causes == {"solver failure: injected a - 2θ failure"}
         assert sum(r["degenerate"] for r in records if r["a"] == 2.0) == 2
+
+    def test_failed_shared_half_is_each_jobs_cause(self, tmp_path, monkeypatch):
+        # a failure outside the solvers runs once per (a, n) group, and each
+        # job of the group records it as its job failure
+        import lvsync.cli
+        import lvsync.linstab
+
+        calls = []
+
+        def failing_half(a, grid, k, tol):
+            calls.append((float(a.values[0]), grid.size))
+            raise RuntimeError("injected shared failure")
+
+        monkeypatch.setattr(lvsync.cli, "theta_half", failing_half)
+        monkeypatch.setattr(lvsync.linstab, "theta_half", failing_half)
+        out = tmp_path / "o"
+        assert run(*self.ORACLE_ARGS, "--workers", "1", "--out", str(out)) == 0
+        assert calls == [(0.5, 40), (0.5, 60), (2.0, 40), (2.0, 60)]
+        records = [json.loads(l) for l in (out / "results.jsonl").read_text().splitlines()]
+        assert len(records) == 16
+        assert {r["verdict"] for r in records} == {"inconclusive"}
+        assert {r["cause"] for r in records} == {"job failure: injected shared failure"}
+        assert sum(r["degenerate"] for r in records) == 4
 
     def test_failed_jobs_recorded_inconclusive(self, tmp_path):
         out = tmp_path / "o"
@@ -694,8 +750,9 @@ FIELD_20_NODES_NAN = "index,coord1,value\n" + "".join(
                  id="snapshot-time-between-stored-steps"),
     pytest.param({}, ["theta", "--n", "20", "--a", "profile:sin", "--a1", "inf"],
                  id="profile-amplitude-inf"),
-    pytest.param({}, ["theta", "--n", "20", "--a", "profile:const", "--a0", "inf"],
+    pytest.param({}, ["theta", "--n", "20", "--a", "profile:sin", "--a0", "inf"],
                  id="profile-offset-inf"),
+    pytest.param({}, ["theta", "--n", "20", "--a", "profile:const"], id="profile-unknown"),
     pytest.param({"a.csv": FIELD_20_NODES_NAN}, ["theta", "--n", "20", "--a", "file:{tmp}/a.csv"],
                  id="growth-file-nan"),
     pytest.param({}, ["sweep", "--n", "20", "--sweep-b", "0.1:nan:0.1"], id="sweep-range-nan"),
@@ -715,6 +772,19 @@ FIELD_20_NODES_NAN = "index,coord1,value\n" + "".join(
                  id="step-count-above-bound"),
     pytest.param({}, ["evolve", "--n", "200", "--t-end", "1e5", "--dt", "1e-3", "--store-every", "1"],
                  id="stored-values-above-bound"),
+    pytest.param({}, ["theta", "--n", "20", "--tol", "0"], id="theta-tol-zero"),
+    pytest.param({}, ["theta", "--n", "20", "--tol=-1"], id="theta-tol-negative"),
+    pytest.param({}, ["theta", "--n", "20", "--k", "0"], id="theta-k-zero"),
+    pytest.param({}, ["spectrum", "--n", "20", "--k", "21"], id="spectrum-k-above-nodes"),
+    pytest.param({}, ["verify", "--n", "20", "--k", "21"], id="verify-k-above-nodes"),
+    pytest.param({}, ["evolve", "--n", "20", "--t-end", "0.1", "--amplitude=-1"],
+                 id="amplitude-negative"),
+    pytest.param({"cfg.json": '{"format": "xml"}'}, ["theta", "--n", "20", "--config",
+                                                     "{tmp}/cfg.json"], id="format-unknown"),
+    pytest.param({}, ["sweep", "--n", "20", "--sweep-b", "0.5", "--workers", "0"],
+                 id="sweep-workers-zero"),
+    pytest.param({}, ["theta", "--n", "20", "--seed=-1"], id="seed-negative"),
+    pytest.param({}, ["theta", "--n", "20", "--seed", str(2**64)], id="seed-above-u64"),
 ])
 def test_config_errors_exit_before_out_is_created(files, args, tmp_path, capsys):
     for name, text in files.items():

@@ -198,6 +198,14 @@ class TestEvolve:
                       store_every=store_every)
         assert np.array_equal(traj.times, np.array(stored) / 16)
 
+    def test_snapshot_time_names_a_stored_step_up_to_the_last(self):
+        # 4 steps of 3e-3 pass t_end = 0.01: the last stored step, at 0.012,
+        # is a snapshot time, and t_end itself is none
+        assert step_schedule(3e-3, 0.01, 1, (0.012,), nodes=20).n_steps == 4
+        for t in (0.01, 0.015, np.nan, np.inf, -np.inf, -3e-3):
+            with pytest.raises(ValueError, match="stored steps"):
+                step_schedule(3e-3, 0.01, 1, (t,), nodes=20)
+
     @pytest.mark.parametrize("species, node, value", [("u", 7, np.nan), ("v", 0, np.inf),
                                                       ("v", 19, -np.inf)])
     def test_non_finite_initial_data_rejected(self, species, node, value):

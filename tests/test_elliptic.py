@@ -181,3 +181,10 @@ class TestUniquenessProbe:
         direct = solve_logistic(g, 2.0, tol=1e-10)
         assert report.n_distinct_positive == 1
         assert np.abs(report.solutions[0].values - direct.theta.values).max() <= 1e-6
+
+    @pytest.mark.parametrize("tol", [np.inf, np.nan, 0.0, -1.0])
+    def test_tol_must_be_positive_and_finite(self, tol):
+        # an infinite tol took every start as its own limit: 6 distinct
+        # positive solutions where there is one
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            uniqueness_probe(grid1d(20), 2.0, 6, tol=tol)

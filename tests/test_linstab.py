@@ -349,6 +349,7 @@ class TestVerifyTheorem:
         assert len(report200.coupled_eigs) == 12
         assert len(report200.predicted_eigs) == 12
         assert report200.degenerate is False
+        assert report200.mismatch_threshold == 1e-8
 
     def test_ratio_errors_small(self, report200):
         assert len(report200.ratio_errors) > 0
@@ -371,6 +372,7 @@ class TestVerifyTheorem:
             report = verify_theorem(ModelParams(a=2.0, b=b, c=c), grid200, 3, tol=1e-10)
             assert report.degenerate is False
             assert report.band_warning is True
+            assert report.mismatch_threshold == 1e-6
             assert report.verdict == "stable"
             assert len(report.ratio_errors) == n_ratio_errors
 
@@ -419,6 +421,51 @@ class TestVerifyTheorem:
             report = verify_theorem(ModelParams(a=2.0, b=0.5, c=1.0), grid1d(40), 3, tol=1e-10)
         assert report.verdict == "inconclusive"
         assert "coupled eigenpair" in report.cause and "residual nan" in report.cause
+
+    # each verdict from the real solves with their real parts moved: both
+    # shifted so that mu1 = -1, both shifted so that each minimum is exactly
+    # 0.0, or the coupled values alone scaled by 1 + 1e-3
+    @pytest.mark.parametrize("move, verdict, cause, exit_code", [
+        ("unstable", "unstable", None, 0),
+        ("borderline", "inconclusive", "borderline spectrum (eigenvalue at zero)", 1),
+        ("mismatch", "inconclusive", "spectral mismatch 1.000e-03 exceeds threshold 1.0e-08", 1),
+    ], ids=["unstable", "borderline", "mismatch"])
+    def test_moved_spectra_give_each_verdict(
+        self, monkeypatch, tmp_path, grid200, move, verdict, cause, exit_code
+    ):
+        import lvsync.linstab
+        from lvsync.cli import main
+
+        params = ModelParams(a=2.0, b=0.5, c=1.0)
+        real_mu1 = verify_theorem(params, grid200, 3, tol=1e-10).mu1
+        predict, coupled = lvsync.linstab.predicted_spectrum, lvsync.linstab.coupled_eigenpairs
+        shifts = []  # the prediction's, which the unstable case's coupled values follow
+
+        def moved_prediction(*args, **kwargs):
+            tagged, spectra = predict(*args, **kwargs)
+            low = min(value for value, _ in tagged)
+            shifts.append({"unstable": -1.0 - low, "borderline": -low}.get(move, 0.0))
+            return [(value + shifts[-1], family) for value, family in tagged], spectra
+
+        def moved_coupled(*args, **kwargs):
+            vals, vecs = coupled(*args, **kwargs)
+            if move == "mismatch":
+                return vals * (1.0 + 1e-3), vecs
+            if move == "borderline":
+                return vals - vals.real.min(), vecs
+            return vals + shifts[-1], vecs
+
+        monkeypatch.setattr(lvsync.linstab, "predicted_spectrum", moved_prediction)
+        monkeypatch.setattr(lvsync.linstab, "coupled_eigenpairs", moved_coupled)
+        report = verify_theorem(params, grid200, 3, tol=1e-10)
+        assert report.verdict == verdict
+        assert report.cause == cause
+        if move == "unstable":
+            assert report.mu1 == pytest.approx(-1.0, abs=1e-9)
+        else:
+            assert report.mu1 == {"borderline": 0.0, "mismatch": real_mu1 * (1.0 + 1e-3)}[move]
+        assert main(["verify", "--n", "200", "--a", "2", "--b", "0.5", "--c", "1", "--k", "3",
+                     "--tol", "1e-10", "--out", str(tmp_path / "o")]) == exit_code
 
     def test_subcritical_inconclusive(self, grid200):
         report = verify_theorem(ModelParams(a=0.5, b=0.5, c=1.0), grid200, 3, tol=1e-10)

@@ -80,3 +80,9 @@ def test_text_difference_needs_the_same_text_around_the_numbers():
     assert output_identity.text_difference("a 1.0 b nan", "a 1.5 b nan") == (0.5, 0.5 / 1.5)
     assert output_identity.text_difference("stable 1.0", "unstable 1.0") is None
     assert output_identity.text_difference("mu1 nan", "mu1 0.5") == (float("inf"),) * 2
+
+
+def test_every_script_case_names_a_script():
+    assert output_identity.SCRIPT_CASES
+    for name, script, _ in output_identity.SCRIPT_CASES:
+        assert (SCRIPT.parent / script).is_file(), name
