@@ -65,6 +65,9 @@ CASES = [
     ("spectrum-1d-functions-json", ["spectrum", "--domain", "interval:0:pi", "--n", "300",
                                     "--a", "2", "--k", "10", "--functions", "--format", "json"]),
     ("spectrum-gate-failure", ["spectrum", "--n", "200", "--a", "2", "--tol", "1e-16"]),
+    # the edge of the eigen window: k = N - 2, and 2k = N - 2 for verify's families
+    ("spectrum-k-window-edge", ["spectrum", "--n", "12", "--a", "2", "--k", "10"]),
+    ("verify-2k-window-edge", ["verify", "--n", "14", "--a", "2", "--k", "6"]),
     ("verify-1d-n200", ["verify", "--domain", "interval:0:pi", "--n", "200", "--a", "2",
                         "--b", "0.5", "--c", "1", "--k", "6"]),
     ("verify-2d-op0-locus", ["verify", *SQUARE, "--b", "0.2734181884726217",

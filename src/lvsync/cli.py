@@ -10,10 +10,10 @@ contents; a sweep's through its jobs alone), create --out, run. A config
 error exits 1 before --out is created. This module checks the option types,
 its own options and the a-spec; the numerical modules check the rest with
 the calls a library user meets: the grid (grid.Grid), the (b, c) range
-(model.ratio_coefficients) and evolve's time stepping, its bounds on the
-steps and the stored values, and the snapshot times (dynamics.step_schedule).
-A rectangle sweep runs on n x n grids, so it needs a square --n or a
---sweep-n axis.
+(model.ratio_coefficients), every eigen solve's k (spectral.eigen_window)
+and evolve's time stepping, its bounds on the steps and the stored values,
+and the snapshot times (dynamics.step_schedule). A rectangle sweep runs on
+n x n grids, so it needs a square --n or a --sweep-n axis.
 
 Exit codes: 0 success, 1 usage, config or solver error, 2 mathematically
 expected negative result (subcritical growth rate).
@@ -68,6 +68,7 @@ from .grid import (
     l2_norm,
 )
 from .linstab import (
+    COUPLED_EXTRA_VALUES,
     DEGENERATE_WARN_BAND,
     SUBCRITICAL_CAUSE,
     StabilityReport,
@@ -81,7 +82,7 @@ from .linstab import (
 from .model import (
     ModelParams, SteadyState, ratio_coefficients, synchronized_state, system_residual,
 )
-from .spectral import DEFAULT_TOL, EigenSolveError, eigenpairs, principal_eigenpair
+from .spectral import DEFAULT_TOL, EigenSolveError, eigen_window, eigenpairs, principal_eigenpair
 
 __all__ = ["main", "RunConfig"]
 
@@ -247,14 +248,17 @@ def validate_config(cfg: RunConfig, command: str) -> Grid:
             ratio_coefficients(cfg.b, cfg.c)
         if command == "evolve":
             step_schedule(cfg.dt, cfg.t_end, cfg.store_every, cfg.snapshot_times, nodes=grid.size)
+        if command == "spectrum":
+            eigen_window(cfg.k, grid.size)
+        elif command in ("verify", "sweep"):  # 2k values of each family, 2k coupled ones
+            eigen_window(2 * cfg.k, grid.size)
+            eigen_window(2 * cfg.k, 2 * grid.size, extra=COUPLED_EXTRA_VALUES, symmetric=False)
     except ValueError as exc:
         raise ConfigError(str(exc))
     if cfg.tol <= 0:
         raise ConfigError(f"tol must be positive, got {cfg.tol}")
     if cfg.k < 1:
         raise ConfigError(f"k must be >= 1, got {cfg.k}")
-    if command in ("spectrum", "verify", "sweep") and cfg.k > grid.size:
-        raise ConfigError(f"k = {cfg.k} exceeds interior node count {grid.size}")
     if command == "evolve" and cfg.amplitude < 0:
         raise ConfigError(f"amplitude must be nonnegative, got {cfg.amplitude}")
     if cfg.format not in ("csv", "json"):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import Field, Grid, WeightedOperator, as_field, factorize, l2_norm, laplacian
-from .spectral import DEFAULT_TOL, principal_eigenpair
+from .spectral import DEFAULT_TOL, EigenPair, principal_eigenpair
 
 __all__ = [
     "LogisticSolution",
@@ -39,6 +39,9 @@ MAX_NEWTON = 60
 MAX_HALVINGS = 30
 # uniqueness_probe: positive limits closer than this (max norm) are one solution
 DISTINCT_TOL = 1e-6
+# eigen tolerance of _principal_start: the gate needs the sign and rough size of
+# lambda1, and the residual floor eps*h^-2 rules out tighter demands on fine grids
+GATE_EIGEN_TOL = 1e-7
 
 
 class SubcriticalError(ValueError):
@@ -131,6 +134,12 @@ def _newton(
     raise NewtonDivergenceError(f"Newton did not converge in {MAX_NEWTON} iterations", trace)
 
 
+def _principal_start(grid: Grid, a: Field, amax: float) -> tuple[EigenPair, np.ndarray]:
+    """Principal eigenpair of Δ + a (the gate) and its eigenfunction scaled to amax/2."""
+    gate = principal_eigenpair(WeightedOperator(grid, a), tol=GATE_EIGEN_TOL)
+    return gate, gate.phi.values * (0.5 * amax / gate.phi.values.max())
+
+
 def solve_logistic(grid: Grid, a, tol: float = DEFAULT_TOL) -> LogisticSolution:
     """Unique positive steady state of the diffusive logistic equation.
 
@@ -140,11 +149,7 @@ def solve_logistic(grid: Grid, a, tol: float = DEFAULT_TOL) -> LogisticSolution:
     and NewtonDivergenceError with the residual trace on failure.
     """
     a = as_field(grid, a)
-
-    # eigen tolerance fixed at 1e-7: the gate needs the sign and rough size
-    # of lambda1, and the residual floor eps*h^-2 rules out tighter demands
-    # on fine oracle grids
-    gate = principal_eigenpair(WeightedOperator(grid, a), tol=1e-7)
+    gate, start = _principal_start(grid, a, a.max())
     if gate.lam >= 0:
         raise SubcriticalError(gate.lam)
 
@@ -158,11 +163,8 @@ def solve_logistic(grid: Grid, a, tol: float = DEFAULT_TOL) -> LogisticSolution:
             )
         return theta, res, iters
 
-    # default start: principal eigenfunction of Δ + a, scaled to half the
-    # max growth rate
-    phi1 = gate.phi
     try:
-        theta, res, iters = newton_from(phi1.values * (0.5 * a.max() / phi1.values.max()))
+        theta, res, iters = newton_from(start)
     except NewtonDivergenceError:
         # the eigenfunction start is heuristic and can stall for large a
         # on coarse grids; the constant max(a) field is a discrete
@@ -226,9 +228,7 @@ def uniqueness_probe(
     if amax <= 0:
         amax = 1.0
 
-    starts: list[np.ndarray] = []
-    phi1 = principal_eigenpair(WeightedOperator(grid, a), tol=1e-7).phi
-    starts.append(phi1.values * (0.5 * amax / phi1.values.max()))
+    starts = [_principal_start(grid, a, amax)[1]]
     n_const = max(0, (n_starts - 1) // 2)
     for j in range(n_const):
         starts.append(np.full(grid.size, amax * (j + 1) / n_const))

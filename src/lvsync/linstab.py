@@ -168,8 +168,9 @@ def coupled_eigenpairs(
 
     Returns (values, vectors) with values sorted ascending by (Re, Im) and
     vectors normalized to unit combined L2 norm; every pair passes
-    check_residuals. `spectral._shift_invert` solves with the shift one
-    unit below the Gershgorin lower bound on the real parts.
+    check_residuals. `spectral._shift_invert` solves, for k in its eigen
+    window, with the shift one unit below the Gershgorin lower bound on the
+    real parts.
 
     A single-vector Krylov space can miss one copy of an exactly double
     eigenvalue (the 2D square's (i,j)/(j,i) pairs, or I₂⊗(Δ+a) at the
@@ -182,7 +183,7 @@ def coupled_eigenpairs(
     # -J's bound -diag - offsum, exactly; every row holds a Laplacian neighbour
     offsum = np.add.reduceat(np.abs(Jm.data), Jm.indptr[:-1]) - np.abs(diag)
     sigma = -float((diag + offsum).max()) - 1.0
-    si, vals, vecs = _shift_invert(
+    A, _, vals, vecs = _shift_invert(
         J, k, tol, sigma, COUPLED_START_SEED, symmetric=False, extra=COUPLED_EXTRA_VALUES
     )
     order = np.lexsort((vals.imag, vals.real))[:k]
@@ -191,7 +192,7 @@ def coupled_eigenpairs(
     out_vecs = np.empty((J.size, k), dtype=complex)
     for j in range(k):
         out_vecs[:, j] = vecs[:, j] / J.grid.norm(vecs[:, j])
-    check_residuals(si.A, vals, out_vecs, J.grid, tol, "coupled eigenpair")
+    check_residuals(A, vals, out_vecs, J.grid, tol, "coupled eigenpair")
     return vals, out_vecs
 
 
@@ -204,23 +205,22 @@ def predicted_spectrum(
     Families: "s1" (weight a - s₁θ, ratio z₁) and "two" (weight a - 2θ,
     ratio z₂); on the degenerate locus a single family "degenerate"
     (weight a - 2θ) contributes every value twice. The k smallest of the
-    union are found by merging min(k, N) values from each family, which is
-    always enough. Also returns the scalar spectra keyed by family for
-    reuse (eigenfunctions feed the direct ansatz checks).
+    union are found by merging k values from each family, which is always
+    enough. Also returns the scalar spectra keyed by family for reuse
+    (eigenfunctions feed the direct ansatz checks).
 
-    two: the a - 2θ family with exactly min(k, N) values, already solved
-    (it does not depend on b and c); solved here when None. The locus
-    takes both its copies from it and makes no solve of its own.
+    two: the a - 2θ family with exactly k values, already solved (it does
+    not depend on b and c); solved here when None. The locus takes both
+    its copies from it and makes no solve of its own.
     """
-    kk = min(k, grid.size)
     if two is None:
-        two = eigenpairs(WeightedOperator(grid, a - 2.0 * theta), kk, tol)
-    elif len(two.pairs) != kk:
-        raise ValueError(f"the a - 2θ family holds {len(two.pairs)} values, {kk} needed")
+        two = eigenpairs(WeightedOperator(grid, a - 2.0 * theta), k, tol)
+    elif len(two.pairs) != k:
+        raise ValueError(f"the a - 2θ family holds {len(two.pairs)} values, {k} needed")
     if mode_ratios(b, c)[2]:
         tagged = [(p.lam, "degenerate") for p in two.pairs for _ in range(2)]
         return tagged[:k], {"degenerate": two}
-    spec1 = eigenpairs(WeightedOperator(grid, a - s_parameter(b, c) * theta), kk, tol)
+    spec1 = eigenpairs(WeightedOperator(grid, a - s_parameter(b, c) * theta), k, tol)
     tagged = [(p.lam, "s1") for p in spec1.pairs] + [(p.lam, "two") for p in two.pairs]
     tagged.sort(key=lambda t: t[0])
     return tagged[:k], {"s1": spec1, "two": two}
@@ -317,8 +317,8 @@ class ThetaHalf:
 
 
 def theta_half(a: Field, grid: Grid, k: int, tol: float = DEFAULT_TOL) -> ThetaHalf:
-    """Solve θ for growth rate a and the min(2k, N) smallest values of the
-    a - 2θ family that verify_theorem(…, k) predicts from.
+    """Solve θ for growth rate a and the 2k smallest values of the a - 2θ
+    family that verify_theorem(…, k) predicts from.
 
     A subcritical a or a failed solve becomes the cause verify_theorem
     reports.
@@ -326,7 +326,7 @@ def theta_half(a: Field, grid: Grid, k: int, tol: float = DEFAULT_TOL) -> ThetaH
     try:
         logistic = solve_logistic(grid, a, tol=tol)
         weight = logistic.a - 2.0 * logistic.theta
-        two = eigenpairs(WeightedOperator(grid, weight), min(2 * k, grid.size), tol)
+        two = eigenpairs(WeightedOperator(grid, weight), 2 * k, tol)
     except SubcriticalError as exc:
         return ThetaHalf(None, None, f"{SUBCRITICAL_CAUSE}: {exc}")
     except (NewtonDivergenceError, EigenSolveError) as exc:

@@ -16,11 +16,11 @@ the wanted eigenvalues, `grid.factorize(A, σ)`, the one place that
 applies a shift, factors A - σI; that factorization is ARPACK's inverse
 operator (``eigsh``, or ``eigs`` for the nonsymmetric coupled matrix),
 from a fixed seeded Gaussian start vector so that results are
-reproducible run to run. Dense LAPACK (``eigh``, ``eig``) runs only for
-k >= n - 1, where ARPACK cannot; elsewhere it is the tests' oracle. Here
-σ = -max(m) - 1 lies strictly below the spectrum, so A - σI is positive
-definite, and its factorization also serves the refinement that
-re-evaluates every eigenvalue through the shifted inverse.
+reproducible run to run. It serves every k that `eigen_window` admits;
+dense LAPACK is only the tests' oracle. Here σ = -max(m) - 1 lies strictly
+below the spectrum, so A - σI is positive definite, and its factorization
+also serves the refinement that re-evaluates every eigenvalue through the
+shifted inverse.
 
 Each eigenvector's sign makes its inner product with the fixed positive
 weight exp(x/Lx + √2·y/Ly) positive (`_sign_weight`), so the sign of an
@@ -38,7 +38,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -51,11 +50,17 @@ __all__ = [
     "principal_eigenpair",
     "eigenpairs",
     "check_residuals",
+    "eigen_window",
     "DEFAULT_TOL",
 ]
 
 DEFAULT_TOL = 1e-10
 SCALAR_START_SEED = 0xE16
+# Most float64 values one eigen solve may hold: ARPACK's basis at scipy's default ncv =
+# min(n, max(2k + 1, 20)) plus the vectors it returns, n values each, complex ones twice.
+# 0.8 GB, 25 times the repo's largest solve (the 150×150 verify's coupled one, k = 6: 43
+# complex vectors of 45,000); nearly a whole big spectrum is a ValueError, not exhausted memory.
+MAX_EIGEN_VALUES = 10**8
 
 
 class EigenSolveError(RuntimeError):
@@ -129,60 +134,55 @@ def principal_eigenpair(op: WeightedOperator, tol: float = DEFAULT_TOL) -> Eigen
 def eigenpairs(op: WeightedOperator, k: int, tol: float = DEFAULT_TOL) -> Spectrum:
     """k smallest eigenpairs of -(Δ + diag(m)), ascending, L2-orthonormal.
 
-    `_shift_invert` with eigsh (eigh for k >= n - 1); the eigenvalues are
-    then refined through the shifted inverse and every pair passes
+    `_shift_invert` with eigsh, for k in `eigen_window`; the eigenvalues
+    are then refined through the shifted inverse and every pair passes
     check_residuals.
     """
     # the Rayleigh quotient of -(Δ+m) is bounded below by -max(m), so this
     # shift keeps A - sigma*I positive definite
     sigma = -float(op.weight.values.max()) - 1.0
-    si, w, V = _shift_invert(op, k, tol, sigma, SCALAR_START_SEED, symmetric=True)
-    w, V = _refine_through_inverse(si, w, V)
+    A, lu, _, V = _shift_invert(op, k, tol, sigma, SCALAR_START_SEED, symmetric=True)
+    w, V = _refine_through_inverse(lu, sigma, V)
 
     # normalize in the discrete L2 norm and fix signs by the fixed weight
     scale = 1.0 / np.sqrt(op.grid.cell_volume)
     V = V * np.where(_sign_weight(op.grid) @ V < 0, -scale, scale)
-    residuals = check_residuals(si.A, w, V, op.grid, tol)
+    residuals = check_residuals(A, w, V, op.grid, tol)
     pairs = (EigenPair(float(lam), Field(op.grid, x), r) for lam, x, r in zip(w, V.T, residuals))
     return Spectrum(pairs=tuple(pairs), tol=tol)
 
 
-@dataclass(frozen=True)
-class _ShiftInvert:
-    """A = -op.matrix, the shift σ and factorize(A, σ), the factorization
-    of A - σI."""
-
-    A: sp.csr_matrix
-    sigma: float
-    lu: LapackFactor | spla.SuperLU
+def eigen_window(k: int, n: int, *, extra: int = 0, symmetric: bool = True) -> int:
+    """The one eigen window rule: ValueError unless 1 <= k <= n - 2, the bound of eigsh and
+    eigs, and the solve of k values of n unknowns (eigs if not symmetric) holds at most
+    MAX_EIGEN_VALUES values; returns the count ARPACK is asked for, k + extra up to n - 2."""
+    m = min(k + extra, n - 2)
+    n_values = (min(n, max(2 * m + 1, 20)) + m) * n * (1 if symmetric else 2)
+    if not (1 <= k <= n - 2 and n_values <= MAX_EIGEN_VALUES):
+        raise ValueError(f"{k} eigenvalues of {n} unknowns are outside the eigen window: 1 to "
+                         f"{n - 2}, holding {n_values:,} of at most {MAX_EIGEN_VALUES:,} values")
+    return m
 
 
 def _shift_invert(
     op, k: int, tol: float, sigma: float, seed: int, *, symmetric: bool, extra: int = 0
-) -> tuple[_ShiftInvert, np.ndarray, np.ndarray]:
-    """Eigenpairs of A = -op.matrix nearest σ for an operator with `grid`
-    and `matrix`, with A - σI factored by factorize(A, σ): ARPACK's
-    k + extra (at most n - 2) in its order, or for k >= n - 1 LAPACK's
-    first k by (Re, Im). ValueError unless 1 <= k <= n and tol is
-    positive and finite. ARPACK runs to
-    machine precision: an ARPACK tolerance of 1e-12 left residuals up to
-    4e-10 on the coupled defective eigenvalues of the 2D degenerate locus."""
+) -> tuple[sp.csr_matrix, LapackFactor | spla.SuperLU, np.ndarray, np.ndarray]:
+    """A = -op.matrix for an operator with `grid` and `matrix`, lu =
+    factorize(A, σ) and ARPACK's eigen_window(k, n, …) eigenpairs of A nearest
+    σ, in its order, after checking k and that tol is positive and finite.
+    ARPACK runs to machine precision: an ARPACK tolerance of 1e-12 left residuals
+    up to 4e-10 on the coupled defective eigenvalues of the 2D degenerate locus."""
     A = -op.matrix
     n = A.shape[0]
-    if not 1 <= k <= n:
-        raise ValueError(f"k must be in [1, {n}], got {k}")
+    m = eigen_window(k, n, extra=extra, symmetric=symmetric)
     if not 0 < tol < np.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
-    si = _ShiftInvert(A, sigma, factorize(A, sigma))
-    if k >= n - 1:
-        w, V = (sla.eigh if symmetric else sla.eig)(A.toarray())
-        order = np.lexsort((w.imag, w.real))[:k]
-        return si, w[order], V[:, order]
-    OPinv = spla.LinearOperator((n, n), matvec=si.lu.solve, dtype=float)
+    lu = factorize(A, sigma)
+    OPinv = spla.LinearOperator((n, n), matvec=lu.solve, dtype=float)
     v0 = np.random.default_rng(seed).standard_normal(n)
     arpack = spla.eigsh if symmetric else spla.eigs
-    w, V = arpack(A, min(k + extra, n - 2), sigma=sigma, which="LM", OPinv=OPinv, v0=v0)
-    return si, w, V
+    w, V = arpack(A, m, sigma=sigma, which="LM", OPinv=OPinv, v0=v0)
+    return A, lu, w, V
 
 
 def _sign_weight(grid: Grid) -> np.ndarray:
@@ -203,7 +203,7 @@ def _sign_weight(grid: Grid) -> np.ndarray:
 
 
 def _refine_through_inverse(
-    si: _ShiftInvert, w: np.ndarray, V: np.ndarray
+    lu: LapackFactor | spla.SuperLU, sigma: float, V: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Re-evaluate eigenvalues through the shifted inverse operator.
 
@@ -213,7 +213,7 @@ def _refine_through_inverse(
     instead scales the rounding with |lam - sigma| = O(1), and the
     eigenvector's angle error only enters quadratically. Buys ~3 digits.
     """
-    nu = np.sum(V * si.lu.solve(V), axis=0) / np.sum(V * V, axis=0)
-    refined = si.sigma + 1.0 / nu
+    nu = np.sum(V * lu.solve(V), axis=0) / np.sum(V * V, axis=0)
+    refined = sigma + 1.0 / nu
     order = np.argsort(refined, kind="stable")
     return refined[order], V[:, order]

@@ -777,6 +777,11 @@ FIELD_20_NODES_NAN = "index,coord1,value\n" + "".join(
     pytest.param({}, ["theta", "--n", "20", "--k", "0"], id="theta-k-zero"),
     pytest.param({}, ["spectrum", "--n", "20", "--k", "21"], id="spectrum-k-above-nodes"),
     pytest.param({}, ["verify", "--n", "20", "--k", "21"], id="verify-k-above-nodes"),
+    # the eigen window ends at k = N - 2, and verify's families need 2k values each
+    pytest.param({}, ["spectrum", "--n", "20", "--a", "2", "--k", "19"], id="spectrum-k-past-window"),
+    pytest.param({}, ["verify", "--n", "20", "--a", "2", "--k", "10"], id="verify-2k-past-window"),
+    pytest.param({}, ["sweep", "--n", "20", "--a", "2", "--k", "10", "--sweep-b", "0.5"],
+                 id="sweep-2k-past-window"),
     pytest.param({}, ["evolve", "--n", "20", "--t-end", "0.1", "--amplitude=-1"],
                  id="amplitude-negative"),
     pytest.param({"cfg.json": '{"format": "xml"}'}, ["theta", "--n", "20", "--config",
@@ -793,6 +798,45 @@ def test_config_errors_exit_before_out_is_created(files, args, tmp_path, capsys)
     assert run(*(a.format(tmp=tmp_path) for a in args), "--out", str(out)) == 1
     assert "config error" in capsys.readouterr().err
     assert not out.exists()
+
+
+def refuse_to_solve(*args, **kwargs):
+    raise AssertionError("an eigen solve ran for a window that should fail validation")
+
+
+def test_window_past_the_memory_limit_is_a_config_error(tmp_path, monkeypatch, capsys):
+    # k = N - 2 on the 150x150 square would hold ARPACK's 22,500-vector
+    # basis, 4 GB; no solve may start, even where validation lets it through
+    import lvsync.cli
+
+    monkeypatch.setattr(lvsync.cli, "eigenpairs", refuse_to_solve)
+    out = tmp_path / "never"
+    assert run("spectrum", "--domain", "rectangle:pi:pi", "--n", "150,150", "--k", "22498",
+               "--out", str(out)) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_verify_checks_the_coupled_window_too(tmp_path, monkeypatch, capsys):
+    # with a limit that both families of a k = 6 verify on n = 40 fit
+    # (12 values of 40 unknowns) but its coupled solve (12 + 2 values of
+    # 80 complex unknowns) does not, verify and sweep are rejected up front
+    import lvsync.cli
+    import lvsync.spectral
+    from lvsync.linstab import COUPLED_EXTRA_VALUES
+    from lvsync.spectral import eigen_window
+
+    monkeypatch.setattr(lvsync.spectral, "MAX_EIGEN_VALUES", 5000)
+    assert eigen_window(12, 40) == 12
+    with pytest.raises(ValueError, match="eigen window"):
+        eigen_window(12, 80, extra=COUPLED_EXTRA_VALUES, symmetric=False)
+    monkeypatch.setattr(lvsync.cli, "verify_theorem", refuse_to_solve)
+    for command in (["verify"], ["sweep", "--sweep-b", "0.5"]):
+        out = tmp_path / command[0]
+        assert run(*command, "--n", "40", "--a", "2", "--k", "6", "--out", str(out)) == 1
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
 
 EXAMPLE_CONFIG = Path(__file__).resolve().parent.parent / "docs" / "config.example.json"
 

@@ -222,19 +222,22 @@ class TestSpectralEquivalence:
         dense = np.sort(sla.eigvals((-J.matrix).toarray()).real)[:k]
         assert np.allclose(arnoldi.real, dense, rtol=1e-8)
 
-    def test_dense_route_for_nearly_the_whole_spectrum(self):
-        # k >= 2N - 1 is beyond ARPACK and takes the LAPACK route, gated alike;
-        # k = 2N - 2 is ARPACK's largest, its extra values capped away
+    def test_window_edge_for_nearly_the_whole_spectrum(self):
+        # k = 2N - 2 is ARPACK's largest window, its extra values capped away;
+        # k = 2N - 1 and 2N lie outside the window
         g = grid1d(10)
         params = ModelParams(a=2.0, b=0.5, c=1.0)
         steady = synchronized_state(params, solve_logistic(g, 2.0, tol=1e-10))
         J = CoupledJacobian(g, steady.u, steady.v, params)
         oracle = sla.eigvals((-J.matrix).toarray())
         oracle = oracle[np.lexsort((oracle.imag, oracle.real))]
-        for k in (2 * g.size - 2, 2 * g.size - 1, 2 * g.size):
-            vals, vecs = coupled_eigenpairs(J, k, tol=1e-10)
-            assert vecs.shape == (2 * g.size, k)
-            assert np.allclose(vals, oracle[:k], rtol=1e-12, atol=1e-12)
+        k = 2 * g.size - 2
+        vals, vecs = coupled_eigenpairs(J, k, tol=1e-10)
+        assert vecs.shape == (2 * g.size, k)
+        assert np.allclose(vals, oracle[:k], rtol=1e-12, atol=1e-12)
+        for k in (2 * g.size - 1, 2 * g.size):
+            with pytest.raises(ValueError, match="eigen window"):
+                coupled_eigenpairs(J, k, tol=1e-10)
 
     @pytest.mark.parametrize("g", [Grid("interval", (math.pi,), (40,)),
                                    Grid("rectangle", (math.pi, math.pi), (12, 12))],
@@ -485,10 +488,11 @@ class TestVerifyTheorem:
         with pytest.raises(ValueError, match="6 values, 4 needed"):
             verify_theorem(params, g, 2, tol=1e-10, shared=shared)
 
-    @pytest.mark.parametrize("n, solved", [(40, 6), (5, 5)])
+    @pytest.mark.parametrize("n, solved", [(40, 6), (8, 6)])
     def test_locus_predicts_from_the_shared_family_alone(self, monkeypatch, n, solved):
         # on b = c/(2c+1) both copies of every predicted value come from the
-        # one min(2k, N)-value a - 2θ solve of theta_half, as in a sweep
+        # one 2k-value a - 2θ solve of theta_half, as in a sweep; at n = 8,
+        # 2k = N - 2 is the largest window
         import lvsync.linstab
 
         solve = lvsync.linstab.eigenpairs

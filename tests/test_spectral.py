@@ -86,10 +86,13 @@ class TestPrincipal:
         assert abs(pair.lam) <= 1e-8
 
 
+def refuse_to_factorize(A, sigma=0.0):
+    raise AssertionError("factorize called for a k outside the eigen window")
+
+
 class TestEigenpairs:
-    # k >= n - 1 takes the dense LAPACK route, smaller k the ARPACK one
-    @pytest.mark.parametrize("k", [400, 399, 398, 5],
-                             ids=["dense-all", "dense", "shift_invert-largest", "shift_invert"])
+    # ARPACK's window ends at k = n - 2
+    @pytest.mark.parametrize("k", [398, 5], ids=["shift_invert-largest", "shift_invert"])
     def test_zero_weight_first_five(self, k):
         op, g = zero_weight_op(400)
         h = g.spacing[0]
@@ -97,6 +100,16 @@ class TestEigenpairs:
         for j in range(5):
             exact = lap_eig_1d(j + 1, h, math.pi)
             assert abs(spec.values[j] - exact) / exact <= 1e-12
+
+    @pytest.mark.parametrize("g, k", [(grid1d(400), 400), (grid1d(400), 399),
+                                      (Grid("rectangle", (math.pi, math.pi), (150, 150)), 22498)],
+                             ids=["all", "n-1", "150x150-memory"])
+    def test_k_outside_the_window_raises_before_factorizing(self, monkeypatch, g, k):
+        # k = n - 1 and n are beyond ARPACK; on the 150x150 square k = n - 2
+        # would hold a 22,500-vector basis, 4 GB
+        monkeypatch.setattr(lvsync.spectral, "factorize", refuse_to_factorize)
+        with pytest.raises(ValueError, match="eigen window"):
+            eigenpairs(WeightedOperator(g, Field.constant(g, 0.0)), k, tol=1e-10)
 
     def test_k1_matches_principal(self):
         g = grid1d(90)
@@ -250,7 +263,9 @@ class TestMonotonicityAndConvergence:
         assert np.allclose(spec_it.values, dense_oracle, rtol=1e-9, atol=1e-9)
 
 
-SCIPY_EIGEN_NAMES = {"eig", "eigh", "eigs", "eigsh", "LinearOperator"}
+# dense LAPACK eigensolvers: the tests' oracle, referenced by no module of the package
+SCIPY_DENSE_EIGEN_NAMES = {"eig", "eigh"}
+SCIPY_EIGEN_NAMES = {"eigs", "eigsh", "LinearOperator"} | SCIPY_DENSE_EIGEN_NAMES
 SCIPY_FACTOR_NAMES = {"splu", "dpttrf", "dpttrs", "dpbtrf", "dpbtrs"}
 
 
@@ -283,9 +298,9 @@ def test_one_eigen_route_lives_in_spectral():
     # the scalar and the coupled eigenproblem share spectral's one
     # shift-invert route, and every factorization goes through grid's one
     # factorize: no other module reaches for a scipy eigensolver or a
-    # sparse or LAPACK factorization
+    # sparse or LAPACK factorization, and no module for a dense eigensolver
     package = Path(lvsync.__file__).parent
     for owner, names in (("spectral.py", SCIPY_EIGEN_NAMES), ("grid.py", SCIPY_FACTOR_NAMES)):
         refs = {path.name: scipy_references(path, names) for path in sorted(package.glob("*.py"))}
         assert {name: r for name, r in refs.items() if r and name != owner} == {}
-        assert sorted(refs[owner]) == sorted(names)
+        assert sorted(refs[owner]) == sorted(names - SCIPY_DENSE_EIGEN_NAMES)
