@@ -94,6 +94,9 @@ CASES = [
     ("evolve-2d-json", ["evolve", "--domain", "rectangle:1:1", "--n", "20,20", "--a", "25",
                         "--dt", "2e-3", "--t-end", "1", "--snapshots", "0,1",
                         "--format", "json"]),
+    # 101 nodes across: I - dt·Δ goes past the band limit to SuperLU
+    ("evolve-2d-superlu", ["evolve", "--domain", "rectangle:4:1", "--n", "101,4", "--a", "20",
+                           "--dt", "1e-3", "--t-end", "0.5", "--store-every", "50"]),
     ("sweep-1d-op-workers-1", [*SWEEP_1D, "--workers", "1"]),
     ("sweep-1d-op-workers-2", [*SWEEP_1D, "--workers", "2"]),
     ("sweep-mixed-axes", ["sweep", "--n", "40", "--k", "4", "--sweep-a", "0.5,2,3",

@@ -65,7 +65,6 @@ from .grid import (
     Field,
     Grid,
     WeightedOperator,
-    l2_norm,
 )
 from .linstab import (
     COUPLED_EXTRA_VALUES,
@@ -372,8 +371,11 @@ def write_eigentable_csv(report: StabilityReport, path):
 
 
 def write_trajectory_csv(traj: Trajectory, reference: SteadyState, path):
-    """Plot-ready distances: t,norm_u_dist,norm_v_dist,total_dist."""
-    dists = ((l2_norm(u - reference.u), l2_norm(v - reference.v)) for u, v in traj.states)
+    """Plot-ready distances: t,norm_u_dist,norm_v_dist,total_dist, the
+    last `dynamics.state_distance`'s, from the same two norms."""
+    norm = reference.u.grid.norm
+    dists = ((norm(u.values - reference.u.values), norm(v.values - reference.v.values))
+             for u, v in traj.states)
     _write_csv(path, ["t", "norm_u_dist", "norm_v_dist", "total_dist"],
                ([t, du, dv, math.hypot(du, dv)] for t, (du, dv) in zip(traj.times, dists)))
 
@@ -479,10 +481,11 @@ def cmd_evolve(cfg: RunConfig, out: Path, grid: Grid, a: Field) -> int:
         u, v = traj.states[idx]
         _write_field(u, out / f"snapshot_u_{i:03d}", cfg.format)
         _write_field(v, out / f"snapshot_v_{i:03d}", cfg.format)
-    # predicted slowest decay: smaller principal eigenvalue of the two families
+    # predicted slowest decay: smaller principal eigenvalue of the two
+    # families, one solve per distinct exponent (s₁ = 2 on the degenerate locus)
     eig_tol = max(cfg.tol, 1e-8)
     mu1 = min(principal_eigenpair(WeightedOperator(grid, sol.a - s * sol.theta), tol=eig_tol).lam
-              for s in (s_parameter(cfg.b, cfg.c), 2.0))
+              for s in {s_parameter(cfg.b, cfg.c), 2.0})
     try:
         fit = decay_rate(traj, steady)
         fit_dict = {**dataclasses.asdict(fit), "mu1_predicted": mu1}

@@ -17,6 +17,7 @@ from lvsync.cli import (
     write_field_csv,
 )
 from lvsync.grid import Field, Grid
+from lvsync.spectral import principal_eigenpair
 
 
 def run(*args):
@@ -340,6 +341,28 @@ class TestEvolve:
                        "--out", str(tmp_path / t_end)) == 0
         assert ((tmp_path / "0.01" / "snapshot_u_000.csv").read_bytes()
                 == (tmp_path / "0.012" / "snapshot_u_000.csv").read_bytes())
+
+    @pytest.mark.parametrize("b, solves", [(0.5, 2), (1 / 3, 1)])
+    def test_each_distinct_family_solved_once(self, b, solves, tmp_path, monkeypatch):
+        # s₁ = (2 + c - b)/(1 + bc) is exactly 2 at b = 1/3, c = 1: the two
+        # families of μ₁ are one there
+        import lvsync.cli
+        from lvsync.linstab import s_parameter
+
+        assert (s_parameter(b, 1.0) == 2.0) == (solves == 1)
+        lams = []
+
+        def counted(op, **kwargs):
+            pair = principal_eigenpair(op, **kwargs)
+            lams.append(pair.lam)
+            return pair
+
+        monkeypatch.setattr(lvsync.cli, "principal_eigenpair", counted)
+        out = tmp_path / "o"
+        assert run("evolve", "--n", "40", "--b", repr(b), "--c", "1", "--t-end", "0.05",
+                   "--out", str(out)) == 0
+        assert len(lams) == solves
+        assert json.loads((out / "decay.json").read_text())["mu1_predicted"] == min(lams)
 
     def test_zero_amplitude_fit_unavailable(self, tmp_path):
         out = tmp_path / "o"

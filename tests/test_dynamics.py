@@ -1,9 +1,11 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from scipy.linalg.lapack import dpbtrs, dpttrs
 
 import lvsync.dynamics
@@ -11,6 +13,7 @@ from lvsync import (
     DecayFitError,
     Field,
     Grid,
+    GridMismatchError,
     InitialDataError,
     ModelParams,
     PositivityError,
@@ -230,6 +233,33 @@ class TestEvolve:
         with pytest.raises(StepSizeError, match="too large"):
             evolve(small, small, params, dt=0.2, t_end=3.0)
 
+    def test_step_size_rule_at_its_exact_boundary(self):
+        # the largest initial peak the rule admits, in the rule's own
+        # arithmetic: with dt = 0.125, a = 2 and b = c = 0.5 the exact
+        # bound is 0.5, but nextafter(0.5, 1) still rounds to dt·4 = 0.5
+        g = grid1d(20)
+        dt, a, b, c = 0.125, 2.0, 0.5, 0.5
+        params = ModelParams(a=a, b=b, c=c)
+
+        def rule(peak):
+            return dt * (a + 2.0 * peak * (1.0 + b + c))
+
+        peak = 0.5
+        while rule(up := float(np.nextafter(peak, np.inf))) <= 0.5:
+            peak = up
+        assert peak > 0.5
+
+        def one_step(peak):
+            u0 = np.full(g.size, 0.25)
+            u0[7] = peak
+            return evolve(Field(g, u0), Field.constant(g, 0.25), params, dt=dt, t_end=dt)
+
+        assert len(one_step(peak).times) == 2
+        message = (f"dt = 1.250e-01 too large: dt * (max|a| + 2*max(u,v)*(1+b+c)) = "
+                   f"{rule(up):.3e} > 0.5")
+        with pytest.raises(StepSizeError, match=f"^{re.escape(message)}$"):
+            one_step(up)
+
     @pytest.mark.parametrize("index, species, node", [
         ((7, 1), "v", 7),
         (([3, 7], [1, 0]), "u", 7),
@@ -325,8 +355,20 @@ class TestEvolve:
         lines = path.read_text().splitlines()
         assert lines[0] == "t,norm_u_dist,norm_v_dist,total_dist"
         assert len(lines) == 1 + len(traj.states)
-        row = lines[1].split(",")
-        assert math.hypot(float(row[1]), float(row[2])) == pytest.approx(float(row[3]), rel=1e-12)
+        # 17 significant digits: every column reads back bit for bit, and
+        # total_dist is state_distance's
+        for line, (u, v) in zip(lines[1:], traj.states):
+            du, dv, total = map(float, line.split(",")[1:])
+            assert du == grid200.norm(u.values - steady200.u.values)
+            assert dv == grid200.norm(v.values - steady200.v.values)
+            assert total == math.hypot(du, dv) == state_distance(u, v, steady200)
+
+    def test_state_distance_needs_the_reference_grid(self, steady200):
+        other = Field.constant(grid1d(200, length=3.0), 0.0)
+        with pytest.raises(GridMismatchError):
+            state_distance(other, other, steady200)
+        with pytest.raises(GridMismatchError):
+            state_distance(steady200.u, other, steady200)
 
 
 class TestStackedStepMatchesTwoSolves:
@@ -354,6 +396,20 @@ class TestStackedStepMatchesTwoSolves:
         traj = evolve(*args)
         self.assert_same(traj, two_solve_evolve(*args))
         assert traj.states[-1][1].values[57] == 0.0
+
+    def test_2d_past_the_band_limit_on_superlu(self):
+        # 101 nodes across exceed grid.BAND_CHOLESKY_MAX_KD, so I - dt·Δ
+        # goes to SuperLU, the one kernel whose solve is not exactly
+        # nonnegative and whose result the clip may touch
+        g = Grid("rectangle", (4.0, 1.0), (101, 4))
+        dt = 1e-3
+        lhs = sp.identity(g.size, format="csr") - dt * laplacian(g)
+        assert isinstance(factorize(lhs), spla.SuperLU)
+        rng = np.random.default_rng(5)
+        u0 = Field(g, rng.uniform(0.0, 2.0, g.size))
+        v0 = Field(g, rng.uniform(0.0, 2.0, g.size) * (rng.uniform(size=g.size) < 0.5))
+        args = (u0, v0, ModelParams(a=20.0, b=0.5, c=1.0), dt, 0.05, 10)
+        self.assert_same(evolve(*args), two_solve_evolve(*args))
 
 
 @pytest.fixture(scope="module")
