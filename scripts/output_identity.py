@@ -88,6 +88,10 @@ CASES = [
     ("verify-gate-failure", ["verify", "--n", "200", "--a", "2", "--tol", "1e-14"]),
     ("evolve-1d-op", [*EVOLVE_1D, "--t-end", "22", "--store-every", "100",
                       "--amplitude", "0.0007230782509222755", "--seed", "0"]),
+    # 1,100 steps at a 20 times larger dt, stored every 5
+    ("evolve-1d-dt2e-2", ["evolve", "--domain", "interval:0:pi", "--n", "200", "--a", "2",
+                          "--b", "0.5", "--c", "1", "--dt", "2e-2", "--t-end", "22",
+                          "--store-every", "5"]),
     # 550 steps stored every 100: the final step falls off the interval
     ("evolve-snapshots-final-step", [*EVOLVE_1D, "--t-end", "0.55", "--store-every", "100",
                                      "--snapshots", "0,0.1,0.55"]),

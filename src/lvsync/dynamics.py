@@ -25,8 +25,9 @@ such sign structure: roundoff-level negatives of its solve (within
 Checks: `step_schedule` owns dt, t_end, the step count and its bound,
 store_every, the stored steps, the bound on the values they hold and the
 snapshot times, for `evolve` and the CLI alike; `evolve` checks the initial
-data and, each step, the step-size rule and positivity. The (b, c) range is
-`model.ratio_coefficients`'s.
+data and, each step, the step-size rule and positivity, which a NaN or ±inf
+from the solve fails too: a non-finite value ends the run with
+`PositivityError`. The (b, c) range is `model.ratio_coefficients`'s.
 """
 
 from __future__ import annotations
@@ -81,7 +82,7 @@ class InitialDataError(ValueError):
 
 
 class PositivityError(RuntimeError):
-    """A species density went negative during integration."""
+    """A species density went negative or non-finite during integration."""
 
     def __init__(self, t: float, node: int, value: float, species: str):
         super().__init__(
@@ -94,7 +95,7 @@ class PositivityError(RuntimeError):
 
 
 class DecayFitError(ValueError):
-    """Not enough usable samples to fit a decay rate."""
+    """A non-finite distance, or not enough usable samples to fit a decay rate."""
 
 
 @dataclass(frozen=True)
@@ -171,15 +172,6 @@ def step_schedule(
     return schedule
 
 
-def _check_dt(dt: float, a_max: float, peak: float, b: float, c: float):
-    bound = a_max + 2.0 * peak * (1.0 + b + c)
-    if dt * bound > REACTION_CFL:
-        raise StepSizeError(
-            f"dt = {dt:.3e} too large: dt * (max|a| + 2*max(u,v)*(1+b+c)) = "
-            f"{dt * bound:.3e} > {REACTION_CFL}"
-        )
-
-
 def evolve(
     u0: Field,
     v0: Field,
@@ -194,7 +186,7 @@ def evolve(
     store_every, nodes=N)'s, whose ValueError comes before any solve. Raises
     InitialDataError when u0 or v0 has a negative or non-finite value,
     StepSizeError when the admissibility rule fails for the current state
-    and PositivityError on genuine positivity loss.
+    and PositivityError on genuine positivity loss or a non-finite value.
     """
     if u0.grid != v0.grid:
         raise GridMismatchError("u0 and v0 live on different grids")
@@ -228,11 +220,13 @@ def evolve(
     states = [(u0, v0)]
 
     # a step on small arrays is dispatch-bound, so its callables are looked up once
-    subtract, multiply, add, solve = np.subtract, np.multiply, np.add, solver.solve
+    subtract, multiply, add, solve, inf = np.subtract, np.multiply, np.add, solver.solve, math.inf
 
     stored = schedule.next_stored(0)
     for step in range(1, schedule.n_steps + 1):
-        _check_dt(dt, a_max, peak, b, c)
+        if (rate := dt * (a_max + 2.0 * peak * (1.0 + b + c))) > REACTION_CFL:
+            raise StepSizeError(f"dt = {dt:.3e} too large: dt * (max|a| + 2*max(u,v)*(1+b+c))"
+                                f" = {rate:.3e} > {REACTION_CFL}")
         subtract(a_w, W, out=rhs)
         multiply(W[:, ::-1], bc, out=swapped)
         subtract(rhs, swapped, out=rhs)
@@ -240,21 +234,22 @@ def evolve(
         multiply(dt_w, rhs, out=rhs)
         add(W, rhs, out=rhs)
         W = solve(rhs)
-        t = step * dt
         # argmax/argmin of W's memory cost half a ufunc reduction each on a
         # small array and, like it, return a NaN for both if there is one
         flat = W.ravel("K")
         hi, lo = flat.item(flat.argmax()), flat.item(flat.argmin())
-        if lo <= 0.0:  # also clips -0.0 to +0.0
+        if not (lo > 0.0 and hi < inf):  # NaN fails both; -0.0 is clipped to +0.0
             floor = -1e-12 * max(1.0, hi, -lo)
-            if lo < floor:
-                col = int(W[:, 0].min() >= floor)  # u is reported before v
-                node = int(W[:, col].argmin())
-                raise PositivityError(t, node, float(W[node, col]), "uv"[col])
+            if not -inf < floor <= lo:  # floor is -inf if a value is ±inf
+                worst = np.where(np.isfinite(W), W, -inf)  # a non-finite value first
+                u_ok = -inf < worst[:, 0].min() >= floor  # u is reported before v
+                col = int(u_ok)
+                node = int(worst[:, col].argmin())
+                raise PositivityError(step * dt, node, float(W[node, col]), "uv"[col])
             np.clip(W, 0.0, None, out=W)
         peak = max(hi, 0.0)  # the clip raises only negatives, to 0
         if step == stored:
-            times.append(t)
+            times.append(step * dt)
             states.append((Field(grid, W[:, 0]), Field(grid, W[:, 1])))
             stored = schedule.next_stored(step)
 
@@ -277,12 +272,16 @@ def state_distance(u: Field, v: Field, reference: SteadyState) -> float:
 def decay_rate(traj: Trajectory, reference: SteadyState) -> DecayFit:
     """Fit log(distance to the steady state) vs t by least squares.
 
-    The window drops the initial transient (first TRANSIENT_FRACTION of the
-    samples) and samples below NORM_FLOOR where roundoff dominates. A
+    DecayFitError names the first non-finite distance, which no window
+    drops. The window drops the initial transient (first TRANSIENT_FRACTION
+    of the samples) and samples below NORM_FLOOR where roundoff dominates. A
     non-monotone distance inside the window is reported via the monotone
     flag; the fit proceeds regardless and r_squared tells the story.
     """
     dists = np.array([state_distance(u, v, reference) for u, v in traj.states])
+    bad = np.flatnonzero(~np.isfinite(dists))
+    if bad.size:
+        raise DecayFitError(f"non-finite distance {dists[bad[0]]} at t={traj.times[bad[0]]:.6g}")
     start = math.ceil(TRANSIENT_FRACTION * len(dists))
     keep = np.arange(len(dists)) >= start
     keep &= dists > NORM_FLOOR

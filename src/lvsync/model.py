@@ -78,15 +78,15 @@ def synchronized_state(params: ModelParams, theta: LogisticSolution) -> SteadySt
     """Scale the logistic profile into the coupled steady state.
 
     Requires theta to have been solved for params.a on the same grid, and
-    rejects nonpositive profiles: a zero state must never be labeled as the
-    positive synchronized solution.
+    rejects nonpositive or non-finite profiles: a zero or NaN state must
+    never be labeled as the positive synchronized solution.
     """
     grid = theta.theta.grid
     a = as_field(grid, params.a)
     if not np.allclose(a.values, theta.a.values, rtol=1e-13, atol=1e-13):
         raise ValueError("theta was solved for a different growth rate than params.a")
-    if theta.theta.min() <= 0.0:
-        raise ValueError("theta must be strictly positive")
+    if not (theta.theta.min() > 0.0 and theta.theta.max() < np.inf):  # NaN fails both
+        raise ValueError("theta must be finite and strictly positive")
     alpha, beta = ratio_coefficients(params.b, params.c)
     return SteadyState(
         u=alpha * theta.theta,

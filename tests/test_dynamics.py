@@ -22,7 +22,7 @@ from lvsync import (
     evolve,
     random_perturbation,
 )
-from lvsync.cli import write_trajectory_csv
+from lvsync.cli import main, write_trajectory_csv
 from lvsync.dynamics import (
     MAX_STEPS, MAX_STORED_VALUES, StepSchedule, Trajectory, state_distance, step_schedule,
 )
@@ -260,20 +260,40 @@ class TestEvolve:
         with pytest.raises(StepSizeError, match=f"^{re.escape(message)}$"):
             one_step(up)
 
-    @pytest.mark.parametrize("index, species, node", [
-        ((7, 1), "v", 7),
-        (([3, 7], [1, 0]), "u", 7),
+    @pytest.mark.parametrize("index, value, species, node", [
+        ((7, 1), -1e-6, "v", 7),
+        (([3, 7], [1, 0]), -1e-6, "u", 7),
+        # a non-finite value ends the run too, though a NaN fails every
+        # comparison and a ±inf makes the roundoff floor -inf
+        ((3, 1), np.nan, "v", 3),
+        (([3, 11], [1, 0]), np.nan, "u", 11),
+        (([5, 9], [1, 1]), np.inf, "v", 5),
+        (([2, 6], [0, 1]), -np.inf, "u", 2),
     ])
-    def test_positivity_error_names_species_and_node(self, monkeypatch, index, species, node):
+    def test_positivity_error_names_species_and_node(self, monkeypatch, index, value,
+                                                     species, node):
         g = grid1d(20)
         params = ModelParams(a=2.0, b=0.5, c=1.0)
-        leak_solves(monkeypatch, index, -1e-6)
+        leak_solves(monkeypatch, index, value)
         one = Field.constant(g, 1.0)
         with pytest.raises(PositivityError) as info:
             evolve(one, one, params, dt=1e-2, t_end=0.1)
         err = info.value
-        assert (err.species, err.node, err.value, err.t) == (species, node, -1e-6, 1e-2)
-        assert str(err) == f"positivity lost at t=0.01: {species}[{node}] = -1.000e-06"
+        assert (err.species, err.node, err.t) == (species, node, 1e-2)
+        assert np.array_equal(err.value, value, equal_nan=True)
+        assert str(err) == f"positivity lost at t=0.01: {species}[{node}] = {value:.3e}"
+
+    def test_nan_solve_fails_the_cli_run(self, monkeypatch, tmp_path, capsys):
+        # the first solve writes a NaN into v[3]: exit 1 before trajectory.csv
+        leak_solves(monkeypatch, (3, 1), np.nan)
+        out = tmp_path / "o"
+        code = main(["evolve", "--domain", "interval:0:pi", "--n", "20", "--a", "2",
+                     "--b", "0.5", "--c", "1", "--dt", "1e-3", "--t-end", "0.1",
+                     "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "solver failure: positivity lost at t=0.001: v[3] = nan\n")
+        assert not (out / "trajectory.csv").exists()
 
     def test_positivity_preserved_random_data(self):
         g = grid1d(60)
@@ -491,6 +511,24 @@ class TestDecayRate:
         fit = decay_rate(traj, steady200)
         assert not fit.monotone
         assert fit.rate == pytest.approx(-0.5, rel=0.05)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_distance_fails_the_fit(self, grid200, steady200, params_default,
+                                               value):
+        # 30 samples decaying at rate 0.5 with one broken state at t = 3:
+        # `dists > NORM_FLOOR` dropped a NaN and fitted the other 29
+        ts = np.round(np.linspace(0.0, 5.8, 30), 12)
+        states = []
+        for t in ts:
+            amp = 1e-3 * math.exp(-0.5 * t)
+            states.append((Field(grid200, steady200.u.values + amp),
+                           Field(grid200, steady200.v.values + amp)))
+        broken = steady200.v.values.copy()
+        broken[40] = value
+        states[15] = (states[15][0], Field(grid200, broken))
+        traj = Trajectory(times=ts, states=tuple(states), params=params_default, dt=0.2)
+        with pytest.raises(DecayFitError, match=rf"^non-finite distance {value} at t=3$"):
+            decay_rate(traj, steady200)
 
     def test_dt_refinement_consistency(self, grid200, steady200, params_default):
         u0, v0 = random_perturbation(steady200, 1e-3, seed=0)

@@ -73,6 +73,18 @@ class TestSynchronizedState:
         with pytest.raises(ValueError, match="positive"):
             synchronized_state(ModelParams(a=2.0, b=0.5, c=1.0), fake)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_theta_rejected(self, theta200, value):
+        # min() of a profile with a NaN is NaN, which `min <= 0` let through
+        values = theta200.theta.values.copy()
+        values[100] = value
+        fake = LogisticSolution(
+            theta=Field(theta200.theta.grid, values), a=theta200.a, residual_norm=0.0,
+            newton_iterations=0, lambda1_of_a=-1.0,
+        )
+        with pytest.raises(ValueError, match="finite and strictly positive"):
+            synchronized_state(ModelParams(a=2.0, b=0.5, c=1.0), fake)
+
     def test_growth_rate_mismatch_rejected(self, theta200):
         with pytest.raises(ValueError, match="growth rate"):
             synchronized_state(ModelParams(a=3.0, b=0.5, c=1.0), theta200)
