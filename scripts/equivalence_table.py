@@ -5,8 +5,9 @@ Usage:  python3 scripts/equivalence_table.py [a] [b] [c] [n] [k]
 
 Shows the 2k smallest coupled stability eigenvalues next to the merged
 two-family prediction {lambda_i(a - s1*theta)} u {lambda_i(a - 2*theta)},
-the per-value relative mismatch, and the component-ratio fit against
-z1 = b/c and z2 = (1-b)/(1+c). Exits 1 unless the verdict is `stable`.
+the per-value relative mismatch and the component ratios z1 = b/c and
+z2 = (1-b)/(1+c) of the two families' eigenvectors (b, c)*phi and
+(1-b, 1+c)*phi. Exits 1 unless the verdict is `stable`.
 """
 
 import math
@@ -44,8 +45,6 @@ def main():
     print()
     print(f"max relative mismatch (cluster-aware): {report.max_rel_mismatch:.3e}")
     print(f"max |Im mu|: {report.max_imag:.3e}")
-    if report.ratio_errors:
-        print(f"worst component-ratio error: {max(report.ratio_errors):.3e}")
     print(f"mu1 = {report.mu1:.12f}  ->  verdict: {report.verdict}")
     if report.cause:
         print(f"cause: {report.cause}")

@@ -340,10 +340,9 @@ def factorize(A: sp.spmatrix, sigma: float = 0.0) -> LapackFactor | spla.SuperLU
     """Factorization of A - σI for the square matrix A, the one entry point
     for every sparse solve and the one place that applies a shift;
     `.solve(b)` takes a vector or an (N, r) block. A is never changed: σ
-    comes off the diagonal of the kernel's own copy (LAPACK's band array,
-    or SuperLU's CSC matrix, which then drops its exact zeros), entry for
-    entry as in the scipy.sparse sum A - σ·I, where a diagonal entry that
-    A lacks becomes -σ.
+    comes off the diagonal of LAPACK's band array, a copy, entry for entry
+    as in the scipy.sparse sum A - σ·I, which is SuperLU's matrix (a
+    diagonal entry that A lacks becomes -σ, and exact zeros drop).
 
     An exactly symmetric A of bandwidth kd <= BAND_CHOLESKY_MAX_KD whose
     A - σI LAPACK finds positive definite, with a finite factor, gets a
@@ -376,16 +375,10 @@ def factorize(A: sp.spmatrix, sigma: float = 0.0) -> LapackFactor | spla.SuperLU
         # factors[0] is LDLᵀ's d or the band holding Cholesky's diagonal
         if info == 0 and np.isfinite(factors[0]).all():
             return LapackFactor(routine, *factors)
-    # a copy even of a CSC A, which the shift must leave alone
-    C = A.tocsc(copy=True)
-    if sigma:
-        n = C.shape[0]
-        diag = np.flatnonzero(C.indices == np.repeat(np.arange(n), np.diff(C.indptr)))
-        if len(diag) < n:  # the sum puts -σ where A has no diagonal entry
-            C = C - sigma * sp.identity(n, format="csc")
-        else:
-            C.data[diag] -= sigma
-            C.eliminate_zeros()
+    if sigma:  # the scipy.sparse sum, a new matrix
+        C = A.tocsc() - sigma * sp.identity(A.shape[0], format="csc")
+    else:  # a copy even of a CSC A, which splu's sum_duplicates may sort in place
+        C = A.tocsc(copy=True)
     return spla.splu(C, permc_spec="MMD_AT_PLUS_A")
 
 

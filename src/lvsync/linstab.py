@@ -277,7 +277,6 @@ class StabilityReport:
     predicted_families: tuple[str, ...] = ()
     max_rel_mismatch: float = math.nan
     max_imag: float = math.nan
-    ratio_errors: tuple[float, ...] = ()
     mu1: float = math.nan
     verdict: str
     cause: str | None
@@ -349,26 +348,23 @@ def verify_theorem(
     shared: the (b, c)-independent half, theta_half(a, grid, k, tol) for
     this params.a, taken instead of solved; a sweep solves one per (a,
     grid) for all its jobs. Without it, theta_half runs here, so a job and
-    a plain call run the same solves and report the same cause.
+    a plain call run the same solves and report the same cause. A shared
+    half solved for another growth rate raises ValueError, from
+    synchronized_state.
     """
     b, c = params.b, params.c
-    z1, z2, degenerate = mode_ratios(b, c)
-
-    a = as_field(grid, params.a)
     if shared is None:
-        shared = theta_half(a, grid, k, tol)
+        shared = theta_half(as_field(grid, params.a), grid, k, tol)
     if shared.cause is not None:
         return inconclusive_report(params, k, shared.cause)
     logistic = shared.logistic
-    if not np.array_equal(logistic.a.values, a.values):
-        raise ValueError("the shared θ was solved for a different growth rate")
     try:
         steady = synchronized_state(params, logistic)
         J = CoupledJacobian(grid, steady.u, steady.v, params)
         predicted, _ = predicted_spectrum(
             grid, logistic.a, logistic.theta, b, c, 2 * k, tol=tol, two=shared.two
         )
-        coupled_vals, coupled_vecs = coupled_eigenpairs(J, 2 * k, tol=tol)
+        coupled_vals, _ = coupled_eigenpairs(J, 2 * k, tol=tol)
     except EigenSolveError as exc:
         return inconclusive_report(params, k, f"solver failure: {exc}")
 
@@ -377,30 +373,6 @@ def verify_theorem(
     coupled_re = coupled_vals.real  # ascending: coupled_eigenpairs lexsorts by (Re, Im)
     max_rel_mismatch = _cluster_mismatch(coupled_re, pred_vals)
     max_imag = float(np.abs(coupled_vals.imag).max())
-
-    # component-ratio diagnostics, skipped on the degenerate locus and for
-    # eigenvalues clustered with the other family (mixed eigenspaces)
-    ratio_errors: list[float] = []
-    if not degenerate:
-        families = [pred_vals[[f == fam for f in pred_fams]] for fam in ("s1", "two")]
-        n = grid.size
-        for j in range(len(coupled_vals)):
-            mu = coupled_vals[j]
-            if abs(mu.imag) > 1e-8 * max(1.0, abs(mu.real)):
-                continue
-            near = 1e-6 * max(1.0, abs(mu.real))
-            if all(np.any(np.abs(mu.real - vs) <= near) for vs in families):
-                continue  # cross-family cluster: eigenspace may mix the ratios
-            vec = coupled_vecs[:, j]
-            if np.abs(vec.imag).max() > 1e-8 * np.abs(vec).max():
-                continue
-            phi, psi = vec.real[:n], vec.real[n:]
-            denom_psi = float(psi @ psi)
-            if denom_psi == 0.0:
-                continue
-            z_fit = float(phi @ psi) / denom_psi
-            err = min(abs(z_fit - z1) / max(1.0, abs(z1)), abs(z_fit - z2) / max(1.0, abs(z2)))
-            ratio_errors.append(err)
 
     base = inconclusive_report(params, k, None)
     threshold = 100.0 * tol
@@ -428,7 +400,6 @@ def verify_theorem(
         predicted_families=pred_fams,
         max_rel_mismatch=max_rel_mismatch,
         max_imag=max_imag,
-        ratio_errors=tuple(ratio_errors),
         mu1=min_re,
         verdict=verdict,
         cause=cause,

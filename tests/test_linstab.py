@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -26,12 +27,14 @@ from lvsync.grid import laplacian
 from lvsync.linstab import (
     CLUSTER_GAP,
     DEGENERATE_TOL,
+    StabilityReport,
     _cluster_mismatch,
     ansatz_coefficients,
     ansatz_residual,
     component_projection,
     coupled_eigenpairs,
     degenerate_distance,
+    inconclusive_report,
     predicted_spectrum,
     theta_half,
 )
@@ -297,26 +300,39 @@ class TestSpectralEquivalence:
             res = np.linalg.norm(M2 @ xi + vals[j] * xi) * scale
             assert res <= 1e-6  # scalar eigenvector, or the zero vector
 
-    def test_generic_left_projections_split_families(
-        self, grid200, theta200, steady200, params_default
-    ):
+    @pytest.mark.parametrize(
+        "g, a, b, c, n_values",
+        [
+            (grid1d(200), 2.0, 0.5, 1.0, 6),
+            # the a - 2θ family's (i,j)/(j,i) eigenvalues are exactly double
+            (Grid("rectangle", (math.pi, math.pi), (30, 30)), 4.0,
+             0.16881439780308355, 1.7198994193456842, 12),
+        ],
+        ids=["1d-200", "2d-30x30"],
+    )
+    def test_generic_left_projections_split_families(self, g, a, b, c, n_values):
         # (1+c)phi - (1-b)psi lands in the s1 family, c*phi - b*psi in the
         # s=2 family; on eigenvectors of the other family both vanish
-        b, c = params_default.b, params_default.c
-        J = CoupledJacobian(grid200, steady200.u, steady200.v, params_default)
-        vals, vecs = coupled_eigenpairs(J, 6, tol=1e-10)
+        params = ModelParams(a=a, b=b, c=c)
+        sol = solve_logistic(g, a, tol=1e-10)
+        steady = synchronized_state(params, sol)
+        J = CoupledJacobian(g, steady.u, steady.v, params)
+        vals, vecs = coupled_eigenpairs(J, n_values, tol=1e-10)
         s1 = s_parameter(b, c)
-        lap = laplacian(grid200)
-        m_s1 = lap + sp.diags(theta200.a.values - s1 * theta200.theta.values)
-        m_2 = lap + sp.diags(theta200.a.values - 2.0 * theta200.theta.values)
-        scale = math.sqrt(grid200.cell_volume)
+        lap = laplacian(g)
+        m_s1 = lap + sp.diags(sol.a.values - s1 * sol.theta.values)
+        m_2 = lap + sp.diags(sol.a.values - 2.0 * sol.theta.values)
+        scale = math.sqrt(g.cell_volume)
         for j in range(len(vals)):
-            xi1 = component_projection(vecs[:, j], 1.0 + c, -(1.0 - b), grid200)
-            xi2 = component_projection(vecs[:, j], c, -b, grid200)
+            xi1 = component_projection(vecs[:, j], 1.0 + c, -(1.0 - b), g)
+            xi2 = component_projection(vecs[:, j], c, -b, g)
             r1 = np.linalg.norm(m_s1 @ xi1 + vals[j] * xi1) * scale
             r2 = np.linalg.norm(m_2 @ xi2 + vals[j] * xi2) * scale
             assert min(r1, r2) <= 1e-8
-            assert max(np.linalg.norm(xi1), np.linalg.norm(xi2)) > 1e-3
+            norms = sorted((np.linalg.norm(xi1), np.linalg.norm(xi2)))
+            assert norms[1] > 1e-3
+            # each eigenvector is (b, c)⊗φ or (1-b, 1+c)⊗φ: the ratio claim
+            assert norms[0] <= 1e-10 * norms[1]
 
     def test_spatially_varying_growth_rate(self):
         g = grid1d(150)
@@ -354,30 +370,22 @@ class TestVerifyTheorem:
         assert report200.degenerate is False
         assert report200.mismatch_threshold == 1e-8
 
-    def test_ratio_errors_small(self, report200):
-        assert len(report200.ratio_errors) > 0
-        assert max(report200.ratio_errors) <= 1e-6
-
     def test_degenerate_case(self, grid200):
         report = verify_theorem(ModelParams(a=2.0, b=1.0 / 3.0, c=1.0), grid200, 4, tol=1e-10)
         assert report.degenerate is True
         assert report.verdict == "stable"
         assert report.max_rel_mismatch <= 1e-6
-        assert report.ratio_errors == ()
         assert report.s_value == pytest.approx(2.0, abs=4 * math.ulp(2.0))
 
     def test_band_warning_near_locus(self, grid200):
-        # 1e-9 off the locus every coupled value has a predicted value of
-        # each family within 1e-6 relative, so no component ratio is fitted
         c = 1.0
-        for offset, n_ratio_errors in ((5e-5, 6), (1e-9, 0)):
+        for offset in (5e-5, 1e-9):
             b = c / (2 * c + 1) + offset
             report = verify_theorem(ModelParams(a=2.0, b=b, c=c), grid200, 3, tol=1e-10)
             assert report.degenerate is False
             assert report.band_warning is True
             assert report.mismatch_threshold == 1e-6
             assert report.verdict == "stable"
-            assert len(report.ratio_errors) == n_ratio_errors
 
     def test_square_edge_pair_not_missed(self):
         # s1 = 3.73 puts one copy of the a-2θ family's exactly double
@@ -536,6 +544,17 @@ class TestVerifyTheorem:
         lines = path.read_text().splitlines()
         assert lines[0] == "i,coupled_re,coupled_im,predicted,rel_err"
         assert len(lines) == 1 + len(report200.coupled_eigs)
+
+    def test_report_dict_keys_are_the_report_fields(self, report200, params_default):
+        # report.json holds exactly the report's fields, and no others
+        names = {f.name for f in dataclasses.fields(StabilityReport)}
+        assert names == {
+            "s_value", "s_second", "degenerate", "band_warning", "coupled_eigs",
+            "predicted_eigs", "predicted_families", "max_rel_mismatch", "max_imag",
+            "mu1", "verdict", "cause", "k", "mismatch_threshold",
+        }
+        for report in (report200, inconclusive_report(params_default, 6, "cause")):
+            assert set(stability_report_dict(report)) == names
 
     @pytest.mark.parametrize(
         "pred, coupled, expected",
