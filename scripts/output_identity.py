@@ -126,7 +126,7 @@ CASES = [
                                             "--dt", "1e-320"]),
 ]
 
-# the verify rungs of CI
+# the verify rungs of CI, and the widest SuperLU IMEX path
 SLOW_CASES = [
     ("verify-2d-100x100", ["verify", "--domain", "rectangle:pi:pi", "--n", "100,100",
                            "--a", "4", "--k", "6"]),
@@ -136,6 +136,11 @@ SLOW_CASES = [
                           "--a", "20", "--k", "6"]),
     ("verify-1d-n600", ["verify", "--domain", "interval:0:pi", "--n", "600", "--a", "2",
                         "--k", "6"]),
+    # 150 nodes across: 200 IMEX steps, each a SuperLU solve of I - dt·Δ
+    ("evolve-2d-150x150-superlu", ["evolve", "--domain", "rectangle:pi:pi", "--n", "150,150",
+                                   "--a", "4", "--dt", "1e-3", "--t-end", "0.2",
+                                   "--store-every", "20", "--amplitude", "1e-5",
+                                   "--snapshots", "0.2"]),
 ]
 
 
@@ -256,7 +261,7 @@ def _export(rev: str, dest: Path) -> None:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", required=True, help="git revision to compare against")
-    parser.add_argument("--slow", action="store_true", help="also run the CI verify rungs")
+    parser.add_argument("--slow", action="store_true", help="also run SLOW_CASES")
     parser.add_argument("--rounding", type=float, metavar="RTOL",
                         help="accept numeric differences within this relative tolerance")
     args = parser.parse_args(argv)

@@ -11,16 +11,14 @@ is an exact fixed point of the scheme up to solver roundoff.
 Positivity: (I - dt·Δ_h) is an M-matrix, so its inverse is nonnegative;
 under the step-size rule dt·(max|a| + 2·max(u,v)·(1+b+c)) <= 1/2 the
 explicit reaction update keeps the right-hand side nonnegative, hence the
-scheme preserves nonnegativity. I - dt·Δ is symmetric positive definite,
-and the LAPACK kernels `factorize` gives it in 1D and on 2D grids up to
-`grid.BAND_CHOLESKY_MAX_KD` nodes across keep nonnegativity exactly: the
-LDLᵀ of the tridiagonal M-matrix has d_i > 0 and l_i < 0, and the
-Cholesky factor of the symmetric M-matrix (a Stieltjes matrix) has a
-positive diagonal and no positive entry off it (Fiedler & Pták, 1962),
-so forward and back substitution on a nonnegative right-hand side add
-only nonnegative terms. SuperLU's pivoted LU, on a wider 2D grid, has no
-such sign structure: roundoff-level negatives of its solve (within
--1e-12·max(1, ‖state‖∞)) are floored to zero; anything below that raises.
+scheme preserves nonnegativity. Every kernel of `grid.factorize` keeps it
+exactly, with no -0.0: the tridiagonal LDLᵀ, the band Cholesky and
+SuperLU's LU, which interchanges no row (its ordering is symmetric, its
+threshold pivoting keeps a diagonal entry that dominates its column, and
+every Schur complement of a strictly diagonally dominant M-matrix is one
+again), all have a positive diagonal and no positive entry off it
+(Fiedler & Pták, 1962), so substitution on a nonnegative right-hand side
+adds only nonnegative terms. Any negative or non-finite value ends the run.
 
 Checks: `step_schedule` owns dt, t_end, the step count and its bound,
 store_every, the stored steps, the bound on the values they hold and the
@@ -186,7 +184,7 @@ def evolve(
     store_every, nodes=N)'s, whose ValueError comes before any solve. Raises
     InitialDataError when u0 or v0 has a negative or non-finite value,
     StepSizeError when the admissibility rule fails for the current state
-    and PositivityError on genuine positivity loss or a non-finite value.
+    and PositivityError at the first negative or non-finite value.
     """
     if u0.grid != v0.grid:
         raise GridMismatchError("u0 and v0 live on different grids")
@@ -215,7 +213,7 @@ def evolve(
     W = np.asfortranarray(np.column_stack((u0.values, v0.values)))
     a_w, bc, dt_w, rhs, swapped = (np.empty_like(W) for _ in range(5))
     a_w[:], bc[:], dt_w[:] = a[:, None], (b, -c), dt
-    peak = float(W.max(initial=0.0))
+    hi = float(W.max(initial=0.0))  # the state's peak, as after each solve
     times = [0.0]
     states = [(u0, v0)]
 
@@ -224,7 +222,7 @@ def evolve(
 
     stored = schedule.next_stored(0)
     for step in range(1, schedule.n_steps + 1):
-        if (rate := dt * (a_max + 2.0 * peak * (1.0 + b + c))) > REACTION_CFL:
+        if (rate := dt * (a_max + 2.0 * hi * (1.0 + b + c))) > REACTION_CFL:
             raise StepSizeError(f"dt = {dt:.3e} too large: dt * (max|a| + 2*max(u,v)*(1+b+c))"
                                 f" = {rate:.3e} > {REACTION_CFL}")
         subtract(a_w, W, out=rhs)
@@ -238,16 +236,11 @@ def evolve(
         # small array and, like it, return a NaN for both if there is one
         flat = W.ravel("K")
         hi, lo = flat.item(flat.argmax()), flat.item(flat.argmin())
-        if not (lo > 0.0 and hi < inf):  # NaN fails both; -0.0 is clipped to +0.0
-            floor = -1e-12 * max(1.0, hi, -lo)
-            if not -inf < floor <= lo:  # floor is -inf if a value is ±inf
-                worst = np.where(np.isfinite(W), W, -inf)  # a non-finite value first
-                u_ok = -inf < worst[:, 0].min() >= floor  # u is reported before v
-                col = int(u_ok)
-                node = int(worst[:, col].argmin())
-                raise PositivityError(step * dt, node, float(W[node, col]), "uv"[col])
-            np.clip(W, 0.0, None, out=W)
-        peak = max(hi, 0.0)  # the clip raises only negatives, to 0
+        if not (lo >= 0.0 and hi < inf):  # NaN fails both
+            worst = np.where(np.isfinite(W), W, -inf)  # a non-finite value first
+            col = 0 if worst[:, 0].min() < 0.0 else 1  # u is reported before v
+            node = int(worst[:, col].argmin())
+            raise PositivityError(step * dt, node, float(W[node, col]), "uv"[col])
         if step == stored:
             times.append(step * dt)
             states.append((Field(grid, W[:, 0]), Field(grid, W[:, 1])))

@@ -115,7 +115,9 @@ class Grid:
     def norm(self, x: np.ndarray) -> float:
         """Discrete L2 norm sqrt(sum x_i^2 * h1*...*hd) of node values x,
         real or complex, one entry per node."""
-        return float(np.linalg.norm(x) * math.sqrt(self.cell_volume))
+        x = x.ravel("K")  # np.linalg.norm's sum of squares, bit for bit, minus its wrapper
+        sq = x.real.dot(x.real) + x.imag.dot(x.imag) if x.dtype.kind == "c" else x.dot(x)
+        return math.sqrt(sq) * math.sqrt(self.cell_volume)
 
     def __reduce__(self):
         # unpickle through the constructor, so the axes come back read-only
@@ -360,8 +362,11 @@ def factorize(A: sp.spmatrix, sigma: float = 0.0) -> LapackFactor | spla.SuperLU
     minimum-degree ordering of the pattern of Aᵀ + A. COLAMD, SuperLU's
     default, orders for unsymmetric patterns; the matrices that reach
     SuperLU here have symmetric patterns, where the minimum-degree
-    ordering leaves less fill. Raises RuntimeError on an exactly singular
-    A - σI.
+    ordering leaves less fill. As the ordering is symmetric and SuperLU's
+    threshold pivoting (diag_pivot_thresh 1.0) keeps a diagonal entry that
+    dominates its column, a strictly diagonally dominant M-matrix such as
+    I - dt·Δ, whose Schur complements are all one again, is factored with
+    no row interchanged. Raises RuntimeError on an exactly singular A - σI.
     """
     ab = _symmetric_band(A)
     if ab is not None:

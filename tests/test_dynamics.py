@@ -68,13 +68,10 @@ def two_solve_evolve(u0, v0, params, dt, t_end, store_every=1):
         u = solver.solve(u + dt * ru)
         v = solver.solve(v + dt * rv)
         t = step * dt
-        floor = -1e-12 * max(1.0, float(np.abs(u).max()), float(np.abs(v).max()))
         for vals, name in ((u, "u"), (v, "v")):
             worst = int(vals.argmin())
-            if vals[worst] < floor:
+            if vals[worst] < 0.0:
                 raise PositivityError(t, worst, float(vals[worst]), name)
-        np.clip(u, 0.0, None, out=u)
-        np.clip(v, 0.0, None, out=v)
         if step % store_every == 0 or step == n_steps:
             times.append(t)
             states.append((u.copy(), v.copy()))
@@ -264,11 +261,13 @@ class TestEvolve:
         ((7, 1), -1e-6, "v", 7),
         (([3, 7], [1, 0]), -1e-6, "u", 7),
         # a non-finite value ends the run too, though a NaN fails every
-        # comparison and a ±inf makes the roundoff floor -inf
+        # comparison
         ((3, 1), np.nan, "v", 3),
         (([3, 11], [1, 0]), np.nan, "u", 11),
         (([5, 9], [1, 1]), np.inf, "v", 5),
         (([2, 6], [0, 1]), -np.inf, "u", 2),
+        # no roundoff floor: a negative at rounding level ends the run too
+        ((7, 1), -1e-13, "v", 7),
     ])
     def test_positivity_error_names_species_and_node(self, monkeypatch, index, value,
                                                      species, node):
@@ -307,17 +306,22 @@ class TestEvolve:
                 assert u.min() >= 0.0 and v.min() >= 0.0
 
     @staticmethod
-    def assert_implicit_solve_exactly_nonnegative(g, routine):
+    def assert_implicit_solve_exactly_nonnegative(g, kernel):
         """No negative value and no -0.0 (np.signbit catches both) from the
-        solves of I - dt·Δ by the LAPACK routine on nonnegative right-hand
-        sides, with no clip behind the solve."""
+        solves of I - dt·Δ by the kernel, a LAPACK routine or SuperLU, on
+        nonnegative right-hand sides, with no clip behind the solve."""
         n = g.size
         rng = np.random.default_rng(n)
         underflows = 0
         for _ in range(20):
             dt = 10.0 ** rng.uniform(-6, 0)
             solver = factorize(sp.identity(n, format="csr") - dt * laplacian(g))
-            assert solver.routine is routine
+            if kernel is spla.SuperLU:
+                assert isinstance(solver, spla.SuperLU)
+                # no row interchange: the rows follow the symmetric ordering
+                assert np.array_equal(solver.perm_r, solver.perm_c)
+            else:
+                assert solver.routine is kernel
             # column 0 is zero; columns 1 and 2 are nonzero on a random
             # window only, with magnitudes from subnormal to 1e3 and half
             # of the entries zero, so the solution underflows to exact
@@ -347,6 +351,17 @@ class TestEvolve:
         # 1962), and substitution again adds only nonnegative terms
         g = Grid("rectangle", (math.pi, math.pi), (n, n))
         self.assert_implicit_solve_exactly_nonnegative(g, dpbtrs)
+
+    @pytest.mark.parametrize("extents, n", [((4.0, 1.0), (101, 4)),
+                                            ((math.pi, math.pi), (150, 150))],
+                             ids=["101x4", "150x150"])
+    def test_superlu_implicit_solve_is_exactly_nonnegative(self, extents, n):
+        # wider than grid.BAND_CHOLESKY_MAX_KD: SuperLU's symmetric ordering
+        # and threshold pivoting interchange no row of the strictly
+        # diagonally dominant M-matrix, so L and U have the Cholesky
+        # factor's signs and substitution adds only nonnegative terms
+        g = Grid("rectangle", extents, n)
+        self.assert_implicit_solve_exactly_nonnegative(g, spla.SuperLU)
 
     def test_store_every_and_final_time(self):
         g = grid1d(20)
@@ -404,23 +419,17 @@ class TestStackedStepMatchesTwoSolves:
         args = (u0, v0, params_default, 1e-3, 2.0, 100)
         self.assert_same(evolve(*args), two_solve_evolve(*args))
 
-    def test_2d_random_data_through_the_clip(self, monkeypatch):
-        # roundoff-level negatives at three nodes of both species, above
-        # the floor, so every step takes the clip
+    def test_2d_random_data_on_band_cholesky(self):
         g = Grid("rectangle", (1.0, 1.0), (20, 20))
         rng = np.random.default_rng(4)
         u0 = Field(g, rng.uniform(0.0, 2.0, g.size))
         v0 = Field(g, rng.uniform(0.0, 2.0, g.size) * (rng.uniform(size=g.size) < 0.5))
-        leak_solves(monkeypatch, [0, 57, 399], -1e-13)
         args = (u0, v0, ModelParams(a=25.0, b=0.5, c=1.0), 2e-3, 0.1, 5)
-        traj = evolve(*args)
-        self.assert_same(traj, two_solve_evolve(*args))
-        assert traj.states[-1][1].values[57] == 0.0
+        self.assert_same(evolve(*args), two_solve_evolve(*args))
 
     def test_2d_past_the_band_limit_on_superlu(self):
         # 101 nodes across exceed grid.BAND_CHOLESKY_MAX_KD, so I - dt·Δ
-        # goes to SuperLU, the one kernel whose solve is not exactly
-        # nonnegative and whose result the clip may touch
+        # goes to SuperLU
         g = Grid("rectangle", (4.0, 1.0), (101, 4))
         dt = 1e-3
         lhs = sp.identity(g.size, format="csr") - dt * laplacian(g)

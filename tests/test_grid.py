@@ -290,6 +290,20 @@ class TestNorms:
         f = Field(g, rng.normal(size=g.size))
         assert l2_inner(f, f) == pytest.approx(l2_norm(f) ** 2, rel=1e-14)
 
+    def test_norm_is_numpys_bit_for_bit(self):
+        # real, complex and strided vectors at scales up to overflow and
+        # down to subnormal squares
+        rng = np.random.default_rng(7)
+        g = Grid("rectangle", (1.0, 3.0), (9, 5))
+        for scale in (1e-300, 1e-160, 1e-3, 1.0, 1e5, 1e160, 1e300):
+            block = scale * rng.standard_normal((g.size, 3))
+            cblock = block + 1j * scale * rng.standard_normal((g.size, 3))
+            for x in (block[:, 0], block[:, 1], cblock[:, 2], cblock[:, 0].real, block.T[1]):
+                with np.errstate(over="ignore"):
+                    ref = float(np.linalg.norm(x) * math.sqrt(g.cell_volume))
+                    norm = g.norm(x)
+                assert type(norm) is float and np.array_equal(norm, ref)
+
     def test_sin_norm_squared(self):
         g = grid1d(200)
         f = Field.from_function(g, np.sin)
