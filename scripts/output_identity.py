@@ -57,6 +57,9 @@ CASES = [
     ("theta-2d-json", ["theta", "--domain", "rectangle:1:1", "--n", "24,24", "--a", "25",
                        "--format", "json"]),
     ("theta-fallback-start", ["theta", "--domain", "interval:0:pi", "--n", "20", "--a", "60"]),
+    # the eigenfunction start ends at a sign-changing root; the retry from max a converges
+    ("theta-2d-fallback-start", ["theta", "--domain", "rectangle:1:1", "--n", "8,8",
+                                 "--a", "200"]),
     ("theta-growth-file", ["theta", "--n", "20", "--a", "file:{data}/a20.csv"]),
     ("steady", ["steady", "--domain", "interval:0:pi", "--n", "200", "--a", "2",
                 "--b", "0.5", "--c", "1"]),

@@ -703,8 +703,12 @@ def main(argv=None) -> int:
             print(f"subcritical: a <= lambda1 ~= {float(cfg.a) + exc.lambda1:.6g}",
                   file=sys.stderr)
         return EXIT_SUBCRITICAL
-    except (NewtonDivergenceError, EigenSolveError, StepSizeError, PositivityError,
-            InitialDataError) as exc:
+    except InitialDataError as exc:  # evolve starts from the perturbed steady state
+        print(f"perturbation error: the steady state plus noise of --amplitude "
+              f"{cfg.amplitude:g} is not valid initial data ({exc}); lower --amplitude",
+              file=sys.stderr)
+        return EXIT_ERROR
+    except (NewtonDivergenceError, EigenSolveError, StepSizeError, PositivityError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -7,13 +7,13 @@ SubcriticalError otherwise: below the threshold only θ ≡ 0 solves the
 problem and silently returning it would be misleading.
 
 Newton linearization: J(θ)δ = -(Δθ + θ(a-θ)) with J(θ) = Δ + diag(a - 2θ),
-damped by step halving whenever the residual fails to decrease or an
-iterate loses positivity. Each iteration factors -J and solves for the
-residual itself: at the positive solution, -J = -(Δ + a - θ) + diag(θ) has
-smallest eigenvalue above λ1(a - θ) = 0, so it is symmetric positive
-definite there, which `grid.factorize` factors without pivoting. The
-Newton loop, which `solve_logistic` and `uniqueness_probe` both run, owns
-the one check of the tolerance: 0 < tol < inf.
+damped by step halving whenever the residual fails to decrease. Each
+iteration factors -J and solves for the residual itself: at the positive
+solution, -J = -(Δ + a - θ) + diag(θ) has smallest eigenvalue above
+λ1(a - θ) = 0, so it is symmetric positive definite there, which
+`grid.factorize` factors without pivoting. The Newton loop, which
+`solve_logistic` and `uniqueness_probe` both run, owns the one check of the
+tolerance: 0 < tol < inf.
 """
 
 from __future__ import annotations
@@ -89,13 +89,11 @@ def _newton(
     a_vals: np.ndarray,
     theta0: np.ndarray,
     tol: float,
-    enforce_positive: bool,
 ) -> tuple[np.ndarray, float, int]:
     """Damped Newton on the logistic residual. Returns (theta, res, iters).
 
-    With enforce_positive, steps that drive any node nonpositive are damped;
-    hitting the damping floor is a hard failure. Without it (uniqueness
-    probe), iterates may roam through zero and sign changes.
+    Iterates may pass through zero and sign changes; the callers classify
+    the limit. Hitting the damping floor is a hard failure.
     """
     if not 0 < tol < np.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
@@ -116,9 +114,6 @@ def _newton(
         t = 1.0
         for _ in range(MAX_HALVINGS + 1):
             candidate = theta + t * delta
-            if enforce_positive and candidate.min() <= 0.0:
-                t *= 0.5
-                continue
             new_res = grid.norm(_residual_vec(lap, candidate, a_vals))
             if new_res < res or new_res <= tol:
                 theta, res = candidate, new_res
@@ -145,8 +140,9 @@ def solve_logistic(grid: Grid, a, tol: float = DEFAULT_TOL) -> LogisticSolution:
 
     a may be a constant or a Field on grid. Newton starts from the principal
     eigenfunction of Δ + a scaled to half of max a and, only if that run
-    fails, from the constant max a. Raises SubcriticalError when λ1(a) >= 0
-    and NewtonDivergenceError with the residual trace on failure.
+    fails or ends at a limit that is not positive, from the constant max a,
+    a supersolution. Raises SubcriticalError when λ1(a) >= 0 and
+    NewtonDivergenceError with the residual trace on failure.
     """
     a = as_field(grid, a)
     gate, start = _principal_start(grid, a, a.max())
@@ -154,26 +150,26 @@ def solve_logistic(grid: Grid, a, tol: float = DEFAULT_TOL) -> LogisticSolution:
         raise SubcriticalError(gate.lam)
 
     def newton_from(start: np.ndarray) -> tuple[np.ndarray, float, int]:
-        theta, res, iters = _newton(grid, a.values, start, tol, enforce_positive=True)
+        theta, res, iters = _newton(grid, a.values, start, tol)
         if theta.max() <= 1e-6 * max(1.0, a.max()):
             # zero solves the equation too; silently returning it would
             # be misleading for a supercritical growth rate
             raise NewtonDivergenceError(
                 "Newton collapsed to the trivial zero solution", [res]
             )
+        if theta.min() <= 0.0:
+            raise NewtonDivergenceError("converged iterate is not strictly positive", [res])
         return theta, res, iters
 
     try:
         theta, res, iters = newton_from(start)
     except NewtonDivergenceError:
-        # the eigenfunction start is heuristic and can stall for large a
-        # on coarse grids; the constant max(a) field is a discrete
-        # supersolution, and for this concave reaction Newton descends
-        # from it monotonically
+        # the eigenfunction start is heuristic: for large a on coarse grids
+        # it can end at zero, at a sign-changing root or in a stall. The
+        # constant max(a) field is a discrete supersolution, and for this
+        # concave reaction Newton descends from it monotonically to θ
         theta, res, iters = newton_from(np.full(grid.size, a.max()))
 
-    if theta.min() <= 0.0:
-        raise NewtonDivergenceError("converged iterate is not strictly positive", [res])
     if theta.max() >= a.max():
         raise NewtonDivergenceError(
             f"converged iterate violates the a-priori bound max θ = {theta.max():.6g} "
@@ -215,9 +211,8 @@ def uniqueness_probe(
     """Run Newton from diverse positive starts and report distinct positive limits.
 
     Start menu: the scaled principal eigenfunction of Δ + a, constants spread
-    over (0, max a], and seeded random positive fields. The inner Newton does
-    not enforce positivity, so convergence to zero or to sign-changing
-    solutions is observed and classified rather than masked. Non-convergent
+    over (0, max a], and seeded random positive fields. A limit at zero or
+    one that changes sign is classified rather than masked. Non-convergent
     starts are counted, never fatal; a tol outside (0, inf) is a ValueError.
     """
     a = as_field(grid, a)
@@ -239,7 +234,7 @@ def uniqueness_probe(
     n_zero = n_sign = n_fail = n_pos = 0
     for s in starts:
         try:
-            theta, _, _ = _newton(grid, a.values, s, tol, enforce_positive=False)
+            theta, _, _ = _newton(grid, a.values, s, tol)
         except NewtonDivergenceError:
             n_fail += 1
             continue

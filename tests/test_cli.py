@@ -388,7 +388,10 @@ class TestEvolve:
                    "--amplitude", "0.5", "--out", str(tmp_path / "o"))
         assert code == 1
         err = capsys.readouterr().err
-        assert err.startswith("solver failure: initial data must be finite and nonnegative: u[")
+        assert err.startswith("perturbation error: the steady state plus noise of "
+                              "--amplitude 0.5 is not valid initial data (initial data "
+                              "must be finite and nonnegative: u[")
+        assert err.endswith("); lower --amplitude\n")
         assert err.count("\n") == 1
 
 

@@ -100,17 +100,17 @@ class TestSolveLogistic:
         for p in (math.log2(d1 / d2), math.log2(d2 / d3)):
             assert 1.8 <= p <= 2.2
 
-    def test_supersolution_start_after_eigenfunction_start_stalls(self, monkeypatch):
-        # a=60 on n=20: Newton from the scaled eigenfunction reaches its
-        # damping floor; the constant max(a) start converges
+    @staticmethod
+    def record_newton(monkeypatch):
+        """Patch elliptic._newton to record (max of start, iterations or error)."""
         import lvsync.elliptic as elliptic
 
         outcomes = []
         newton = elliptic._newton
 
-        def recording_newton(grid, a_vals, theta0, tol, enforce_positive):
+        def recording_newton(grid, a_vals, theta0, tol):
             try:
-                result = newton(grid, a_vals, theta0, tol, enforce_positive)
+                result = newton(grid, a_vals, theta0, tol)
             except NewtonDivergenceError as exc:
                 outcomes.append((theta0.max(), str(exc)))
                 raise
@@ -118,13 +118,49 @@ class TestSolveLogistic:
             return result
 
         monkeypatch.setattr(elliptic, "_newton", recording_newton)
+        return outcomes
+
+    def test_supersolution_start_after_eigenfunction_start_collapses(self, monkeypatch):
+        # a=60 on n=20: Newton from the scaled eigenfunction converges to
+        # zero in 7 iterations; the constant max(a) start converges to θ
+        outcomes = self.record_newton(monkeypatch)
         sol = solve_logistic(grid1d(20), 60.0, tol=1e-10)
         assert [start for start, _ in outcomes] == [pytest.approx(30.0, rel=1e-12), 60.0]
-        assert "damping floor" in outcomes[0][1]
+        assert outcomes[0][1] == 7
         assert outcomes[1][1] == sol.newton_iterations == 5
         assert sol.residual_norm <= 1e-10
         assert logistic_residual(sol.theta, 60.0) <= 1e-10
         assert 0.0 < sol.theta.min() and sol.theta.max() < 60.0
+
+    def test_supersolution_start_after_sign_changing_root(self, monkeypatch):
+        # a=200 on the 8x8 unit square: Newton from the scaled eigenfunction
+        # converges to a root with min θ ≈ -0.97; the retry from the
+        # constant 200 is exactly a bare Newton run from that start
+        from lvsync.elliptic import _newton
+
+        g = Grid("rectangle", (1.0, 1.0), (8, 8))
+        bare, res, iters = _newton(g, np.full(g.size, 200.0), np.full(g.size, 200.0), 1e-10)
+        outcomes = self.record_newton(monkeypatch)
+        sol = solve_logistic(g, 200.0, tol=1e-10)
+        assert [start for start, _ in outcomes] == [pytest.approx(100.0, rel=1e-12), 200.0]
+        assert outcomes[0][1] == 23
+        assert outcomes[1][1] == sol.newton_iterations == iters
+        assert np.array_equal(sol.theta.values, bare)
+        assert sol.residual_norm == res <= 1e-10
+        assert 0.0 < sol.theta.min() and sol.theta.max() < 200.0
+
+    def test_sign_changing_limit_of_every_start_is_newton_divergence(self, monkeypatch):
+        # each start's limit is classified: when both starts end at the
+        # sign-changing root, the retry's limit is rejected too
+        import lvsync.elliptic as elliptic
+
+        g = Grid("rectangle", (1.0, 1.0), (8, 8))
+        eig_start = elliptic._principal_start(g, elliptic.as_field(g, 200.0), 200.0)[1]
+        newton = elliptic._newton
+        monkeypatch.setattr(elliptic, "_newton",
+                            lambda grid, a_vals, theta0, tol: newton(grid, a_vals, eig_start, tol))
+        with pytest.raises(NewtonDivergenceError, match="not strictly positive"):
+            solve_logistic(g, 200.0, tol=1e-10)
 
     def test_exactly_singular_jacobian_is_newton_divergence(self):
         # h = 1 and a - 2θ = 2: J = Δ + 2I = [[0,1,0],[1,0,1],[0,1,0]]
@@ -133,7 +169,7 @@ class TestSolveLogistic:
 
         g = grid1d(3, length=4.0)
         with pytest.raises(NewtonDivergenceError, match="Newton linear solve failed: .*singular"):
-            _newton(g, np.full(3, 4.0), np.ones(3), 1e-10, enforce_positive=True)
+            _newton(g, np.full(3, 4.0), np.ones(3), 1e-10)
 
 
 class TestLogisticResidual:
