@@ -67,6 +67,8 @@ CASES = [
                                     "--a", "4", "--k", "6", "--functions", "--format", "json"]),
     ("spectrum-1d-functions-json", ["spectrum", "--domain", "interval:0:pi", "--n", "300",
                                     "--a", "2", "--k", "10", "--functions", "--format", "json"]),
+    # the three *-gate-failure cases ask for a tol far below the residual gate's rounding
+    # floor, where the floor decides
     ("spectrum-gate-failure", ["spectrum", "--n", "200", "--a", "2", "--tol", "1e-16"]),
     # the edge of the eigen window: k = N - 2, and 2k = N - 2 for verify's families
     ("spectrum-k-window-edge", ["spectrum", "--n", "12", "--a", "2", "--k", "10"]),
@@ -83,6 +85,10 @@ CASES = [
                        "--c", "1.05788720331309"]),
     ("verify-2d-s1-3.98-edge-pair", ["verify", *SQUARE, "--b", "0.0887739738730586",
                                      "--c", "3.1962470317855978"]),
+    # a = λ₁ + 2e-6 on the 40x40 square: μ₁ is near 2e-6·(s₁ - 1), where the relative
+    # spectral mismatch is above 100·tol
+    ("verify-2d-near-threshold", ["verify", "--domain", "rectangle:pi:pi", "--n", "40,40",
+                                  "--a", "1.9990236465364597", "--k", "6"]),
     ("verify-2d-k1-window", ["verify", "--domain", "rectangle:pi:pi", "--n", "30,30",
                              "--a", "4", "--b", "0.3", "--c", "1.7", "--k", "1"]),
     ("verify-fallback-start", ["verify", "--domain", "rectangle:1:1", "--n", "8,8",
@@ -137,8 +143,8 @@ SLOW_CASES = [
                            "--a", "4", "--k", "6"]),
     ("verify-2d-200x50", ["verify", "--domain", "rectangle:4:1", "--n", "200,50",
                           "--a", "20", "--k", "6"]),
-    ("verify-1d-n600", ["verify", "--domain", "interval:0:pi", "--n", "600", "--a", "2",
-                        "--k", "6"]),
+    ("verify-1d-n10000", ["verify", "--domain", "interval:0:pi", "--n", "10000", "--a", "2",
+                          "--k", "6"]),
     # 150 nodes across: 200 IMEX steps, each a SuperLU solve of I - dt·Δ
     ("evolve-2d-150x150-superlu", ["evolve", "--domain", "rectangle:pi:pi", "--n", "150,150",
                                    "--a", "4", "--dt", "1e-3", "--t-end", "0.2",

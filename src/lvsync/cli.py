@@ -483,8 +483,7 @@ def cmd_evolve(cfg: RunConfig, out: Path, grid: Grid, a: Field) -> int:
         _write_field(v, out / f"snapshot_v_{i:03d}", cfg.format)
     # predicted slowest decay: smaller principal eigenvalue of the two
     # families, one solve per distinct exponent (s₁ = 2 on the degenerate locus)
-    eig_tol = max(cfg.tol, 1e-8)
-    mu1 = min(principal_eigenpair(WeightedOperator(grid, sol.a - s * sol.theta), tol=eig_tol).lam
+    mu1 = min(principal_eigenpair(WeightedOperator(grid, sol.a - s * sol.theta), tol=cfg.tol).lam
               for s in {s_parameter(cfg.b, cfg.c), 2.0})
     try:
         fit = decay_rate(traj, steady)
@@ -621,7 +620,9 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--a1", type=float, help="profile amplitude")
     p.add_argument("--b", type=float, help="predation rate, in (0,1)")
     p.add_argument("--c", type=float, help="conversion rate, > 0")
-    p.add_argument("--tol", type=float, help="solver tolerance")
+    p.add_argument("--tol", type=float,
+                   help="relative residual tolerance of the Newton solve and every eigenpair, "
+                   "above a rounding floor (see README, Numerical notes)")
     p.add_argument("--k", type=int, help="eigenvalue count")
 
 

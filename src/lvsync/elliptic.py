@@ -12,8 +12,8 @@ iteration factors -J and solves for the residual itself: at the positive
 solution, -J = -(Δ + a - θ) + diag(θ) has smallest eigenvalue above
 λ1(a - θ) = 0, so it is symmetric positive definite there, which
 `grid.factorize` factors without pivoting. The Newton loop, which
-`solve_logistic` and `uniqueness_probe` both run, owns the one check of the
-tolerance: 0 < tol < inf.
+`solve_logistic` and `uniqueness_probe` both run, accepts θ by the one
+gate, `spectral.residual_gate`; both classify its limit by `_limit_kind`.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import Field, Grid, WeightedOperator, as_field, factorize, l2_norm, laplacian
-from .spectral import DEFAULT_TOL, EigenPair, principal_eigenpair
+from .spectral import DEFAULT_TOL, EigenPair, principal_eigenpair, residual_gate
 
 __all__ = [
     "LogisticSolution",
@@ -39,9 +39,6 @@ MAX_NEWTON = 60
 MAX_HALVINGS = 30
 # uniqueness_probe: positive limits closer than this (max norm) are one solution
 DISTINCT_TOL = 1e-6
-# eigen tolerance of _principal_start: the gate needs the sign and rough size of
-# lambda1, and the residual floor eps*h^-2 rules out tighter demands on fine grids
-GATE_EIGEN_TOL = 1e-7
 
 
 class SubcriticalError(ValueError):
@@ -80,8 +77,12 @@ def logistic_residual(theta: Field, a) -> float:
     return l2_norm(op.apply(theta))
 
 
-def _residual_vec(lap, theta: np.ndarray, a: np.ndarray) -> np.ndarray:
-    return lap @ theta + theta * (a - theta)
+def _limit_kind(theta: np.ndarray, amax: float) -> str:
+    """The one classification of a Newton limit: "zero" (no value above
+    eps·max a in magnitude), "positive" or "sign-changing"."""
+    if np.abs(theta).max() <= np.finfo(float).eps * amax:
+        return "zero"
+    return "positive" if theta.min() > 0.0 else "sign-changing"
 
 
 def _newton(
@@ -90,49 +91,61 @@ def _newton(
     theta0: np.ndarray,
     tol: float,
 ) -> tuple[np.ndarray, float, int]:
-    """Damped Newton on the logistic residual. Returns (theta, res, iters).
+    """Damped Newton on F(θ) = Δθ + θ(a - θ). Returns (theta, res, iters).
 
-    Iterates may pass through zero and sign changes; the callers classify
-    the limit. Hitting the damping floor is a hard failure.
+    θ is accepted when ‖F(θ)‖ passes residual_gate(Δ, tol) at scale
+    ‖Δθ‖ + ‖θ(a - θ)‖. Iterates may pass through zero and sign changes;
+    the callers classify the limit. Hitting the damping floor is a hard
+    failure.
     """
-    if not 0 < tol < np.inf:
-        raise ValueError(f"tol must be positive and finite, got {tol}")
     lap = laplacian(grid)
+    gate = residual_gate(lap, tol)
+
+    def evaluate(theta: np.ndarray) -> tuple[np.ndarray, float, float]:
+        diffusion, gap = lap @ theta, a_vals - theta
+        reaction = theta * gap
+        F = diffusion + reaction
+        scale = grid.norm(diffusion) + grid.norm(reaction)
+        return F, grid.norm(F), gate(scale, np.abs(gap).max(), grid.norm(theta))
+
     theta = theta0.copy()
-    res = grid.norm(_residual_vec(lap, theta, a_vals))
+    F, res, bound = evaluate(theta)
     trace = [res]
     for it in range(1, MAX_NEWTON + 1):
-        if res <= tol:
+        if res <= bound:
             return theta, res, it - 1
         # -J δ = F: -J is symmetric positive definite near the solution,
         # where factorize hands it to LAPACK
         neg_J = -WeightedOperator(grid, Field(grid, a_vals - 2.0 * theta)).matrix
         try:
-            delta = factorize(neg_J).solve(_residual_vec(lap, theta, a_vals))
+            delta = factorize(neg_J).solve(F)
         except RuntimeError as exc:  # singular Jacobian
             raise NewtonDivergenceError(f"Newton linear solve failed: {exc}", trace)
         t = 1.0
         for _ in range(MAX_HALVINGS + 1):
             candidate = theta + t * delta
-            new_res = grid.norm(_residual_vec(lap, candidate, a_vals))
-            if new_res < res or new_res <= tol:
-                theta, res = candidate, new_res
+            new_F, new_res, new_bound = evaluate(candidate)
+            if new_res < res or new_res <= new_bound:
+                theta, F, res, bound = candidate, new_F, new_res, new_bound
                 break
             t *= 0.5
         else:
             raise NewtonDivergenceError(
-                f"Newton stalled at iteration {it}: damping floor reached", trace
+                f"Newton stalled at iteration {it}: damping floor reached (gate {bound:.3e})",
+                trace,
             )
         trace.append(res)
-    if res <= tol:
+    if res <= bound:
         return theta, res, MAX_NEWTON
-    raise NewtonDivergenceError(f"Newton did not converge in {MAX_NEWTON} iterations", trace)
+    raise NewtonDivergenceError(
+        f"Newton did not converge in {MAX_NEWTON} iterations (gate {bound:.3e})", trace
+    )
 
 
-def _principal_start(grid: Grid, a: Field, amax: float) -> tuple[EigenPair, np.ndarray]:
-    """Principal eigenpair of Δ + a (the gate) and its eigenfunction scaled to amax/2."""
-    gate = principal_eigenpair(WeightedOperator(grid, a), tol=GATE_EIGEN_TOL)
-    return gate, gate.phi.values * (0.5 * amax / gate.phi.values.max())
+def _principal_start(grid: Grid, a: Field, amax: float, tol: float) -> tuple[EigenPair, np.ndarray]:
+    """Principal eigenpair of Δ + a (the gate on λ1) and its eigenfunction scaled to amax/2."""
+    principal = principal_eigenpair(WeightedOperator(grid, a), tol=tol)
+    return principal, principal.phi.values * (0.5 * amax / principal.phi.values.max())
 
 
 def solve_logistic(grid: Grid, a, tol: float = DEFAULT_TOL) -> LogisticSolution:
@@ -145,20 +158,17 @@ def solve_logistic(grid: Grid, a, tol: float = DEFAULT_TOL) -> LogisticSolution:
     NewtonDivergenceError with the residual trace on failure.
     """
     a = as_field(grid, a)
-    gate, start = _principal_start(grid, a, a.max())
-    if gate.lam >= 0:
-        raise SubcriticalError(gate.lam)
+    principal, start = _principal_start(grid, a, a.max(), tol)
+    if principal.lam >= 0:
+        raise SubcriticalError(principal.lam)
 
     def newton_from(start: np.ndarray) -> tuple[np.ndarray, float, int]:
         theta, res, iters = _newton(grid, a.values, start, tol)
-        if theta.max() <= 1e-6 * max(1.0, a.max()):
+        kind = _limit_kind(theta, a.max())
+        if kind != "positive":
             # zero solves the equation too; silently returning it would
             # be misleading for a supercritical growth rate
-            raise NewtonDivergenceError(
-                "Newton collapsed to the trivial zero solution", [res]
-            )
-        if theta.min() <= 0.0:
-            raise NewtonDivergenceError("converged iterate is not strictly positive", [res])
+            raise NewtonDivergenceError(f"Newton limit is {kind}, not strictly positive", [res])
         return theta, res, iters
 
     try:
@@ -181,7 +191,7 @@ def solve_logistic(grid: Grid, a, tol: float = DEFAULT_TOL) -> LogisticSolution:
         a=a,
         residual_norm=res,
         newton_iterations=iters,
-        lambda1_of_a=gate.lam,
+        lambda1_of_a=principal.lam,
     )
 
 
@@ -223,7 +233,7 @@ def uniqueness_probe(
     if amax <= 0:
         amax = 1.0
 
-    starts = [_principal_start(grid, a, amax)[1]]
+    starts = [_principal_start(grid, a, amax, tol)[1]]
     n_const = max(0, (n_starts - 1) // 2)
     for j in range(n_const):
         starts.append(np.full(grid.size, amax * (j + 1) / n_const))
@@ -238,9 +248,10 @@ def uniqueness_probe(
         except NewtonDivergenceError:
             n_fail += 1
             continue
-        if np.abs(theta).max() <= 1e-8:
+        kind = _limit_kind(theta, amax)
+        if kind == "zero":
             n_zero += 1
-        elif theta.min() > 0.0:
+        elif kind == "positive":
             n_pos += 1
             if not any(
                 np.max(np.abs(theta - d)) <= DISTINCT_TOL for d in distinct

@@ -184,7 +184,7 @@ def coupled_eigenpairs(
     offsum = np.add.reduceat(np.abs(Jm.data), Jm.indptr[:-1]) - np.abs(diag)
     sigma = -float((diag + offsum).max()) - 1.0
     A, _, vals, vecs = _shift_invert(
-        J, k, tol, sigma, COUPLED_START_SEED, symmetric=False, extra=COUPLED_EXTRA_VALUES
+        J, k, sigma, COUPLED_START_SEED, symmetric=False, extra=COUPLED_EXTRA_VALUES
     )
     order = np.lexsort((vals.imag, vals.real))[:k]
     vals, vecs = vals[order], vecs[:, order]

@@ -28,13 +28,16 @@ eigenfunction of a simple eigenvalue does not depend on the kernel or
 the library that computed it. The basis returned for an exactly multiple
 eigenvalue does: any orthonormal basis of its eigenspace is an answer.
 
-Every eigenpair this package returns, scalar or coupled, passes one gate,
-`check_residuals`: its L2 residual must not exceed tol * max(1, |λ|).
+Every eigenpair this package returns, scalar or coupled, passes
+`check_residuals`, and every θ `elliptic` accepts passes the same rule,
+`residual_gate`: a relative backward error tol above a rounding floor,
+both in the residual's own units.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +53,7 @@ __all__ = [
     "principal_eigenpair",
     "eigenpairs",
     "check_residuals",
+    "residual_gate",
     "eigen_window",
     "DEFAULT_TOL",
 ]
@@ -71,24 +75,40 @@ class EigenSolveError(RuntimeError):
         self.last_residual = last_residual
 
 
+def residual_gate(A: sp.csr_matrix, tol: float) -> Callable[[float, float, float], float]:
+    """The one acceptance rule, and the one check 0 < tol < inf, for a
+    residual r = A·x + d∘x with |d| <= δ and S its own scale: gate(S, δ, ‖x‖)
+    is the largest ‖r‖ accepted, max(tol·S, (m + 1)·eps·(‖A‖_∞ + δ)·‖x‖),
+    with m the most nonzeros in a row of A. The second term bounds what
+    evaluating r loses to rounding (README, Numerical notes)."""
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+    unit = (np.diff(A.indptr).max() + 1) * np.finfo(float).eps
+    norm_inf = np.add.reduceat(np.abs(A.data), A.indptr[:-1]).max()
+    return lambda scale, shift, x_norm: max(tol * scale, unit * (norm_inf + shift) * x_norm)
+
+
 def check_residuals(
-    A: sp.spmatrix, values: np.ndarray, vectors: np.ndarray, grid: Grid, tol: float,
+    A: sp.csr_matrix, values: np.ndarray, vectors: np.ndarray, grid: Grid, tol: float,
     what: str = "eigenpair",
 ) -> list[float]:
     """Discrete L2 residual ‖A x_j - λ_j x_j‖ of each pair (values[j],
-    vectors[:, j]): one sparse product for all pairs, one norm per vector;
-    raises EigenSolveError for the first pair whose residual exceeds
-    tol * max(1, |λ_j|) or is NaN."""
+    vectors[:, j]), the vectors of unit discrete L2 norm: one sparse product
+    for all pairs, one norm per vector; raises EigenSolveError for the first
+    pair whose residual is NaN or exceeds residual_gate(A, tol) at scale
+    |λ_j|·‖x_j‖ = |λ_j|."""
+    gate = residual_gate(A, tol)
     AV = A @ vectors
     residuals = []
     for j, lam in enumerate(values):
         # λ·x per column: numpy's SIMD loops for a broadcast complex
         # product V * w round differently from the scalar product
         res = grid.norm(AV[:, j] - lam * vectors[:, j])
+        bound = gate(abs(lam), abs(lam), 1.0)
         # a NaN residual fails the gate too
-        if not res <= tol * max(1.0, abs(lam)):
+        if not res <= bound:
             raise EigenSolveError(
-                f"{what} {j} residual {res:.3e} exceeds tol {tol:.1e}", last_residual=res
+                f"{what} {j} residual {res:.3e} exceeds its gate {bound:.3e}", last_residual=res
             )
         residuals.append(res)
     return residuals
@@ -141,7 +161,7 @@ def eigenpairs(op: WeightedOperator, k: int, tol: float = DEFAULT_TOL) -> Spectr
     # the Rayleigh quotient of -(Δ+m) is bounded below by -max(m), so this
     # shift keeps A - sigma*I positive definite
     sigma = -float(op.weight.values.max()) - 1.0
-    A, lu, _, V = _shift_invert(op, k, tol, sigma, SCALAR_START_SEED, symmetric=True)
+    A, lu, _, V = _shift_invert(op, k, sigma, SCALAR_START_SEED, symmetric=True)
     w, V = _refine_through_inverse(lu, sigma, V)
 
     # normalize in the discrete L2 norm and fix signs by the fixed weight
@@ -165,18 +185,16 @@ def eigen_window(k: int, n: int, *, extra: int = 0, symmetric: bool = True) -> i
 
 
 def _shift_invert(
-    op, k: int, tol: float, sigma: float, seed: int, *, symmetric: bool, extra: int = 0
+    op, k: int, sigma: float, seed: int, *, symmetric: bool, extra: int = 0
 ) -> tuple[sp.csr_matrix, LapackFactor | spla.SuperLU, np.ndarray, np.ndarray]:
     """A = -op.matrix for an operator with `grid` and `matrix`, lu =
     factorize(A, σ) and ARPACK's eigen_window(k, n, …) eigenpairs of A nearest
-    σ, in its order, after checking k and that tol is positive and finite.
+    σ, in its order, after checking k; check_residuals then judges them.
     ARPACK runs to machine precision: an ARPACK tolerance of 1e-12 left residuals
     up to 4e-10 on the coupled defective eigenvalues of the 2D degenerate locus."""
     A = -op.matrix
     n = A.shape[0]
     m = eigen_window(k, n, extra=extra, symmetric=symmetric)
-    if not 0 < tol < np.inf:
-        raise ValueError(f"tol must be positive and finite, got {tol}")
     lu = factorize(A, sigma)
     OPinv = spla.LinearOperator((n, n), matvec=lu.solve, dtype=float)
     v0 = np.random.default_rng(seed).standard_normal(n)

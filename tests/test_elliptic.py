@@ -122,11 +122,12 @@ class TestSolveLogistic:
 
     def test_supersolution_start_after_eigenfunction_start_collapses(self, monkeypatch):
         # a=60 on n=20: Newton from the scaled eigenfunction converges to
-        # zero in 7 iterations; the constant max(a) start converges to θ
+        # zero in 17 iterations, where max θ is 1.6e-168 and the residual
+        # norm underflows to 0; the constant max(a) start converges to θ
         outcomes = self.record_newton(monkeypatch)
         sol = solve_logistic(grid1d(20), 60.0, tol=1e-10)
         assert [start for start, _ in outcomes] == [pytest.approx(30.0, rel=1e-12), 60.0]
-        assert outcomes[0][1] == 7
+        assert outcomes[0][1] == 17
         assert outcomes[1][1] == sol.newton_iterations == 5
         assert sol.residual_norm <= 1e-10
         assert logistic_residual(sol.theta, 60.0) <= 1e-10
@@ -155,7 +156,7 @@ class TestSolveLogistic:
         import lvsync.elliptic as elliptic
 
         g = Grid("rectangle", (1.0, 1.0), (8, 8))
-        eig_start = elliptic._principal_start(g, elliptic.as_field(g, 200.0), 200.0)[1]
+        eig_start = elliptic._principal_start(g, elliptic.as_field(g, 200.0), 200.0, 1e-10)[1]
         newton = elliptic._newton
         monkeypatch.setattr(elliptic, "_newton",
                             lambda grid, a_vals, theta0, tol: newton(grid, a_vals, eig_start, tol))
@@ -209,6 +210,19 @@ class TestUniquenessProbe:
     def test_supercritical_2d_single_solution(self):
         g = Grid("rectangle", (1.0, 1.0), (24, 24))
         report = uniqueness_probe(g, 25.0, 10, tol=1e-9, seed=0)
+        assert report.n_distinct_positive == 1
+
+    @pytest.mark.parametrize("delta", [1e-6, 1e-7])
+    @pytest.mark.parametrize(
+        "g", [grid1d(200), Grid("rectangle", (math.pi, math.pi), (40, 40))],
+        ids=["1d-200", "2d-40x40"],
+    )
+    def test_single_solution_near_threshold(self, g, delta):
+        # a = λ₁ + δ: θ is of size δ, so a Newton gate without θ's scale
+        # stopped each start on its own too-large iterate, several "distinct"
+        lam1 = sum(4.0 / h**2 * math.sin(math.pi * h / (2.0 * L)) ** 2
+                   for h, L in zip(g.spacing, g.extents))
+        report = uniqueness_probe(g, lam1 + delta, 8, tol=1e-10, seed=0)
         assert report.n_distinct_positive == 1
 
     def test_solutions_match_solver(self):

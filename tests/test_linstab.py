@@ -402,9 +402,11 @@ class TestVerifyTheorem:
         [
             (Grid("interval", (math.pi,), (200,)), 2.0),
             (Grid("interval", (math.pi,), (600,)), 2.0),
+            (Grid("interval", (math.pi,), (2500,)), 2.0),
+            (Grid("interval", (math.pi,), (10_000,)), 2.0),
             (Grid("rectangle", (math.pi, math.pi), (60, 60)), 4.0),
         ],
-        ids=["1d-200", "1d-600", "2d-60x60"],
+        ids=["1d-200", "1d-600", "1d-2500", "1d-10000", "2d-60x60"],
     )
     def test_grid_ladder_default_tol_without_dense(self, monkeypatch, g, a, b, c):
         def forbidden(*args, **kwargs):
@@ -414,6 +416,21 @@ class TestVerifyTheorem:
         monkeypatch.setattr(sla, "eigh", forbidden)
         report = verify_theorem(ModelParams(a=a, b=b, c=c), g, 6)
         assert report.verdict == "stable", report.cause
+
+    @pytest.mark.parametrize("delta", [1e-4, 1e-5, 2e-6])
+    @pytest.mark.parametrize(
+        "g", [grid1d(200), Grid("rectangle", (math.pi, math.pi), (40, 40))],
+        ids=["1d-200", "2d-40x40"],
+    )
+    def test_near_threshold_mu1_oracle(self, g, delta):
+        # at a = λ₁ + δ, θ ≈ δ·φ₁/⟨φ₁³⟩ and λ₁(a - sθ) = (s - 1)·δ + O(δ²)
+        # (Crandall & Rabinowitz, J. Funct. Anal. 8, 1971); λ₁ of -Δ_h in closed form
+        lam1 = sum(4.0 / h**2 * math.sin(math.pi * h / (2.0 * L)) ** 2
+                   for h, L in zip(g.spacing, g.extents))
+        s1 = s_parameter(0.5, 1.0)
+        sol = solve_logistic(g, lam1 + delta)
+        mu1 = eigenpairs(WeightedOperator(g, sol.a - s1 * sol.theta), 1).values[0]
+        assert abs(mu1 / ((s1 - 1.0) * delta) - 1.0) <= 1e-3
 
     def test_nan_coupled_pair_is_inconclusive(self, monkeypatch):
         # a NaN eigenvector from the coupled eigen solve fails the residual

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -203,12 +204,21 @@ class TestEigenpairs:
         for k in (17, 46, 48):
             np.testing.assert_allclose(eigenpairs(op, k).values, dense[:k], rtol=1e-8)
 
-    def test_nonconvergence_raises_with_residual(self):
-        # a tolerance below the rounding floor of the residual cannot be met
+    def test_nonconvergence_raises_with_residual(self, monkeypatch):
+        # an eigenvector ARPACK returns unconverged (here the second one,
+        # perturbed by 1e-6 per entry) fails the gate, which names its residual
+        eigsh = spla.eigsh
+
+        def unconverged(*args, **kwargs):
+            vals, vecs = eigsh(*args, **kwargs)
+            vecs[:, 1] += 1e-6 * np.random.default_rng(0).standard_normal(len(vecs))
+            return vals, vecs
+
+        monkeypatch.setattr(spla, "eigsh", unconverged)
         op, _ = zero_weight_op(200)
-        with pytest.raises(EigenSolveError) as err:
-            eigenpairs(op, 2, tol=1e-16)
-        assert err.value.last_residual is not None
+        with pytest.raises(EigenSolveError, match="eigenpair . residual .* exceeds its gate") as err:
+            eigenpairs(op, 2, tol=1e-10)
+        assert err.value.last_residual > 1e-6
 
 
 class TestCheckResiduals:
