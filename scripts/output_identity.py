@@ -85,10 +85,18 @@ CASES = [
                        "--c", "1.05788720331309"]),
     ("verify-2d-s1-3.98-edge-pair", ["verify", *SQUARE, "--b", "0.0887739738730586",
                                      "--c", "3.1962470317855978"]),
-    # a = λ₁ + 2e-6 on the 40x40 square: μ₁ is near 2e-6·(s₁ - 1), where the relative
-    # spectral mismatch is above 100·tol
+    # a = λ₁ + 2e-6 on the 40x40 square: μ₁ is near 2e-6·(s₁ - 1), so a mismatch at
+    # rounding level is large relative to μ₁ but not to the residual bound
     ("verify-2d-near-threshold", ["verify", "--domain", "rectangle:pi:pi", "--n", "40,40",
                                   "--a", "1.9990236465364597", "--k", "6"]),
+    # off the locus by 1e-7 (κ₂(S) ≈ 1.85e7): the two families' copies share clusters,
+    # whose bound takes max ρ_c + |s₁ - 2|·‖θ‖∞ where that is below κ₂(S)·max ρ_c
+    ("verify-2d-near-locus", ["verify", *SQUARE, "--b", "0.3333334333333333", "--c", "1"]),
+    # within DEGENERATE_TOL of the locus: the a - 2θ family stands in for both copies,
+    # and the Weyl term |s₁ - 2|·‖θ‖∞ covers the difference
+    ("verify-2d-locus-sliver", ["verify", "--domain", "rectangle:pi:pi", "--n", "12,12",
+                                "--a", "4", "--k", "3", "--b", "0.3333333333342333",
+                                "--c", "1"]),
     ("verify-2d-k1-window", ["verify", "--domain", "rectangle:pi:pi", "--n", "30,30",
                              "--a", "4", "--b", "0.3", "--c", "1.7", "--k", "1"]),
     ("verify-fallback-start", ["verify", "--domain", "rectangle:1:1", "--n", "8,8",

@@ -68,11 +68,9 @@ from .grid import (
 )
 from .linstab import (
     COUPLED_EXTRA_VALUES,
-    DEGENERATE_WARN_BAND,
     SUBCRITICAL_CAUSE,
     StabilityReport,
     ThetaHalf,
-    degenerate_distance,
     inconclusive_report,
     s_parameter,
     theta_half,
@@ -460,7 +458,6 @@ def cmd_verify(cfg: RunConfig, out: Path, grid: Grid, a: Field) -> int:
             else ""
         )
         + (" [degenerate]" if report.degenerate else "")
-        + (" [near-degenerate band]" if report.band_warning and not report.degenerate else "")
     )
     if report.verdict in ("stable", "unstable"):
         return EXIT_OK
@@ -524,7 +521,6 @@ def _sweep_job(job: RunConfig, shared: ThetaHalf) -> dict:
         "resolution": job.resolution[0],
         "s": report.s_value,
         "degenerate": report.degenerate,
-        "degenerate_band": report.band_warning,
         "mu1": report.mu1,
         "max_rel_mismatch": report.max_rel_mismatch,
         "max_imag": report.max_imag,
@@ -539,11 +535,6 @@ def cmd_sweep(cfg: RunConfig, out: Path, jobs: list[RunConfig]) -> int:
     keys = [(job.a, job.b, job.c, job.resolution[0]) for job in jobs]
     na, nb, nc, nn = (len(set(axis)) for axis in zip(*keys))
     print(f"sweep: {len(jobs)} jobs ({na} a x {nb} b x {nc} c x {nn} n)")
-    near_degenerate = sum(
-        degenerate_distance(job.b, job.c) <= DEGENERATE_WARN_BAND for job in jobs
-    )
-    if near_degenerate:
-        print(f"note: {near_degenerate} job(s) in the degenerate-locus band")
 
     # θ and the a - 2θ family depend on (a, n) only: one shared half per
     # group, solved where the jobs run, so that with a pool the solvers'
@@ -621,8 +612,8 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--b", type=float, help="predation rate, in (0,1)")
     p.add_argument("--c", type=float, help="conversion rate, > 0")
     p.add_argument("--tol", type=float,
-                   help="relative residual tolerance of the Newton solve and every eigenpair, "
-                   "above a rounding floor (see README, Numerical notes)")
+                   help="relative residual tolerance of the acceptance gates (Newton, every "
+                   "eigenpair) above a rounding floor; not verify's bound (README, Numerical notes)")
     p.add_argument("--k", type=int, help="eigenvalue count")
 
 

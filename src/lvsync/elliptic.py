@@ -13,7 +13,7 @@ solution, -J = -(Δ + a - θ) + diag(θ) has smallest eigenvalue above
 λ1(a - θ) = 0, so it is symmetric positive definite there, which
 `grid.factorize` factors without pivoting. The Newton loop, which
 `solve_logistic` and `uniqueness_probe` both run, accepts θ by the one
-gate, `spectral.residual_gate`; both classify its limit by `_limit_kind`.
+gate, `spectral.residual_gate`, and classifies its limit by `_limit_kind`.
 """
 
 from __future__ import annotations
@@ -90,12 +90,14 @@ def _newton(
     a_vals: np.ndarray,
     theta0: np.ndarray,
     tol: float,
-) -> tuple[np.ndarray, float, int]:
-    """Damped Newton on F(θ) = Δθ + θ(a - θ). Returns (theta, res, iters).
+    amax: float,
+) -> tuple[np.ndarray, float, int, str]:
+    """Damped Newton on F(θ) = Δθ + θ(a - θ). Returns (theta, res, iters,
+    kind), kind the limit's _limit_kind at the positive scale amax.
 
     θ is accepted when ‖F(θ)‖ passes residual_gate(Δ, tol) at scale
-    ‖Δθ‖ + ‖θ(a - θ)‖. Iterates may pass through zero and sign changes;
-    the callers classify the limit. Hitting the damping floor is a hard
+    ‖Δθ‖ + ‖θ(a - θ)‖, or as soon as it reads as zero, which that gate
+    passes only once ‖F‖ underflows. Hitting the damping floor is a hard
     failure.
     """
     lap = laplacian(grid)
@@ -112,8 +114,9 @@ def _newton(
     F, res, bound = evaluate(theta)
     trace = [res]
     for it in range(1, MAX_NEWTON + 1):
-        if res <= bound:
-            return theta, res, it - 1
+        kind = _limit_kind(theta, amax)
+        if res <= bound or kind == "zero":
+            return theta, res, it - 1, kind
         # -J δ = F: -J is symmetric positive definite near the solution,
         # where factorize hands it to LAPACK
         neg_J = -WeightedOperator(grid, Field(grid, a_vals - 2.0 * theta)).matrix
@@ -136,7 +139,7 @@ def _newton(
             )
         trace.append(res)
     if res <= bound:
-        return theta, res, MAX_NEWTON
+        return theta, res, MAX_NEWTON, _limit_kind(theta, amax)
     raise NewtonDivergenceError(
         f"Newton did not converge in {MAX_NEWTON} iterations (gate {bound:.3e})", trace
     )
@@ -163,8 +166,7 @@ def solve_logistic(grid: Grid, a, tol: float = DEFAULT_TOL) -> LogisticSolution:
         raise SubcriticalError(principal.lam)
 
     def newton_from(start: np.ndarray) -> tuple[np.ndarray, float, int]:
-        theta, res, iters = _newton(grid, a.values, start, tol)
-        kind = _limit_kind(theta, a.max())
+        theta, res, iters, kind = _newton(grid, a.values, start, tol, a.max())
         if kind != "positive":
             # zero solves the equation too; silently returning it would
             # be misleading for a supercritical growth rate
@@ -244,11 +246,10 @@ def uniqueness_probe(
     n_zero = n_sign = n_fail = n_pos = 0
     for s in starts:
         try:
-            theta, _, _ = _newton(grid, a.values, s, tol)
+            theta, _, _, kind = _newton(grid, a.values, s, tol, amax)
         except NewtonDivergenceError:
             n_fail += 1
             continue
-        kind = _limit_kind(theta, amax)
         if kind == "zero":
             n_zero += 1
         elif kind == "positive":

@@ -25,9 +25,10 @@ coincide (s₁ = 2), M becomes a Jordan block, and every eigenvalue of J is
 a defective double eigenvalue of the single weight a - 2θ; the projection
 ξ = (2c+1)φ - ψ then maps any eigenvector into the scalar eigenspace.
 Since s₁ > 1 and 2 > 1, both families are strictly positive whenever θ is
-the positive logistic state, which is the stability assertion this module
-verifies numerically, against the spectrum of -J itself from `spectral`'s
-shift-invert route.
+the positive logistic state: the stability assertion this module verifies
+against the spectrum of -J itself, from `spectral`'s shift-invert route.
+The comparison has one rule, a bound from the measured residuals for each
+cluster of predicted values (`_cluster_errors`; README, Numerical notes).
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ from .grid import (
 from .model import ModelParams, ratio_coefficients, synchronized_state
 from .spectral import (
     DEFAULT_TOL, EigenPair, EigenSolveError, Spectrum, _shift_invert, check_residuals, eigenpairs,
+    residual_gate,
 )
 
 __all__ = [
@@ -65,11 +67,11 @@ __all__ = [
     "component_projection",
     "inconclusive_report",
     "DEGENERATE_TOL",
-    "DEGENERATE_WARN_BAND",
 ]
 
 DEGENERATE_TOL = 1e-12
-DEGENERATE_WARN_BAND = 1e-4
+# predicted values closer than CLUSTER_GAP·|λ| are compared as one cluster
+CLUSTER_GAP = 1e-6
 COUPLED_START_SEED = 0xC0
 # extra Ritz values ARPACK is asked for beyond the k kept (see coupled_eigenpairs)
 COUPLED_EXTRA_VALUES = 2
@@ -163,14 +165,14 @@ class CoupledJacobian:
 
 def coupled_eigenpairs(
     J: CoupledJacobian, k: int, tol: float = DEFAULT_TOL
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """k eigenvalues of -J with smallest real parts, plus eigenvectors.
 
-    Returns (values, vectors) with values sorted ascending by (Re, Im) and
-    vectors normalized to unit combined L2 norm; every pair passes
-    check_residuals. `spectral._shift_invert` solves, for k in its eigen
-    window, with the shift one unit below the Gershgorin lower bound on the
-    real parts.
+    Returns (values, vectors, residuals) with values sorted ascending by
+    (Re, Im), vectors normalized to unit combined L2 norm and each pair's
+    residual, by which it passed check_residuals. `spectral._shift_invert`
+    solves, for k in its eigen window, with the shift one unit below the
+    Gershgorin lower bound on the real parts.
 
     A single-vector Krylov space can miss one copy of an exactly double
     eigenvalue (the 2D square's (i,j)/(j,i) pairs, or I₂⊗(Δ+a) at the
@@ -192,15 +194,16 @@ def coupled_eigenpairs(
     out_vecs = np.empty((J.size, k), dtype=complex)
     for j in range(k):
         out_vecs[:, j] = vecs[:, j] / J.grid.norm(vecs[:, j])
-    check_residuals(A, vals, out_vecs, J.grid, tol, "coupled eigenpair")
-    return vals, out_vecs
+    residuals = check_residuals(A, vals, out_vecs, J.grid, tol, "coupled eigenpair")
+    return vals, out_vecs, np.array(residuals)
 
 
 def predicted_spectrum(
     grid: Grid, a: Field, theta: Field, b: float, c: float, k: int, tol: float = DEFAULT_TOL,
     two: Spectrum | None = None,
-) -> tuple[list[tuple[float, str]], dict[str, "object"]]:
-    """k smallest predicted coupled eigenvalues as (value, family) pairs.
+) -> tuple[list[tuple[float, str, float]], dict[str, "object"]]:
+    """k smallest predicted coupled eigenvalues as (value, family, residual)
+    triples, the residual that of the scalar eigenpair the value comes from.
 
     Families: "s1" (weight a - s₁θ, ratio z₁) and "two" (weight a - 2θ,
     ratio z₂); on the degenerate locus a single family "degenerate"
@@ -218,10 +221,11 @@ def predicted_spectrum(
     elif len(two.pairs) != k:
         raise ValueError(f"the a - 2θ family holds {len(two.pairs)} values, {k} needed")
     if mode_ratios(b, c)[2]:
-        tagged = [(p.lam, "degenerate") for p in two.pairs for _ in range(2)]
+        tagged = [(p.lam, "degenerate", p.residual) for p in two.pairs for _ in range(2)]
         return tagged[:k], {"degenerate": two}
     spec1 = eigenpairs(WeightedOperator(grid, a - s_parameter(b, c) * theta), k, tol)
-    tagged = [(p.lam, "s1") for p in spec1.pairs] + [(p.lam, "two") for p in two.pairs]
+    tagged = [(p.lam, fam, p.residual) for fam, spec in (("s1", spec1), ("two", two))
+              for p in spec.pairs]
     tagged.sort(key=lambda t: t[0])
     return tagged[:k], {"s1": spec1, "two": two}
 
@@ -271,7 +275,6 @@ class StabilityReport:
     s_value: float
     s_second: float = 2.0
     degenerate: bool
-    band_warning: bool
     coupled_eigs: tuple[complex, ...] = ()
     predicted_eigs: tuple[float, ...] = ()
     predicted_families: tuple[str, ...] = ()
@@ -291,7 +294,6 @@ def inconclusive_report(params: ModelParams, k: int, cause: str | None) -> Stabi
     return StabilityReport(
         s_value=s_parameter(b, c),
         degenerate=degenerate_distance(b, c) <= DEGENERATE_TOL,
-        band_warning=degenerate_distance(b, c) <= DEGENERATE_WARN_BAND,
         verdict="inconclusive",
         cause=cause,
         k=k,
@@ -341,9 +343,9 @@ def verify_theorem(
 
     Solves the logistic profile, assembles the coupled Jacobian, computes
     its 2k smallest eigenvalues, and compares them as a sorted multiset
-    against the union of the two predicted scalar families. Solver failures
-    (including a subcritical growth rate) yield verdict "inconclusive" with
-    a cause instead of propagating.
+    against the union of the two predicted scalar families, within the
+    residual bounds of _cluster_errors. Solver failures (including a
+    subcritical growth rate) yield "inconclusive" with a cause.
 
     shared: the (b, c)-independent half, theta_half(a, grid, k, tol) for
     this params.a, taken instead of solved; a sweep solves one per (a,
@@ -364,23 +366,31 @@ def verify_theorem(
         predicted, _ = predicted_spectrum(
             grid, logistic.a, logistic.theta, b, c, 2 * k, tol=tol, two=shared.two
         )
-        coupled_vals, _ = coupled_eigenpairs(J, 2 * k, tol=tol)
+        coupled_vals, _, coupled_res = coupled_eigenpairs(J, 2 * k, tol=tol)
     except EigenSolveError as exc:
         return inconclusive_report(params, k, f"solver failure: {exc}")
 
-    pred_vals = np.array([p[0] for p in predicted])
-    pred_fams = tuple(p[1] for p in predicted)
+    pred_vals = np.array([value for value, _, _ in predicted])
+    families = np.array([family for _, family, _ in predicted])
     coupled_re = coupled_vals.real  # ascending: coupled_eigenpairs lexsorts by (Re, Im)
-    max_rel_mismatch = _cluster_mismatch(coupled_re, pred_vals)
-    max_imag = float(np.abs(coupled_vals.imag).max())
-
     base = inconclusive_report(params, k, None)
-    threshold = 100.0 * tol
-    if base.band_warning:  # the locus lies inside the band
-        threshold = max(threshold, 1e-6)
-    min_pred = float(pred_vals.min())
-    min_re = float(coupled_re.min())
-    if max_rel_mismatch <= threshold:
+    # each pair's residual, floored at the rounding term of the coupled gate,
+    # one gate for both sides (‖-J‖ = ‖J‖; tol·0 drops the relative term)
+    gate = residual_gate(J.matrix, tol)
+    rho_c = np.maximum(coupled_res, [gate(0.0, abs(v), 1.0) for v in coupled_vals])
+    rho_s = np.maximum([res for _, _, res in predicted],
+                       [gate(0.0, abs(v), 1.0) for v in pred_vals])
+    kappa = np.linalg.cond(np.array([[b, 1.0 - b], [c, 1.0 + c]]))  # κ₂(S)
+    weyl = abs(base.s_value - 2.0) * logistic.theta.max()
+    mismatch, bound, mean = _cluster_errors(
+        coupled_re, pred_vals, families, rho_c, rho_s, kappa, weyl
+    )
+    scale = np.maximum(np.abs(mean), bound)
+    rel_mismatch, rel_bound = mismatch / scale, bound / scale
+
+    min_pred, min_re = float(pred_vals.min()), float(coupled_re.min())
+    within = mismatch <= bound  # a NaN mismatch is not within
+    if within.all():
         if min_pred > 0.0 and min_re > 0.0:
             verdict, cause = "stable", None
         elif min_re < 0.0:
@@ -388,45 +398,47 @@ def verify_theorem(
         else:
             verdict, cause = "inconclusive", "borderline spectrum (eigenvalue at zero)"
     else:
+        worst = int(np.argmax(np.where(within, 0.0, mismatch / bound)))
         verdict = "inconclusive"
-        cause = (
-            f"spectral mismatch {max_rel_mismatch:.3e} exceeds threshold {threshold:.1e}"
-        )
+        cause = (f"spectral mismatch {rel_mismatch[worst]:.3e} exceeds its bound "
+                 f"{rel_bound[worst]:.3e}")
 
     return replace(
         base,
         coupled_eigs=tuple(complex(v) for v in coupled_vals),
         predicted_eigs=tuple(float(v) for v in pred_vals),
-        predicted_families=pred_fams,
-        max_rel_mismatch=max_rel_mismatch,
-        max_imag=max_imag,
+        predicted_families=tuple(p[1] for p in predicted),
+        max_rel_mismatch=float(rel_mismatch.max()),
+        max_imag=float(np.abs(coupled_vals.imag).max()),
         mu1=min_re,
         verdict=verdict,
         cause=cause,
-        mismatch_threshold=threshold,
+        mismatch_threshold=float(rel_bound.max()),
     )
 
 
-CLUSTER_GAP = 1e-6
+def _cluster_errors(
+    coupled_re: np.ndarray, pred: np.ndarray, families: np.ndarray,
+    rho_c: np.ndarray, rho_s: np.ndarray, kappa: float, weyl: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(mismatch, bound, mean) per cluster of the sorted predicted values.
 
-
-def _cluster_mismatch(coupled_re: np.ndarray, pred: np.ndarray) -> float:
-    """Max relative mismatch between sorted multisets, cluster-aware.
-
-    Predicted values closer than CLUSTER_GAP (relative) are grouped and
-    compared by cluster mean. Defective double eigenvalues perturb as
-    +/-sqrt(rounding) in an uncontrolled direction (a real or a complex
-    pair), but the pair mean stays accurate to ordinary rounding, so
-    comparing means is the stable check; well-separated eigenvalues reduce
-    to the plain elementwise comparison.
+    Consecutive values join a cluster when their gap is at most
+    CLUSTER_GAP·|λ|. The mismatch is |mean coupled - mean predicted|: a
+    defective pair splits by ±sqrt(rounding), real or complex, but its mean
+    stays accurate to rounding. The bound is max ρ_s + κ·max ρ_c (Bauer–
+    Fike, κ = κ₂(S)); a cluster that holds both families' copies, as every
+    cluster on the locus does, takes max ρ_c + weyl for the coupled term
+    where that is smaller, weyl = |s₁ - 2|·‖θ‖∞ (README, Numerical notes).
     """
-    floor = 1e-12 * max(1.0, float(np.abs(pred).max()))
-    # a cluster starts wherever the gap test fails (a NaN gap splits too)
-    joined = np.abs(np.diff(pred)) <= CLUSTER_GAP * np.maximum(1.0, np.abs(pred[1:]))
-    starts = np.flatnonzero(~joined) + 1
-    worst = 0.0
-    for c_part, p_part in zip(np.split(coupled_re, starts), np.split(pred, starts)):
-        c_mean = float(np.mean(c_part))
-        p_mean = float(np.mean(p_part))
-        worst = max(worst, abs(c_mean - p_mean) / max(abs(p_mean), floor))
-    return worst
+    joined = np.abs(np.diff(pred)) <= CLUSTER_GAP * np.abs(pred[1:])  # a NaN gap splits
+    clusters = np.split(np.arange(len(pred)), np.flatnonzero(~joined) + 1)
+    mismatch, bound, mean = [], [], []
+    for idx in clusters:
+        coupled_err = kappa * rho_c[idx].max()
+        if set(families[idx]) in ({"s1", "two"}, {"degenerate"}):
+            coupled_err = min(coupled_err, rho_c[idx].max() + weyl)
+        mean.append(np.mean(pred[idx]))
+        mismatch.append(abs(np.mean(coupled_re[idx]) - mean[-1]))
+        bound.append(rho_s[idx].max() + coupled_err)
+    return np.array(mismatch), np.array(bound), np.array(mean)

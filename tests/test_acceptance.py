@@ -69,7 +69,7 @@ def grid1d(n, length=math.pi):
 def coupled12(grid200, steady200, params_default):
     J = CoupledJacobian(grid200, steady200.u, steady200.v, params_default)
     t0 = time.perf_counter()
-    vals, vecs = coupled_eigenpairs(J, 12, tol=1e-10)
+    vals, vecs, _ = coupled_eigenpairs(J, 12, tol=1e-10)
     elapsed = time.perf_counter() - t0
     return J, vals, vecs, elapsed
 
@@ -177,7 +177,7 @@ def test_criterion_3_degenerate_case(grid200):
     params = ModelParams(a=A_DEFAULT, b=b, c=c)
     steady = synchronized_state(params, sol)
     J = CoupledJacobian(grid200, steady.u, steady.v, params)
-    vals, vecs = coupled_eigenpairs(J, 12, tol=1e-10)
+    vals, vecs, _ = coupled_eigenpairs(J, 12, tol=1e-10)
     scalar = eigenpairs(
         WeightedOperator(grid200, sol.a - 2.0 * sol.theta), 6, tol=1e-10
     ).values

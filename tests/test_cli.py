@@ -271,9 +271,12 @@ class TestVerify:
                    "--b", "0.333333333333", "--c", "1", "--k", "3", "--out", str(out))
         assert code == 0
         report = json.loads((out / "report.json").read_text())
-        # b is within the ill-conditioning band of c/(2c+1) but not on it
-        assert report["band_warning"] is True
+        # b is 3.3e-13 from c/(2c+1), within DEGENERATE_TOL: the a - 2θ family stands in
+        # for both copies, and the bound's Weyl term |s₁ - 2|·‖θ‖∞ covers the difference
+        assert report["degenerate"] is True
         assert report["verdict"] == "stable"
+        assert report["max_rel_mismatch"] <= 1e-6
+        assert report["max_rel_mismatch"] <= report["mismatch_threshold"]
 
     def test_exact_degenerate(self, tmp_path):
         out = tmp_path / "o"
@@ -513,7 +516,7 @@ class TestSweep:
             expected.append(json.dumps({
                 "a": a, "b": b, "c": c, "resolution": n,
                 "s": report.s_value, "degenerate": report.degenerate,
-                "degenerate_band": report.band_warning, "mu1": report.mu1,
+                "mu1": report.mu1,
                 "max_rel_mismatch": report.max_rel_mismatch, "max_imag": report.max_imag,
                 "verdict": report.verdict, "cause": report.cause,
             }, sort_keys=True))

@@ -455,7 +455,7 @@ class TestDecayRate:
         self, grid200, theta200, steady200, params_default, mode_basis
     ):
         predicted, spectra = mode_basis
-        mu1, fam = predicted[0]
+        mu1, fam, _ = predicted[0]
         pair = spectra[fam].pairs[0]
         A, B = ansatz_coefficients(params_default.b, params_default.c, fam)
         nrm = math.hypot(A, B)
@@ -471,8 +471,8 @@ class TestDecayRate:
         self, grid200, theta200, steady200, params_default, mode_basis
     ):
         predicted, spectra = mode_basis
-        mu1, fam1 = predicted[0]
-        mu2, fam2 = predicted[1]
+        mu1, fam1, _ = predicted[0]
+        mu2, fam2, _ = predicted[1]
         assert fam1 != fam2
         p1 = spectra[fam1].pairs[0]
         p2 = spectra[fam2].pairs[0]

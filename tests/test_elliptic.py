@@ -108,9 +108,9 @@ class TestSolveLogistic:
         outcomes = []
         newton = elliptic._newton
 
-        def recording_newton(grid, a_vals, theta0, tol):
+        def recording_newton(grid, a_vals, theta0, tol, amax):
             try:
-                result = newton(grid, a_vals, theta0, tol)
+                result = newton(grid, a_vals, theta0, tol, amax)
             except NewtonDivergenceError as exc:
                 outcomes.append((theta0.max(), str(exc)))
                 raise
@@ -121,13 +121,13 @@ class TestSolveLogistic:
         return outcomes
 
     def test_supersolution_start_after_eigenfunction_start_collapses(self, monkeypatch):
-        # a=60 on n=20: Newton from the scaled eigenfunction converges to
-        # zero in 17 iterations, where max θ is 1.6e-168 and the residual
-        # norm underflows to 0; the constant max(a) start converges to θ
+        # a=60 on n=20: Newton from the scaled eigenfunction collapses to
+        # zero, where it stops after 7 iterations (max θ 1.5e-16, below
+        # eps·max a); the constant max(a) start converges to θ
         outcomes = self.record_newton(monkeypatch)
         sol = solve_logistic(grid1d(20), 60.0, tol=1e-10)
         assert [start for start, _ in outcomes] == [pytest.approx(30.0, rel=1e-12), 60.0]
-        assert outcomes[0][1] == 17
+        assert outcomes[0][1] == 7
         assert outcomes[1][1] == sol.newton_iterations == 5
         assert sol.residual_norm <= 1e-10
         assert logistic_residual(sol.theta, 60.0) <= 1e-10
@@ -140,7 +140,9 @@ class TestSolveLogistic:
         from lvsync.elliptic import _newton
 
         g = Grid("rectangle", (1.0, 1.0), (8, 8))
-        bare, res, iters = _newton(g, np.full(g.size, 200.0), np.full(g.size, 200.0), 1e-10)
+        bare, res, iters, _ = _newton(
+            g, np.full(g.size, 200.0), np.full(g.size, 200.0), 1e-10, 200.0
+        )
         outcomes = self.record_newton(monkeypatch)
         sol = solve_logistic(g, 200.0, tol=1e-10)
         assert [start for start, _ in outcomes] == [pytest.approx(100.0, rel=1e-12), 200.0]
@@ -159,7 +161,8 @@ class TestSolveLogistic:
         eig_start = elliptic._principal_start(g, elliptic.as_field(g, 200.0), 200.0, 1e-10)[1]
         newton = elliptic._newton
         monkeypatch.setattr(elliptic, "_newton",
-                            lambda grid, a_vals, theta0, tol: newton(grid, a_vals, eig_start, tol))
+                            lambda grid, a_vals, theta0, tol, amax:
+                            newton(grid, a_vals, eig_start, tol, amax))
         with pytest.raises(NewtonDivergenceError, match="not strictly positive"):
             solve_logistic(g, 200.0, tol=1e-10)
 
@@ -170,7 +173,7 @@ class TestSolveLogistic:
 
         g = grid1d(3, length=4.0)
         with pytest.raises(NewtonDivergenceError, match="Newton linear solve failed: .*singular"):
-            _newton(g, np.full(3, 4.0), np.ones(3), 1e-10)
+            _newton(g, np.full(3, 4.0), np.ones(3), 1e-10, 4.0)
 
 
 class TestLogisticResidual:
@@ -206,6 +209,30 @@ class TestUniquenessProbe:
         report = uniqueness_probe(grid1d(100), 0.5, 8, tol=1e-10, seed=0)
         assert report.n_distinct_positive == 0
         assert report.n_positive == 0
+
+    @pytest.mark.parametrize("n", [100, 1000, 10_000])
+    def test_newton_stops_at_the_zero_limit(self, n):
+        # subcritical a: Newton collapses to zero and stops once no value exceeds
+        # eps·max a, after 6 iterations, not when ‖F‖ underflows after 17 to 19
+        from lvsync.elliptic import _newton
+
+        g = grid1d(n)
+        theta, _, iters, kind = _newton(g, np.full(n, 0.5), 0.4 * np.sin(g.axes[0]), 1e-10, 0.5)
+        assert kind == "zero"
+        assert iters == 6
+
+    @pytest.mark.parametrize("a, expected_iters", [(0.0, 6), (-1.0, 5)])
+    def test_newton_stops_at_the_zero_limit_when_max_a_is_not_positive(self, a, expected_iters):
+        # max a <= 0: uniqueness_probe's stand-in scale 1 is the one the loop
+        # tests against, so the collapse stops early here too (was 16 iterations)
+        from lvsync.elliptic import _newton
+
+        g = grid1d(100)
+        _, _, iters, kind = _newton(g, np.full(100, a), np.full(100, 0.5), 1e-10, 1.0)
+        assert kind == "zero"
+        assert iters == expected_iters
+        report = uniqueness_probe(g, a, 4, tol=1e-10, seed=0)
+        assert report.n_zero == 4
 
     def test_supercritical_2d_single_solution(self):
         g = Grid("rectangle", (1.0, 1.0), (24, 24))

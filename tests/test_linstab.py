@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from lvsync.linstab import (
     CLUSTER_GAP,
     DEGENERATE_TOL,
     StabilityReport,
-    _cluster_mismatch,
+    _cluster_errors,
     ansatz_coefficients,
     ansatz_residual,
     component_projection,
@@ -195,7 +196,7 @@ class TestSpectralEquivalence:
 
     def test_union_multiset_matches_coupled(self, grid200, theta200, steady200, params_default):
         J = CoupledJacobian(grid200, steady200.u, steady200.v, params_default)
-        mus, _ = coupled_eigenpairs(J, 12, tol=1e-10)
+        mus, _, _ = coupled_eigenpairs(J, 12, tol=1e-10)
         predicted, _ = predicted_spectrum(
             grid200, theta200.a, theta200.theta,
             params_default.b, params_default.c, 12, tol=1e-10,
@@ -220,7 +221,7 @@ class TestSpectralEquivalence:
         sol = solve_logistic(g, a, tol=1e-10)
         steady = synchronized_state(params, sol)
         J = CoupledJacobian(g, steady.u, steady.v, params)
-        arnoldi, _ = coupled_eigenpairs(J, k, tol=1e-10)
+        arnoldi, _, _ = coupled_eigenpairs(J, k, tol=1e-10)
         # independent oracle: raw LAPACK on the negated block matrix
         dense = np.sort(sla.eigvals((-J.matrix).toarray()).real)[:k]
         assert np.allclose(arnoldi.real, dense, rtol=1e-8)
@@ -235,7 +236,7 @@ class TestSpectralEquivalence:
         oracle = sla.eigvals((-J.matrix).toarray())
         oracle = oracle[np.lexsort((oracle.imag, oracle.real))]
         k = 2 * g.size - 2
-        vals, vecs = coupled_eigenpairs(J, k, tol=1e-10)
+        vals, vecs, _ = coupled_eigenpairs(J, k, tol=1e-10)
         assert vecs.shape == (2 * g.size, k)
         assert np.allclose(vals, oracle[:k], rtol=1e-12, atol=1e-12)
         for k in (2 * g.size - 1, 2 * g.size):
@@ -251,7 +252,7 @@ class TestSpectralEquivalence:
         # their order; verify_theorem and the eigenvalue table rely on it
         params = ModelParams(a=4.0 if g.ndim == 2 else 2.0, b=1.0 / 3.0, c=1.0)
         steady = synchronized_state(params, solve_logistic(g, params.a, tol=1e-10))
-        vals, _ = coupled_eigenpairs(CoupledJacobian(g, steady.u, steady.v, params), 12)
+        vals, _, _ = coupled_eigenpairs(CoupledJacobian(g, steady.u, steady.v, params), 12)
         assert np.count_nonzero(vals.imag) >= 4
         assert np.array_equal(np.lexsort((vals.imag, vals.real)), np.arange(12))
 
@@ -263,7 +264,7 @@ class TestSpectralEquivalence:
         g = Grid("rectangle", (math.pi, math.pi), (n, n))
         zero = Field.constant(g, 0.0)
         J = CoupledJacobian(g, zero, zero, ModelParams(a=4.0, b=0.5, c=1.0))
-        arnoldi, _ = coupled_eigenpairs(J, k, tol=1e-10)
+        arnoldi, _, _ = coupled_eigenpairs(J, k, tol=1e-10)
         dense = np.sort(sla.eigvals((-J.matrix).toarray()).real)[:k]
         assert np.allclose(arnoldi.real, dense, rtol=1e-8)
 
@@ -273,7 +274,7 @@ class TestSpectralEquivalence:
         sol = solve_logistic(g, 2.0, tol=1e-10)
         steady = synchronized_state(params, sol)
         J = CoupledJacobian(g, steady.u, steady.v, params)
-        mus, _ = coupled_eigenpairs(J, 8, tol=1e-10)
+        mus, _, _ = coupled_eigenpairs(J, 8, tol=1e-10)
         scalar = eigenpairs(
             WeightedOperator(g, sol.a - 2.0 * sol.theta), 4, tol=1e-10
         ).values
@@ -292,7 +293,7 @@ class TestSpectralEquivalence:
         sol = solve_logistic(g, 2.0, tol=1e-10)
         steady = synchronized_state(params, sol)
         J = CoupledJacobian(g, steady.u, steady.v, params)
-        vals, vecs = coupled_eigenpairs(J, 8, tol=1e-10)
+        vals, vecs, _ = coupled_eigenpairs(J, 8, tol=1e-10)
         M2 = laplacian(g) + sp.diags(sol.a.values - 2.0 * sol.theta.values)
         scale = math.sqrt(g.cell_volume)
         for j in range(len(vals)):
@@ -317,7 +318,7 @@ class TestSpectralEquivalence:
         sol = solve_logistic(g, a, tol=1e-10)
         steady = synchronized_state(params, sol)
         J = CoupledJacobian(g, steady.u, steady.v, params)
-        vals, vecs = coupled_eigenpairs(J, n_values, tol=1e-10)
+        vals, vecs, _ = coupled_eigenpairs(J, n_values, tol=1e-10)
         s1 = s_parameter(b, c)
         lap = laplacian(g)
         m_s1 = lap + sp.diags(sol.a.values - s1 * sol.theta.values)
@@ -368,24 +369,49 @@ class TestVerifyTheorem:
         assert len(report200.coupled_eigs) == 12
         assert len(report200.predicted_eigs) == 12
         assert report200.degenerate is False
-        assert report200.mismatch_threshold == 1e-8
+        # the bound sits at the rounding floor, far below the old 100·tol
+        assert report200.max_rel_mismatch <= report200.mismatch_threshold <= 1e-9
 
     def test_degenerate_case(self, grid200):
         report = verify_theorem(ModelParams(a=2.0, b=1.0 / 3.0, c=1.0), grid200, 4, tol=1e-10)
         assert report.degenerate is True
         assert report.verdict == "stable"
         assert report.max_rel_mismatch <= 1e-6
+        assert report.max_rel_mismatch <= report.mismatch_threshold
         assert report.s_value == pytest.approx(2.0, abs=4 * math.ulp(2.0))
 
-    def test_band_warning_near_locus(self, grid200):
+    def test_bound_near_locus(self, grid200):
+        # κ₂(S) ≈ ‖S‖_F²/|det S| with det S = 3·offset at c = 1. At 5e-5 the two
+        # families' copies lie in separate clusters, each bounded with κ₂(S) ≈ 3.7e4;
+        # at 1e-9 they share clusters, whose bound takes max ρ_c + w instead of
+        # κ₂(S)·max ρ_c (κ₂(S) ≈ 1.9e9), so the bound stays below the old 1e-6 at both
         c = 1.0
         for offset in (5e-5, 1e-9):
             b = c / (2 * c + 1) + offset
             report = verify_theorem(ModelParams(a=2.0, b=b, c=c), grid200, 3, tol=1e-10)
             assert report.degenerate is False
-            assert report.band_warning is True
-            assert report.mismatch_threshold == 1e-6
             assert report.verdict == "stable"
+            assert report.max_rel_mismatch <= 1e-6
+            assert report.max_rel_mismatch <= report.mismatch_threshold <= 1e-6
+
+    @pytest.mark.parametrize("offset", [0.0, 3e-13, 9e-13, 1.1e-12, 1e-10, 1e-7, 1e-5, 1e-4])
+    @pytest.mark.parametrize(
+        "g, a",
+        [(Grid("rectangle", (math.pi, math.pi), (12, 12)), 4.0),
+         (Grid("rectangle", (math.pi, math.pi), (30, 30)), 4.0), (grid1d(200), 2.0)],
+        ids=["2d-12x12", "2d-30x30", "1d-200"],
+    )
+    def test_near_locus_stable(self, g, a, offset):
+        # within DEGENERATE_TOL the a - 2θ family stands in for both copies, which the
+        # Weyl term |s₁ - 2|·‖θ‖∞ covers; beyond it a cluster that holds both families'
+        # copies is bounded the same way, and any other by κ₂(S). The largest relative
+        # bound measured on these cases is 3.4e-6 (1D, offset 1e-5)
+        b = 1.0 / 3.0 + offset
+        report = verify_theorem(ModelParams(a=a, b=b, c=1.0), g, 3)
+        assert report.degenerate is (offset <= DEGENERATE_TOL)
+        assert (report.verdict, report.cause) == ("stable", None)
+        assert report.max_rel_mismatch <= 1e-6
+        assert report.max_rel_mismatch <= report.mismatch_threshold <= 1e-4
 
     def test_square_edge_pair_not_missed(self):
         # s1 = 3.73 puts one copy of the a-2θ family's exactly double
@@ -431,6 +457,12 @@ class TestVerifyTheorem:
         sol = solve_logistic(g, lam1 + delta)
         mu1 = eigenpairs(WeightedOperator(g, sol.a - s1 * sol.theta), 1).values[0]
         assert abs(mu1 / ((s1 - 1.0) * delta) - 1.0) <= 1e-3
+        # μ₁ → 0: a mismatch at rounding level is large against μ₁ but not
+        # against the residual bound, which every cluster of a stable report meets
+        report = verify_theorem(ModelParams(a=lam1 + delta, b=0.5, c=1.0), g, 6)
+        assert (report.verdict, report.cause) == ("stable", None)
+        assert report.max_rel_mismatch <= report.mismatch_threshold
+        assert report.mu1 == pytest.approx(mu1, rel=1e-6)
 
     def test_nan_coupled_pair_is_inconclusive(self, monkeypatch):
         # a NaN eigenvector from the coupled eigen solve fails the residual
@@ -456,7 +488,8 @@ class TestVerifyTheorem:
     @pytest.mark.parametrize("move, verdict, cause, exit_code", [
         ("unstable", "unstable", None, 0),
         ("borderline", "inconclusive", "borderline spectrum (eigenvalue at zero)", 1),
-        ("mismatch", "inconclusive", "spectral mismatch 1.000e-03 exceeds threshold 1.0e-08", 1),
+        ("mismatch", "inconclusive",
+         r"spectral mismatch 1\.000e-03 exceeds its bound \d\.\d{3}e-1[0-3]", 1),
     ], ids=["unstable", "borderline", "mismatch"])
     def test_moved_spectra_give_each_verdict(
         self, monkeypatch, tmp_path, grid200, move, verdict, cause, exit_code
@@ -471,23 +504,26 @@ class TestVerifyTheorem:
 
         def moved_prediction(*args, **kwargs):
             tagged, spectra = predict(*args, **kwargs)
-            low = min(value for value, _ in tagged)
+            low = min(value for value, _, _ in tagged)
             shifts.append({"unstable": -1.0 - low, "borderline": -low}.get(move, 0.0))
-            return [(value + shifts[-1], family) for value, family in tagged], spectra
+            return [(value + shifts[-1], fam, res) for value, fam, res in tagged], spectra
 
         def moved_coupled(*args, **kwargs):
-            vals, vecs = coupled(*args, **kwargs)
+            vals, vecs, res = coupled(*args, **kwargs)
             if move == "mismatch":
-                return vals * (1.0 + 1e-3), vecs
+                return vals * (1.0 + 1e-3), vecs, res
             if move == "borderline":
-                return vals - vals.real.min(), vecs
-            return vals + shifts[-1], vecs
+                return vals - vals.real.min(), vecs, res
+            return vals + shifts[-1], vecs, res
 
         monkeypatch.setattr(lvsync.linstab, "predicted_spectrum", moved_prediction)
         monkeypatch.setattr(lvsync.linstab, "coupled_eigenpairs", moved_coupled)
         report = verify_theorem(params, grid200, 3, tol=1e-10)
         assert report.verdict == verdict
-        assert report.cause == cause
+        if move == "mismatch":
+            assert re.fullmatch(cause, report.cause)
+        else:
+            assert report.cause == cause
         if move == "unstable":
             assert report.mu1 == pytest.approx(-1.0, abs=1e-9)
         else:
@@ -566,7 +602,7 @@ class TestVerifyTheorem:
         # report.json holds exactly the report's fields, and no others
         names = {f.name for f in dataclasses.fields(StabilityReport)}
         assert names == {
-            "s_value", "s_second", "degenerate", "band_warning", "coupled_eigs",
+            "s_value", "s_second", "degenerate", "coupled_eigs",
             "predicted_eigs", "predicted_families", "max_rel_mismatch", "max_imag",
             "mu1", "verdict", "cause", "k", "mismatch_threshold",
         }
@@ -574,43 +610,76 @@ class TestVerifyTheorem:
             assert set(stability_report_dict(report)) == names
 
     @pytest.mark.parametrize(
-        "pred, coupled, expected",
+        "pred, coupled, families, rho_c, rho_s, kappa, weyl, mismatch, bound",
         [
-            ([1.0, 2.0, 4.0], [1.0, 2.5, 4.0], 0.25),
-            ([2.0, 2.0 + 1e-7, 5.0], [1.5, 2.5 + 1e-7, 5.0], 0.0),
-            ([3.0, 3.0 + 2e-6, 3.0 + 4e-6], [2.9, 3.0 + 2e-6, 3.1 + 4e-6], 0.0),
-            ([1.0, 1.0 + 1.01 * CLUSTER_GAP], [1.0 + 1.01 * CLUSTER_GAP, 1.0], 1.01e-6),
+            ([1.0, 2.0, 4.0], [1.0, 2.5, 4.0], "s1 two s1", [0.0] * 3, [0.0] * 3, 1.0, 0.0,
+             [0.0, 0.5, 0.0], [0.0] * 3),
+            ([2.0, 2.0 + 1e-7, 5.0], [1.5, 2.5 + 1e-7, 5.0], "s1 s1 two", [0.0] * 3, [0.0] * 3,
+             1.0, 0.0, [0.0, 0.0], [0.0, 0.0]),
+            ([3.0, 3.0 + 2e-6, 3.0 + 4e-6], [2.9, 3.0 + 2e-6, 3.1 + 4e-6], "two two two",
+             [0.0] * 3, [0.0] * 3, 1.0, 0.0, [0.0], [0.0]),
+            ([1.0, 1.0 + 1.01 * CLUSTER_GAP], [1.0 + 1.01 * CLUSTER_GAP, 1.0], "s1 s1",
+             [0.0] * 2, [0.0] * 2, 1.0, 0.0, [1.01e-6] * 2, [0.0] * 2),
+            # below 1 the gap is still relative: 2e-9 apart at 1e-3 is two clusters
+            ([1e-3, 1e-3 + 2e-9], [1e-3, 1e-3 + 2e-9], "s1 s1", [1e-15] * 2, [1e-15] * 2, 1.0,
+             0.0, [0.0] * 2, [2e-15] * 2),
+            # an exact double zero is one cluster
+            ([0.0, 0.0], [-1e-14, 2e-14], "s1 s1", [1e-13, 3e-13], [1e-13, 1e-13], 1.0, 0.0,
+             [5e-15], [4e-13]),
+            # one family's pair: κ·max ρ_c + max ρ_s
+            ([5.0, 5.0], [5.0, 5.0], "s1 s1", [1e-3, 2e-3], [5e-4, 1e-4], 10.0, 1e-5,
+             [0.0], [2.05e-2]),
+            # both families' copies: max ρ_c + w where that is below κ·max ρ_c
+            ([5.0, 5.0], [5.0, 5.0], "s1 two", [1e-3, 2e-3], [5e-4, 1e-4], 10.0, 1e-5,
+             [0.0], [2.51e-3]),
+            ([5.0, 5.0], [5.0, 5.0], "degenerate degenerate", [1e-3, 2e-3], [5e-4, 1e-4],
+             1e16, 1e-5, [0.0], [2.51e-3]),
+            ([5.0, 5.0], [5.0, 5.0], "two s1", [1e-3, 2e-3], [5e-4, 1e-4], 1.5, 1e-2,
+             [0.0], [3.5e-3]),
         ],
-        ids=["singletons", "pair-by-mean", "chain-of-three", "just-beyond-gap"],
+        ids=["singletons", "pair-by-mean", "chain-of-three", "just-beyond-gap",
+             "relative-below-one", "double-zero", "one-family-pair", "two-family-pair",
+             "locus-pair", "two-family-pair-kappa"],
     )
-    def test_cluster_mismatch_table(self, pred, coupled, expected):
-        worst = _cluster_mismatch(np.array(coupled), np.array(pred))
-        assert worst == pytest.approx(expected, rel=1e-6, abs=1e-15)
+    def test_cluster_errors_table(
+        self, pred, coupled, families, rho_c, rho_s, kappa, weyl, mismatch, bound
+    ):
+        got_mismatch, got_bound, mean = _cluster_errors(
+            np.array(coupled), np.array(pred), np.array(families.split()),
+            np.array(rho_c), np.array(rho_s), kappa, weyl)
+        assert got_mismatch == pytest.approx(mismatch, rel=1e-6, abs=1e-15)
+        assert got_bound == pytest.approx(bound, rel=1e-12, abs=0.0)
+        assert len(mean) == len(mismatch)
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 2**32 - 1))
-    def test_cluster_mismatch_equals_loop_reference(self, seed):
+    def test_cluster_errors_equal_loop_reference(self, seed):
         # the element-by-element cluster walk, kept as the reference: the
         # same means over the same pieces, so the results must be equal
-        def reference(coupled_re, pred):
-            floor = 1e-12 * max(1.0, float(np.abs(pred).max()))
-            worst, i, m = 0.0, 0, len(pred)
+        def reference(coupled_re, pred, families, rho_c, rho_s, kappa, weyl):
+            out, i, m = [], 0, len(pred)
             while i < m:
                 j = i + 1
-                while j < m and abs(pred[j] - pred[j - 1]) <= CLUSTER_GAP * max(1.0, abs(pred[j])):
+                while j < m and abs(pred[j] - pred[j - 1]) <= CLUSTER_GAP * abs(pred[j]):
                     j += 1
-                c_mean = float(np.mean(coupled_re[i:j]))
-                p_mean = float(np.mean(pred[i:j]))
-                worst = max(worst, abs(c_mean - p_mean) / max(abs(p_mean), floor))
+                coupled_err = kappa * max(rho_c[i:j])
+                if "s1" in families[i:j] and "two" in families[i:j]:
+                    coupled_err = min(coupled_err, max(rho_c[i:j]) + weyl)
+                out.append((abs(np.mean(coupled_re[i:j]) - np.mean(pred[i:j])),
+                            max(rho_s[i:j]) + coupled_err, np.mean(pred[i:j])))
                 i = j
-            return worst
+            return tuple(np.array(col) for col in zip(*out))
 
         rng = np.random.default_rng(seed)
         # steps of 0 to 3 cluster gaps build singletons, pairs and chains
         steps = rng.integers(0, 4, size=12) * rng.uniform(0.5, 1.5, size=12) * CLUSTER_GAP
         pred = 1.0 + np.cumsum(steps)
         coupled = pred * (1.0 + 1e-7 * rng.standard_normal(12))
-        assert _cluster_mismatch(coupled, pred) == reference(coupled, pred)
+        families = rng.choice(["s1", "two"], size=12)
+        rho_c, rho_s = rng.uniform(0.0, 1e-12, size=(2, 12))
+        args = (coupled, pred, families, rho_c, rho_s, rng.uniform(1.0, 100.0), 1e-11)
+        for got, expected in zip(_cluster_errors(*args), reference(*args)):
+            np.testing.assert_array_equal(got, expected)
 
     def test_degenerate_distance_helper(self):
         assert degenerate_distance(0.4, 2.0) <= DEGENERATE_TOL

@@ -8,7 +8,11 @@ tied exactly, checked without any reference solution.
   SuperLU, its transpose to band Cholesky.
 
 Both runs must end `stable`, with μ₁ equal within 100·tol relative; the
-largest difference measured is about 4e-11 relative.
+largest difference measured is about 4e-11 relative. The scaled pairs
+must also report the same relative `mismatch_threshold`: the verdict's
+bound has no term in units of its own, so it moves only by the rounding
+of its residual floors (a few eps) and by the relative error of the
+eigenvalue it is divided by, which the bound itself limits (2·threshold).
 
 A seeded random `verify` campaign over short 1D intervals with large a,
 where an absolute Newton tolerance used to stall, must end `stable` too.
@@ -26,6 +30,7 @@ from lvsync.grid import LapackFactor, factorize, laplacian
 from lvsync.spectral import DEFAULT_TOL
 
 BOUND = 100 * DEFAULT_TOL
+EPS = np.finfo(float).eps
 
 
 
@@ -38,17 +43,24 @@ def campaign_draws(count=40, seed=0):
 
 
 @functools.cache
-def mu1(grid, a):
-    """μ₁ of the default (b, c) = (0.5, 1) at k = 6; the run must be stable."""
+def stable_report(grid, a):
+    """The report of the default (b, c) = (0.5, 1) at k = 6; the run must be stable."""
     report = verify_theorem(ModelParams(a=a, b=0.5, c=1.0), grid, 6)
     assert (report.verdict, report.cause) == ("stable", None)
-    return report.mu1
+    return report
+
+
+def mu1(grid, a):
+    return stable_report(grid, a).mu1
 
 
 def assert_scales(kind, unit, n, a0, L):
-    base = mu1(Grid(kind, unit, n), a0)
-    scaled = mu1(Grid(kind, tuple(L * x for x in unit), n), a0 / L**2)
-    assert abs(scaled * L**2 - base) <= BOUND * base
+    base = stable_report(Grid(kind, unit, n), a0)
+    scaled = stable_report(Grid(kind, tuple(L * x for x in unit), n), a0 / L**2)
+    assert scaled.verdict == base.verdict
+    assert abs(scaled.mu1 * L**2 - base.mu1) <= BOUND * base.mu1
+    threshold = base.mismatch_threshold
+    assert abs(scaled.mismatch_threshold - threshold) <= threshold * (2 * threshold + 16 * EPS)
 
 
 @pytest.mark.parametrize("L", [0.1, 0.25, 0.5, 2.0, 3.0])
