@@ -141,6 +141,12 @@ CASES = [
                                             "--snapshots", "0,1e9"]),
     ("config-evolve-step-count-overflows", ["evolve", "--n", "20", "--t-end", "1",
                                             "--dt", "1e-320"]),
+    # h·h underflows to 0, so the stencil's 1/h² would not be finite
+    ("config-theta-spacing-underflows", ["theta", "--domain", "interval:0:1e-300", "--n", "20",
+                                         "--a", "2"]),
+    # a0 + a1·sin overflows to inf
+    ("config-theta-profile-overflows", ["theta", "--domain", "interval:0:pi", "--n", "20",
+                                        "--a", "profile:sin", "--a0", "1e308", "--a1", "1e308"]),
 ]
 
 # the verify rungs of CI, and the widest SuperLU IMEX path

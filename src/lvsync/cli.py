@@ -189,11 +189,15 @@ def build_growth_field(cfg: RunConfig, grid: Grid) -> Field:
     a = cfg.a
     if isinstance(a, str) and a.startswith("profile:"):
         name = a.split(":", 1)[1]
-        if name == "sin":
-            # a0 + (a1·sin(πx/Lx))·sin(πy/Ly), one axis factor at a time
-            sines = np.sin(math.pi * grid.coords() / grid.extents)
-            return Field(grid, cfg.a0 + functools.reduce(operator.mul, sines.T, cfg.a1))
-        raise ConfigError(f"unknown profile {name!r} (known: sin)")
+        if name != "sin":
+            raise ConfigError(f"unknown profile {name!r} (known: sin)")
+        # a0 + (a1·sin(πx/Lx))·sin(πy/Ly), one axis factor at a time
+        sines = np.sin(math.pi * grid.coords() / grid.extents)
+        with np.errstate(over="ignore"):
+            values = cfg.a0 + functools.reduce(operator.mul, sines.T, cfg.a1)
+        if not np.isfinite(values).all():
+            raise ConfigError(f"profile:sin with a0 = {cfg.a0:g}, a1 = {cfg.a1:g} is not finite")
+        return Field(grid, values)
     if isinstance(a, str) and a.startswith("file:"):
         path = Path(a.split(":", 1)[1])
         if not path.exists():

@@ -97,6 +97,9 @@ class Grid:
         if any(n < 3 for n in self.resolution):
             raise ValueError(f"resolution too small: need >= 3 interior nodes per axis, got {self.resolution}")
         setattr_("spacing", tuple(e / (n + 1) for e, n in zip(self.extents, self.resolution)))
+        inv_h2 = [1.0 / (h * h) if h * h else math.inf for h in self.spacing]  # h·h may be 0
+        if not (min(inv_h2) > 0.0 and 4.0 * sum(inv_h2) < math.inf):
+            raise ValueError(f"spacing {self.spacing}: need every 1/h² > 0 and 4·Σ1/h² finite")
         setattr_("size", math.prod(self.resolution))
         setattr_("cell_volume", math.prod(self.spacing))
         setattr_("axes", tuple(h * np.arange(1, n + 1) for h, n in zip(self.spacing, self.resolution)))

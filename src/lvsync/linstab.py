@@ -46,8 +46,7 @@ from .grid import (
 )
 from .model import ModelParams, ratio_coefficients, synchronized_state
 from .spectral import (
-    DEFAULT_TOL, EigenPair, EigenSolveError, Spectrum, _shift_invert, check_residuals, eigenpairs,
-    residual_gate,
+    DEFAULT_TOL, EigenPair, EigenSolveError, Spectrum, _shift_invert, eigenpairs, residual_gate,
 )
 
 __all__ = [
@@ -87,6 +86,15 @@ def s_parameter(b: float, c: float) -> float:
     """
     ratio_coefficients(b, c)  # parameter validation
     return (2.0 + c - b) / (1.0 + b * c)
+
+
+def _similarity_condition(b: float, c: float) -> float:
+    """κ₂(S) = σ_max/σ_min of S = [[b, 1 - b], [c, 1 + c]], σ_max from the 2×2 SVD's closed
+    form, σ_min = |det S|/σ_max with det S = b(2c + 1) - c exact before one rounding."""
+    sigma_max = (math.hypot(b - 1.0 - c, 1.0 - b + c) + math.hypot(b + 1.0 + c, 1.0 - b - c)) / 2
+    (nb, db), (nc, dc) = b.as_integer_ratio(), c.as_integer_ratio()
+    det = abs(nb * (2 * nc + dc) - nc * db) / (db * dc)
+    return sigma_max / (det / sigma_max) if det else math.inf
 
 
 def degenerate_distance(b: float, c: float) -> float:
@@ -165,14 +173,13 @@ class CoupledJacobian:
 
 def coupled_eigenpairs(
     J: CoupledJacobian, k: int, tol: float = DEFAULT_TOL
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, list[float]]:
     """k eigenvalues of -J with smallest real parts, plus eigenvectors.
 
-    Returns (values, vectors, residuals) with values sorted ascending by
-    (Re, Im), vectors normalized to unit combined L2 norm and each pair's
-    residual, by which it passed check_residuals. `spectral._shift_invert`
-    solves, for k in its eigen window, with the shift one unit below the
-    Gershgorin lower bound on the real parts.
+    `spectral._shift_invert`'s (values, vectors, residuals): values
+    ascending by (Re, Im), vectors of unit combined L2 norm, each pair
+    checked; its shift is one unit below the Gershgorin lower bound on the
+    real parts.
 
     A single-vector Krylov space can miss one copy of an exactly double
     eigenvalue (the 2D square's (i,j)/(j,i) pairs, or I₂⊗(Δ+a) at the
@@ -185,17 +192,9 @@ def coupled_eigenpairs(
     # -J's bound -diag - offsum, exactly; every row holds a Laplacian neighbour
     offsum = np.add.reduceat(np.abs(Jm.data), Jm.indptr[:-1]) - np.abs(diag)
     sigma = -float((diag + offsum).max()) - 1.0
-    A, _, vals, vecs = _shift_invert(
-        J, k, sigma, COUPLED_START_SEED, symmetric=False, extra=COUPLED_EXTRA_VALUES
+    return _shift_invert(
+        J, k, sigma, COUPLED_START_SEED, tol, symmetric=False, extra=COUPLED_EXTRA_VALUES
     )
-    order = np.lexsort((vals.imag, vals.real))[:k]
-    vals, vecs = vals[order], vecs[:, order]
-
-    out_vecs = np.empty((J.size, k), dtype=complex)
-    for j in range(k):
-        out_vecs[:, j] = vecs[:, j] / J.grid.norm(vecs[:, j])
-    residuals = check_residuals(A, vals, out_vecs, J.grid, tol, "coupled eigenpair")
-    return vals, out_vecs, np.array(residuals)
 
 
 def predicted_spectrum(
@@ -372,7 +371,7 @@ def verify_theorem(
 
     pred_vals = np.array([value for value, _, _ in predicted])
     families = np.array([family for _, family, _ in predicted])
-    coupled_re = coupled_vals.real  # ascending: coupled_eigenpairs lexsorts by (Re, Im)
+    coupled_re = coupled_vals.real  # ascending: _shift_invert sorts by (Re, Im)
     base = inconclusive_report(params, k, None)
     # each pair's residual, floored at the rounding term of the coupled gate,
     # one gate for both sides (‖-J‖ = ‖J‖; tol·0 drops the relative term)
@@ -380,7 +379,7 @@ def verify_theorem(
     rho_c = np.maximum(coupled_res, [gate(0.0, abs(v), 1.0) for v in coupled_vals])
     rho_s = np.maximum([res for _, _, res in predicted],
                        [gate(0.0, abs(v), 1.0) for v in pred_vals])
-    kappa = np.linalg.cond(np.array([[b, 1.0 - b], [c, 1.0 + c]]))  # κ₂(S)
+    kappa = _similarity_condition(b, c)
     weyl = abs(base.s_value - 2.0) * logistic.theta.max()
     mismatch, bound, mean = _cluster_errors(
         coupled_re, pred_vals, families, rho_c, rho_s, kappa, weyl

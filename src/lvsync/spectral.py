@@ -9,18 +9,15 @@ bounded below. The smallest eigenvalue λ1(m) is simple with a strictly
 positive eigenfunction; λ_i(m) is nonincreasing in m, strictly at i=1 when
 the weights differ somewhere.
 
-One shift-invert route, `_shift_invert`, serves this problem and the
+One shift-invert path, `_shift_invert`, takes this problem and the
 coupled one of `linstab.coupled_eigenpairs` (Ericsson & Ruhe, *Math.
-Comp.* 35, 1980). For A = -op.matrix, formed once, and a shift σ below
-the wanted eigenvalues, `grid.factorize(A, σ)`, the one place that
-applies a shift, factors A - σI; that factorization is ARPACK's inverse
-operator (``eigsh``, or ``eigs`` for the nonsymmetric coupled matrix),
-from a fixed seeded Gaussian start vector so that results are
-reproducible run to run. It serves every k that `eigen_window` admits;
-dense LAPACK is only the tests' oracle. Here σ = -max(m) - 1 lies strictly
-below the spectrum, so A - σI is positive definite, and its factorization
-also serves the refinement that re-evaluates every eigenvalue through the
-shifted inverse.
+Comp.* 35, 1980) to checked eigenpairs, for every k that `eigen_window`
+admits. `grid.factorize(A, σ)` factors A - σI, A = -op.matrix, as ARPACK's
+inverse operator (``eigsh``, or ``eigs`` for the coupled matrix; fixed
+seeded start vector), whose eigenvalues σ + 1/ν are sorted by (Re, Im),
+the vectors scaled to unit discrete L2 norm and every pair checked; dense
+LAPACK is only the tests' oracle. Here σ = -max(m) - 1 lies strictly
+below the spectrum, so A - σI is positive definite.
 
 Each eigenvector's sign makes its inner product with the fixed positive
 weight exp(x/Lx + √2·y/Ly) positive (`_sign_weight`), so the sign of an
@@ -44,7 +41,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .grid import Field, Grid, LapackFactor, WeightedOperator, factorize
+from .grid import Field, Grid, WeightedOperator, factorize
 
 __all__ = [
     "EigenPair",
@@ -152,22 +149,13 @@ def principal_eigenpair(op: WeightedOperator, tol: float = DEFAULT_TOL) -> Eigen
 
 
 def eigenpairs(op: WeightedOperator, k: int, tol: float = DEFAULT_TOL) -> Spectrum:
-    """k smallest eigenpairs of -(Δ + diag(m)), ascending, L2-orthonormal.
-
-    `_shift_invert` with eigsh, for k in `eigen_window`; the eigenvalues
-    are then refined through the shifted inverse and every pair passes
-    check_residuals.
-    """
+    """k smallest eigenpairs of -(Δ + diag(m)), ascending, L2-orthonormal:
+    `_shift_invert`'s with eigsh, each sign fixed by `_sign_weight`."""
     # the Rayleigh quotient of -(Δ+m) is bounded below by -max(m), so this
     # shift keeps A - sigma*I positive definite
     sigma = -float(op.weight.values.max()) - 1.0
-    A, lu, _, V = _shift_invert(op, k, sigma, SCALAR_START_SEED, symmetric=True)
-    w, V = _refine_through_inverse(lu, sigma, V)
-
-    # normalize in the discrete L2 norm and fix signs by the fixed weight
-    scale = 1.0 / np.sqrt(op.grid.cell_volume)
-    V = V * np.where(_sign_weight(op.grid) @ V < 0, -scale, scale)
-    residuals = check_residuals(A, w, V, op.grid, tol)
+    w, V, residuals = _shift_invert(op, k, sigma, SCALAR_START_SEED, tol, symmetric=True)
+    V[:, _sign_weight(op.grid) @ V < 0] *= -1.0
     pairs = (EigenPair(float(lam), Field(op.grid, x), r) for lam, x, r in zip(w, V.T, residuals))
     return Spectrum(pairs=tuple(pairs), tol=tol)
 
@@ -185,22 +173,25 @@ def eigen_window(k: int, n: int, *, extra: int = 0, symmetric: bool = True) -> i
 
 
 def _shift_invert(
-    op, k: int, sigma: float, seed: int, *, symmetric: bool, extra: int = 0
-) -> tuple[sp.csr_matrix, LapackFactor | spla.SuperLU, np.ndarray, np.ndarray]:
-    """A = -op.matrix for an operator with `grid` and `matrix`, lu =
-    factorize(A, σ) and ARPACK's eigen_window(k, n, …) eigenpairs of A nearest
-    σ, in its order, after checking k; check_residuals then judges them.
-    ARPACK runs to machine precision: an ARPACK tolerance of 1e-12 left residuals
-    up to 4e-10 on the coupled defective eigenvalues of the 2D degenerate locus."""
+    op, k: int, sigma: float, seed: int, tol: float, *, symmetric: bool, extra: int = 0
+) -> tuple[np.ndarray, np.ndarray, list[float]]:
+    """(values, vectors, residuals) of the k eigenpairs of A = -op.matrix nearest σ, for
+    an operator with `grid` and `matrix`: ARPACK's eigen_window(k, n, …) on factorize(A, σ),
+    sorted by (Re, Im), unit 2-norm vectors scaled in place to unit L2 norm, every pair
+    through check_residuals. ARPACK runs to machine precision: its tolerance 1e-12 left
+    residuals up to 4e-10 on the coupled defective eigenvalues of the 2D locus."""
     A = -op.matrix
     n = A.shape[0]
     m = eigen_window(k, n, extra=extra, symmetric=symmetric)
-    lu = factorize(A, sigma)
-    OPinv = spla.LinearOperator((n, n), matvec=lu.solve, dtype=float)
+    OPinv = spla.LinearOperator((n, n), matvec=factorize(A, sigma).solve, dtype=float)
     v0 = np.random.default_rng(seed).standard_normal(n)
     arpack = spla.eigsh if symmetric else spla.eigs
     w, V = arpack(A, m, sigma=sigma, which="LM", OPinv=OPinv, v0=v0)
-    return A, lu, w, V
+    order = np.lexsort((w.imag, w.real))[:k]
+    w, V = w[order], V[:, order]
+    V *= 1.0 / math.sqrt(op.grid.cell_volume)
+    what = "eigenpair" if symmetric else "coupled eigenpair"
+    return w, V, check_residuals(A, w, V, op.grid, tol, what)
 
 
 def _sign_weight(grid: Grid) -> np.ndarray:
@@ -218,20 +209,3 @@ def _sign_weight(grid: Grid) -> np.ndarray:
     """
     rates = np.array([1.0, math.sqrt(2.0)][: grid.ndim]) / np.array(grid.extents)
     return np.exp(grid.coords() @ rates)
-
-
-def _refine_through_inverse(
-    lu: LapackFactor | spla.SuperLU, sigma: float, V: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Re-evaluate eigenvalues through the shifted inverse operator.
-
-    Backward-stable solvers bound the eigenvalue error by eps*||A||, which
-    for stencil matrices (||A|| ~ h^-2) swamps the small eigenvalues at the
-    bottom of the spectrum. Evaluating lam = sigma + 1/(x'(A-sigma)^{-1}x)
-    instead scales the rounding with |lam - sigma| = O(1), and the
-    eigenvector's angle error only enters quadratically. Buys ~3 digits.
-    """
-    nu = np.sum(V * lu.solve(V), axis=0) / np.sum(V * V, axis=0)
-    refined = sigma + 1.0 / nu
-    order = np.argsort(refined, kind="stable")
-    return refined[order], V[:, order]

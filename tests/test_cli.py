@@ -782,6 +782,12 @@ FIELD_20_NODES_NAN = "index,coord1,value\n" + "".join(
     pytest.param({}, ["theta", "--n", "20", "--a", "profile:sin", "--a0", "inf"],
                  id="profile-offset-inf"),
     pytest.param({}, ["theta", "--n", "20", "--a", "profile:const"], id="profile-unknown"),
+    pytest.param({}, ["theta", "--domain", "interval:0:pi", "--n", "20", "--a", "profile:sin",
+                      "--a0", "1e308", "--a1", "1e308"], id="profile-overflows"),
+    pytest.param({}, ["theta", "--domain", "interval:0:1e-300", "--n", "20", "--a", "2"],
+                 id="spacing-underflows"),
+    pytest.param({}, ["theta", "--domain", "interval:0:1e300", "--n", "20", "--a", "2"],
+                 id="spacing-overflows"),
     pytest.param({"a.csv": FIELD_20_NODES_NAN}, ["theta", "--n", "20", "--a", "file:{tmp}/a.csv"],
                  id="growth-file-nan"),
     pytest.param({}, ["sweep", "--n", "20", "--sweep-b", "0.1:nan:0.1"], id="sweep-range-nan"),

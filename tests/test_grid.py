@@ -76,6 +76,18 @@ class TestGrid:
         with pytest.raises(ValueError, match="positive"):
             Grid("rectangle", (1.0, -2.0), (4, 4))
 
+    @pytest.mark.parametrize("kind, extents, resolution", [
+        ("interval", (1e-300,), (20,)),  # h·h underflows to 0
+        ("interval", (1e300,), (20,)),  # h·h overflows, so 1/h² is 0
+        ("interval", (5e-324,), (20,)),  # h itself underflows to 0
+        ("interval", (2.1e-153,), (20,)),  # 1/h² finite, 4/h² not
+        ("rectangle", (1.0, 1e-300), (5, 5)),
+    ], ids=["tiny", "huge", "h-zero", "row-sum-overflows", "rectangle-one-axis"])
+    def test_spacing_out_of_range(self, kind, extents, resolution):
+        # ValueError, not a ZeroDivisionError or OverflowError from the stencil
+        with pytest.raises(ValueError, match="1/h²"):
+            Grid(kind, extents, resolution)
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             Grid("interval", (1.0, 2.0), (4, 4))

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from lvsync.linstab import (
     DEGENERATE_TOL,
     StabilityReport,
     _cluster_errors,
+    _similarity_condition,
     ansatz_coefficients,
     ansatz_residual,
     component_projection,
@@ -89,6 +91,41 @@ class TestParameterAlgebra:
         assert degenerate is True
         assert z1 == pytest.approx(1.0 / 3.0, abs=1e-15)
         assert z2 == pytest.approx(z1, abs=1e-15)
+
+    @staticmethod
+    def exact_condition(b, c):
+        """κ₂(S) from exact rationals: κ + 1/κ = ‖S‖_F²/|det S| = 2t."""
+        B, C = Fraction(b), Fraction(c)
+        det = abs(B * (2 * C + 1) - C)
+        if det == 0:
+            return math.inf
+        t = (B**2 + (1 - B) ** 2 + C**2 + (1 + C) ** 2) / (2 * det)
+        return float(t) + math.sqrt(float(t * t - 1))
+
+    def test_similarity_condition_matches_svd(self):
+        # seeded draws away from the locus, where the SVD's own relative error,
+        # about eps·κ₂, stays far below 1e-12
+        rng = np.random.default_rng(30)
+        draws = [(b, c) for b, c in zip(rng.uniform(0.01, 0.99, 400), rng.uniform(0.01, 20.0, 400))
+                 if abs(b * (2.0 * c + 1.0) - c) >= 0.1]
+        assert len(draws) >= 300
+        for b, c in draws:
+            kappa = np.linalg.cond(np.array([[b, 1.0 - b], [c, 1.0 + c]]))
+            assert _similarity_condition(float(b), float(c)) == pytest.approx(kappa, rel=1e-12)
+
+    @pytest.mark.parametrize("b, c", [
+        (1.0 - 1e-9, 1.0), (1.0 - 1e-15, 2.0), (0.999, 1e3), (0.5, 1e6), (0.9, 1e8),
+        *[(c / (2.0 * c + 1.0) + d, c) for c in (0.1, 1.0, 5.8679) for d in (0.0, 1e-12, 1e-7)],
+    ])
+    def test_similarity_condition_is_exact_to_rounding(self, b, c):
+        # b -> 1, large c and on or near the locus, where np.linalg.cond loses up to
+        # eps·κ₂ relative (6e-5 at c = 1e6, all digits on the locus): against exact
+        # rational arithmetic instead
+        assert _similarity_condition(b, c) == pytest.approx(self.exact_condition(b, c), rel=1e-12)
+
+    def test_similarity_condition_of_a_singular_similarity_is_inf(self):
+        # b(2c + 1) = c exactly in binary floating point
+        assert _similarity_condition(0.25, 0.5) == math.inf
 
     @settings(max_examples=200, deadline=None)
     @given(valid_b, valid_c)
@@ -477,8 +514,7 @@ class TestVerifyTheorem:
             return vals, vecs
 
         monkeypatch.setattr(spla, "eigs", nan_eigs)
-        with pytest.warns(RuntimeWarning):
-            report = verify_theorem(ModelParams(a=2.0, b=0.5, c=1.0), grid1d(40), 3, tol=1e-10)
+        report = verify_theorem(ModelParams(a=2.0, b=0.5, c=1.0), grid1d(40), 3, tol=1e-10)
         assert report.verdict == "inconclusive"
         assert "coupled eigenpair" in report.cause and "residual nan" in report.cause
 

@@ -1,4 +1,5 @@
 import ast
+import itertools
 import math
 from pathlib import Path
 
@@ -21,7 +22,7 @@ from lvsync import (
     principal_eigenpair,
 )
 from lvsync.linstab import CoupledJacobian, coupled_eigenpairs
-from lvsync.spectral import EigenSolveError, check_residuals
+from lvsync.spectral import EigenSolveError, check_residuals, residual_gate
 
 # dense LAPACK oracle values for the weight a - s1*theta (a=2, b=0.5, c=1,
 # (0,pi), n=400), regenerated by scripts/make_goldens.py
@@ -101,6 +102,19 @@ class TestEigenpairs:
         for j in range(5):
             exact = lap_eig_1d(j + 1, h, math.pi)
             assert abs(spec.values[j] - exact) / exact <= 1e-12
+
+    @pytest.mark.parametrize("g", [grid1d(2500), grid1d(10_000),
+                                   Grid("rectangle", (math.pi, math.pi), (60, 60))],
+                             ids=["1d-2500", "1d-10000", "2d-60x60"])
+    def test_zero_weight_first_twelve_within_the_rounding_floor(self, g):
+        # ARPACK's eigenvalues σ + 1/ν against the closed form, a sum of the 1D
+        # values over the axes, within residual_gate's rounding floor (m + 1)·eps·‖A‖∞
+        op = WeightedOperator(g, Field.constant(g, 0.0))
+        floor = residual_gate(-op.matrix, 1e-10)(0.0, 0.0, 1.0)
+        per_axis = [[lap_eig_1d(j, h, L) for j in range(1, 13)]
+                    for h, L in zip(g.spacing, g.extents)]
+        exact = np.sort([sum(lams) for lams in itertools.product(*per_axis)])[:12]
+        assert np.abs(eigenpairs(op, 12, tol=1e-10).values - exact).max() <= floor
 
     @pytest.mark.parametrize("g, k", [(grid1d(400), 400), (grid1d(400), 399),
                                       (Grid("rectangle", (math.pi, math.pi), (150, 150)), 22498)],
