@@ -30,7 +30,7 @@ def main():
 
     grid = Grid("interval", (math.pi,), (n,))
     report = verify_theorem(ModelParams(a=a, b=b, c=c), grid, k, tol=1e-10)
-    z1, z2, _ = mode_ratios(b, c)
+    z1, z2 = mode_ratios(b, c)
 
     print(f"a={a} b={b} c={c} n={n} k={k}")
     print(f"s1 = {report.s_value:.12f}  (second family weight exponent: {report.s_second})")

@@ -92,11 +92,14 @@ CASES = [
     # off the locus by 1e-7 (κ₂(S) ≈ 1.85e7): the two families' copies share clusters,
     # whose bound takes max ρ_c + |s₁ - 2|·‖θ‖∞ where that is below κ₂(S)·max ρ_c
     ("verify-2d-near-locus", ["verify", *SQUARE, "--b", "0.3333334333333333", "--c", "1"]),
-    # within DEGENERATE_TOL of the locus: the a - 2θ family stands in for both copies,
-    # and the Weyl term |s₁ - 2|·‖θ‖∞ covers the difference
+    # within DEGENERATE_TOL of the locus: flagged degenerate, both families solved
     ("verify-2d-locus-sliver", ["verify", "--domain", "rectangle:pi:pi", "--n", "12,12",
                                 "--a", "4", "--k", "3", "--b", "0.3333333333342333",
                                 "--c", "1"]),
+    # op 0 of perfbench verify-2d at seed 183, on the locus: the coupled eigs can stop in
+    # dneupd (ARPACK error 1), which ends inconclusive with report.json
+    ("verify-2d-locus-arpack-failure", ["verify", *SQUARE, "--b", "0.3437759627974551",
+                                        "--c", "1.1002659032289266"]),
     ("verify-2d-k1-window", ["verify", "--domain", "rectangle:pi:pi", "--n", "30,30",
                              "--a", "4", "--b", "0.3", "--c", "1.7", "--k", "1"]),
     ("verify-fallback-start", ["verify", "--domain", "rectangle:1:1", "--n", "8,8",

@@ -23,7 +23,9 @@ The component ratios φ/ψ are the roots z₁ = b/c and z₂ = (1-b)/(1+c) of
 c(1+c)z² - (b+c)z + b(1-b) = 0. On the locus b = c/(2c+1) the two families
 coincide (s₁ = 2), M becomes a Jordan block, and every eigenvalue of J is
 a defective double eigenvalue of the single weight a - 2θ; the projection
-ξ = (2c+1)φ - ψ then maps any eigenvector into the scalar eigenspace.
+ξ = (2c+1)φ - ψ then maps any eigenvector into the scalar eigenspace. The
+locus is a reported flag only: both families are solved there too, and the
+per-cluster bound covers their coinciding copies.
 Since s₁ > 1 and 2 > 1, both families are strictly positive whenever θ is
 the positive logistic state: the stability assertion this module verifies
 against the spectrum of -J itself, from `spectral`'s shift-invert route.
@@ -102,17 +104,14 @@ def degenerate_distance(b: float, c: float) -> float:
     return abs(b - c / (2.0 * c + 1.0))
 
 
-def mode_ratios(b: float, c: float) -> tuple[float, float, bool]:
+def mode_ratios(b: float, c: float) -> tuple[float, float]:
     """Roots (z₁, z₂) of c(1+c)z² - (b+c)z + b(1-b) = 0 in closed form.
 
     z₁ = b/c is the φ/ψ ratio of the s₁ family, z₂ = (1-b)/(1+c) that of
-    the s=2 family. degenerate flags |b - c/(2c+1)| <= DEGENERATE_TOL,
-    where the roots coincide.
+    the s=2 family; they coincide on the locus b = c/(2c+1).
     """
     ratio_coefficients(b, c)
-    z1 = b / c
-    z2 = (1.0 - b) / (1.0 + c)
-    return z1, z2, degenerate_distance(b, c) <= DEGENERATE_TOL
+    return b / c, (1.0 - b) / (1.0 + c)
 
 
 @functools.lru_cache(maxsize=32)
@@ -205,23 +204,19 @@ def predicted_spectrum(
     triples, the residual that of the scalar eigenpair the value comes from.
 
     Families: "s1" (weight a - s₁θ, ratio z₁) and "two" (weight a - 2θ,
-    ratio z₂); on the degenerate locus a single family "degenerate"
-    (weight a - 2θ) contributes every value twice. The k smallest of the
+    ratio z₂), both solved for every (b, c), on the degenerate locus too,
+    where s₁ = 2 and the two families coincide. The k smallest of the
     union are found by merging k values from each family, which is always
     enough. Also returns the scalar spectra keyed by family for reuse
     (eigenfunctions feed the direct ansatz checks).
 
     two: the a - 2θ family with exactly k values, already solved (it does
-    not depend on b and c); solved here when None. The locus takes both
-    its copies from it and makes no solve of its own.
+    not depend on b and c); solved here when None.
     """
     if two is None:
         two = eigenpairs(WeightedOperator(grid, a - 2.0 * theta), k, tol)
     elif len(two.pairs) != k:
         raise ValueError(f"the a - 2θ family holds {len(two.pairs)} values, {k} needed")
-    if mode_ratios(b, c)[2]:
-        tagged = [(p.lam, "degenerate", p.residual) for p in two.pairs for _ in range(2)]
-        return tagged[:k], {"degenerate": two}
     spec1 = eigenpairs(WeightedOperator(grid, a - s_parameter(b, c) * theta), k, tol)
     tagged = [(p.lam, fam, p.residual) for fam, spec in (("s1", spec1), ("two", two))
               for p in spec.pairs]
@@ -237,7 +232,7 @@ def ansatz_coefficients(b: float, c: float, family: str) -> tuple[float, float]:
     """
     if family == "s1":
         return b, c
-    if family in ("two", "degenerate"):
+    if family == "two":
         return 1.0 - b, 1.0 + c
     raise ValueError(f"unknown family {family!r}")
 
@@ -304,11 +299,10 @@ class ThetaHalf:
     """The (b, c)-independent half of verify_theorem on one (a, grid).
 
     θ solves Δθ + θ(a - θ) = 0 and the a - 2θ family is one of the two
-    predicted families (on the degenerate locus, the only one); neither
-    depends on b or c, so a (b, c) sweep solves them once per (a, grid)
-    and hands them to every job. `cause` is the inconclusive cause every
-    job gets when either solve failed, and then `logistic` and `two` are
-    None.
+    predicted families; neither depends on b or c, so a (b, c) sweep
+    solves them once per (a, grid) and hands them to every job. `cause` is
+    the inconclusive cause every job gets when either solve failed, and
+    then `logistic` and `two` are None.
     """
 
     logistic: LogisticSolution | None
@@ -426,16 +420,18 @@ def _cluster_errors(
     CLUSTER_GAP·|λ|. The mismatch is |mean coupled - mean predicted|: a
     defective pair splits by ±sqrt(rounding), real or complex, but its mean
     stays accurate to rounding. The bound is max ρ_s + κ·max ρ_c (Bauer–
-    Fike, κ = κ₂(S)); a cluster that holds both families' copies, as every
-    cluster on the locus does, takes max ρ_c + weyl for the coupled term
-    where that is smaller, weyl = |s₁ - 2|·‖θ‖∞ (README, Numerical notes).
+    Fike, κ = κ₂(S)); a cluster that holds both families' copies takes
+    max ρ_c + weyl for the coupled term where that is smaller, weyl =
+    |s₁ - 2|·‖θ‖∞ (README, Numerical notes). On the locus every cluster
+    holds both and κ₂(S) is infinite or of order 1e16, which leaves
+    max ρ_c + weyl.
     """
     joined = np.abs(np.diff(pred)) <= CLUSTER_GAP * np.abs(pred[1:])  # a NaN gap splits
     clusters = np.split(np.arange(len(pred)), np.flatnonzero(~joined) + 1)
     mismatch, bound, mean = [], [], []
     for idx in clusters:
         coupled_err = kappa * rho_c[idx].max()
-        if set(families[idx]) in ({"s1", "two"}, {"degenerate"}):
+        if set(families[idx]) == {"s1", "two"}:
             coupled_err = min(coupled_err, rho_c[idx].max() + weyl)
         mean.append(np.mean(pred[idx]))
         mismatch.append(abs(np.mean(coupled_re[idx]) - mean[-1]))

@@ -125,7 +125,6 @@ class Spectrum:
     """Ascending eigenpairs of -(Δ + diag(m)) for one weight."""
 
     pairs: tuple[EigenPair, ...]
-    tol: float
 
     @property
     def values(self) -> np.ndarray:
@@ -157,7 +156,7 @@ def eigenpairs(op: WeightedOperator, k: int, tol: float = DEFAULT_TOL) -> Spectr
     w, V, residuals = _shift_invert(op, k, sigma, SCALAR_START_SEED, tol, symmetric=True)
     V[:, _sign_weight(op.grid) @ V < 0] *= -1.0
     pairs = (EigenPair(float(lam), Field(op.grid, x), r) for lam, x, r in zip(w, V.T, residuals))
-    return Spectrum(pairs=tuple(pairs), tol=tol)
+    return Spectrum(pairs=tuple(pairs))
 
 
 def eigen_window(k: int, n: int, *, extra: int = 0, symmetric: bool = True) -> int:
@@ -178,7 +177,8 @@ def _shift_invert(
     """(values, vectors, residuals) of the k eigenpairs of A = -op.matrix nearest σ, for
     an operator with `grid` and `matrix`: ARPACK's eigen_window(k, n, …) on factorize(A, σ),
     sorted by (Re, Im), unit 2-norm vectors scaled in place to unit L2 norm, every pair
-    through check_residuals. ARPACK runs to machine precision: its tolerance 1e-12 left
+    through check_residuals; an ARPACK failure, no convergence included, is an
+    EigenSolveError. ARPACK runs to machine precision: its tolerance 1e-12 left
     residuals up to 4e-10 on the coupled defective eigenvalues of the 2D locus."""
     A = -op.matrix
     n = A.shape[0]
@@ -186,7 +186,10 @@ def _shift_invert(
     OPinv = spla.LinearOperator((n, n), matvec=factorize(A, sigma).solve, dtype=float)
     v0 = np.random.default_rng(seed).standard_normal(n)
     arpack = spla.eigsh if symmetric else spla.eigs
-    w, V = arpack(A, m, sigma=sigma, which="LM", OPinv=OPinv, v0=v0)
+    try:
+        w, V = arpack(A, m, sigma=sigma, which="LM", OPinv=OPinv, v0=v0)
+    except spla.ArpackError as exc:
+        raise EigenSolveError(str(exc)) from exc
     order = np.lexsort((w.imag, w.real))[:k]
     w, V = w[order], V[:, order]
     V *= 1.0 / math.sqrt(op.grid.cell_volume)

@@ -1,6 +1,7 @@
 import math
 
 import pytest
+import scipy.sparse.linalg as spla
 
 from lvsync import (
     Grid,
@@ -44,3 +45,14 @@ def steady200(params_default, theta200):
 @pytest.fixture(scope="session")
 def report200(params_default, grid200):
     return verify_theorem(params_default, grid200, 6, tol=1e-10)
+
+
+@pytest.fixture(params=["schur-reordering", "no-convergence"])
+def arpack_error(request):
+    """Each way ARPACK itself fails: dneupd's error 1, seen on two 2D locus
+    draws of the coupled solve, and no convergence, a subclass."""
+    if request.param == "schur-reordering":
+        return spla.ArpackError(1, {1: "The Schur form computed by LAPACK routine dlahqr "
+                                       "could not be reordered by LAPACK routine dtrsen."})
+    return spla.ArpackNoConvergence(
+        "No convergence (301 iterations, 0/12 eigenvectors converged)", [], [])

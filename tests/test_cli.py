@@ -271,8 +271,8 @@ class TestVerify:
                    "--b", "0.333333333333", "--c", "1", "--k", "3", "--out", str(out))
         assert code == 0
         report = json.loads((out / "report.json").read_text())
-        # b is 3.3e-13 from c/(2c+1), within DEGENERATE_TOL: the a - 2θ family stands in
-        # for both copies, and the bound's Weyl term |s₁ - 2|·‖θ‖∞ covers the difference
+        # b is 3.3e-13 from c/(2c+1), within DEGENERATE_TOL: flagged, and both families
+        # are solved as anywhere else
         assert report["degenerate"] is True
         assert report["verdict"] == "stable"
         assert report["max_rel_mismatch"] <= 1e-6
@@ -286,6 +286,22 @@ class TestVerify:
         report = json.loads((out / "report.json").read_text())
         assert report["degenerate"] is True
         assert report["s_value"] == pytest.approx(2.0, abs=1e-14)
+
+    def test_arpack_failure_exits_1_with_a_report(self, monkeypatch, tmp_path, capsys,
+                                                   arpack_error):
+        import scipy.sparse.linalg as spla
+
+        def failing(*args, **kwargs):
+            raise arpack_error
+
+        monkeypatch.setattr(spla, "eigs", failing)
+        out = tmp_path / "o"
+        code = run("verify", "--n", "40", "--a", "2", "--k", "3", "--out", str(out))
+        assert code == 1
+        report = json.loads((out / "report.json").read_text())
+        assert report["verdict"] == "inconclusive"
+        assert report["cause"].startswith("solver failure: ARPACK error")
+        assert capsys.readouterr().out.startswith("verdict: inconclusive (solver failure: ARPACK")
 
     def test_invalid_b_fails_before_any_work(self, tmp_path, capsys):
         out = tmp_path / "never"
@@ -578,6 +594,21 @@ class TestSweep:
         causes = {r["cause"] for r in records if r["a"] == 2.0}
         assert causes == {"solver failure: injected a - 2θ failure"}
         assert sum(r["degenerate"] for r in records if r["a"] == 2.0) == 2
+
+    def test_arpack_failure_is_a_solver_failure_record(self, tmp_path, monkeypatch,
+                                                        arpack_error):
+        # a coupled ARPACK failure is the job's solver failure, not a job failure
+        import scipy.sparse.linalg as spla
+
+        def failing(*args, **kwargs):
+            raise arpack_error
+
+        monkeypatch.setattr(spla, "eigs", failing)
+        out = tmp_path / "o"
+        assert run(*self.ORACLE_ARGS, "--workers", "1", "--out", str(out)) == 0
+        records = [json.loads(l) for l in (out / "results.jsonl").read_text().splitlines()]
+        causes = {r["cause"] for r in records if r["a"] == 2.0}
+        assert causes == {f"solver failure: {arpack_error}"}
 
     def test_failed_shared_half_is_each_jobs_cause(self, tmp_path, monkeypatch):
         # a failure outside the solvers runs once per (a, n) group, and each
