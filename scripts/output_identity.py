@@ -115,6 +115,12 @@ CASES = [
     # 550 steps stored every 100: the final step falls off the interval
     ("evolve-snapshots-final-step", [*EVOLVE_1D, "--t-end", "0.55", "--store-every", "100",
                                      "--snapshots", "0,0.1,0.55"]),
+    # one side each of s₁ = 2: μ₁ is λ₁(a - min(s₁, 2)·θ), solved once
+    ("evolve-s1-above-2", ["evolve", "--n", "200", "--a", "2", "--b", "0.1", "--c", "2",
+                           "--t-end", "2"]),
+    ("evolve-s1-below-2-near-locus", ["evolve", "--n", "200", "--a", "2",
+                                      "--b", "0.3333334333333333", "--c", "1",
+                                      "--t-end", "2"]),
     ("evolve-2d-json", ["evolve", "--domain", "rectangle:1:1", "--n", "20,20", "--a", "25",
                         "--dt", "2e-3", "--t-end", "1", "--snapshots", "0,1",
                         "--format", "json"]),

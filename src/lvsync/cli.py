@@ -54,6 +54,7 @@ from .dynamics import (
     PositivityError,
     StepSizeError,
     Trajectory,
+    component_distances,
     decay_rate,
     evolve,
     random_perturbation,
@@ -271,9 +272,9 @@ def validate_config(cfg: RunConfig, command: str) -> Grid:
     return grid
 
 
-def _sweep_jobs(cfg: RunConfig, axes: dict) -> list[RunConfig]:
-    """Expand the sweep axes into one validated RunConfig per job, sorted by
-    (a, b, c, n); an axis left out takes its value from cfg. The sweep's only
+def _sweep_jobs(cfg: RunConfig, axes: dict) -> list[tuple[RunConfig, Grid]]:
+    """Expand the sweep axes into one validated (RunConfig, Grid) per job, sorted
+    by (a, b, c, n); an axis left out takes its value from cfg. The sweep's only
     check: a value of cfg that every job replaces is never checked."""
     if not axes:
         raise ConfigError("empty sweep: no axes given")
@@ -299,10 +300,9 @@ def _sweep_jobs(cfg: RunConfig, axes: dict) -> list[RunConfig]:
     for a, b, c, n in sorted(itertools.product(*values)):
         job = dataclasses.replace(cfg, a=a, b=b, c=c, resolution=(n,) * len(cfg.resolution))
         try:
-            validate_config(job, "sweep")
+            jobs.append((job, validate_config(job, "sweep")))
         except ConfigError as exc:
             raise ConfigError(f"sweep job a={a} b={b} c={c} n={n}: {exc}")
-        jobs.append(job)
     return jobs
 
 
@@ -373,11 +373,10 @@ def write_eigentable_csv(report: StabilityReport, path):
 
 
 def write_trajectory_csv(traj: Trajectory, reference: SteadyState, path):
-    """Plot-ready distances: t,norm_u_dist,norm_v_dist,total_dist, the
-    last `dynamics.state_distance`'s, from the same two norms."""
-    norm = reference.u.grid.norm
-    dists = ((norm(u.values - reference.u.values), norm(v.values - reference.v.values))
-             for u, v in traj.states)
+    """Plot-ready distances: t,norm_u_dist,norm_v_dist,total_dist, each
+    state's `dynamics.component_distances` and their hypot, which is
+    `dynamics.state_distance`."""
+    dists = (component_distances(u, v, reference) for u, v in traj.states)
     _write_csv(path, ["t", "norm_u_dist", "norm_v_dist", "total_dist"],
                ([t, du, dv, math.hypot(du, dv)] for t, (du, dv) in zip(traj.times, dists)))
 
@@ -386,6 +385,11 @@ def _json_dump(obj, path: Path) -> None:
     with open(path, "w") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _jsonl_dump(objs, path: Path) -> None:
+    with open(path, "w") as fh:
+        fh.writelines(json.dumps(obj, sort_keys=True) + "\n" for obj in objs)
 
 
 def _write_field(fld: Field, base: Path, fmt: str) -> None:
@@ -471,6 +475,9 @@ def cmd_verify(cfg: RunConfig, out: Path, grid: Grid, a: Field) -> int:
 
 
 def cmd_evolve(cfg: RunConfig, out: Path, grid: Grid, a: Field) -> int:
+    """Integrate from the perturbed steady state. decay.json's mu1_predicted is
+    μ₁ = λ₁(a - min(s₁, 2)·θ), the smaller family's principal eigenvalue in one
+    solve: λ₁(a - sθ) increases strictly in s, its derivative being ∫θφ₁² > 0."""
     params = ModelParams(a=a, b=cfg.b, c=cfg.c)
     sol = solve_logistic(grid, a, tol=cfg.tol)
     steady = synchronized_state(params, sol)
@@ -482,10 +489,8 @@ def cmd_evolve(cfg: RunConfig, out: Path, grid: Grid, a: Field) -> int:
         u, v = traj.states[idx]
         _write_field(u, out / f"snapshot_u_{i:03d}", cfg.format)
         _write_field(v, out / f"snapshot_v_{i:03d}", cfg.format)
-    # predicted slowest decay: smaller principal eigenvalue of the two
-    # families, one solve per distinct exponent (s₁ = 2 on the degenerate locus)
-    mu1 = min(principal_eigenpair(WeightedOperator(grid, sol.a - s * sol.theta), tol=cfg.tol).lam
-              for s in {s_parameter(cfg.b, cfg.c), 2.0})
+    s = min(s_parameter(cfg.b, cfg.c), 2.0)
+    mu1 = principal_eigenpair(WeightedOperator(grid, sol.a - s * sol.theta), tol=cfg.tol).lam
     try:
         fit = decay_rate(traj, steady)
         fit_dict = {**dataclasses.asdict(fit), "mu1_predicted": mu1}
@@ -497,24 +502,22 @@ def cmd_evolve(cfg: RunConfig, out: Path, grid: Grid, a: Field) -> int:
     return EXIT_OK
 
 
-def _sweep_shared(job: RunConfig) -> ThetaHalf:
+def _sweep_shared(job: RunConfig, grid: Grid) -> ThetaHalf:
     """θ and the a - 2θ family of the (a, n) group of jobs that `job` heads,
     solved once for all of them. A failure outside the solvers becomes the
     group's cause, `job failure: ...`, which every job of the group records."""
     try:
-        grid = Grid(job.kind, job.extents, job.resolution)
         return theta_half(Field.constant(grid, job.a), grid, job.k, job.tol)
     except Exception as exc:
         return ThetaHalf(None, None, f"job failure: {exc}")
 
 
-def _sweep_job(job: RunConfig, shared: ThetaHalf) -> dict:
+def _sweep_job(job: RunConfig, grid: Grid, shared: ThetaHalf) -> dict:
     """One verify job on its group's shared half; returns the deterministic
     record plus the job's own wall time."""
     t0 = time.perf_counter()
     params = ModelParams(a=job.a, b=job.b, c=job.c)
     try:
-        grid = Grid(job.kind, job.extents, job.resolution)
         report = verify_theorem(params, grid, job.k, tol=job.tol, shared=shared)
     except Exception as exc:  # any failure becomes an inconclusive record
         report = inconclusive_report(params, job.k, f"job failure: {exc}")
@@ -535,35 +538,30 @@ def _sweep_job(job: RunConfig, shared: ThetaHalf) -> dict:
     return {"record": record, "wall_time_ms": wall_ms}
 
 
-def cmd_sweep(cfg: RunConfig, out: Path, jobs: list[RunConfig]) -> int:
-    keys = [(job.a, job.b, job.c, job.resolution[0]) for job in jobs]
+def cmd_sweep(cfg: RunConfig, out: Path, jobs: list[tuple[RunConfig, Grid]]) -> int:
+    keys = [(job.a, job.b, job.c, job.resolution[0]) for job, _ in jobs]
     na, nb, nc, nn = (len(set(axis)) for axis in zip(*keys))
     print(f"sweep: {len(jobs)} jobs ({na} a x {nb} b x {nc} c x {nn} n)")
 
     # θ and the a - 2θ family depend on (a, n) only: one shared half per
     # group, solved where the jobs run, so that with a pool the solvers'
     # memory stays out of this process
-    groups: dict[tuple, RunConfig] = {}
-    for job in jobs:
-        groups.setdefault((job.a, job.resolution), job)
+    groups: dict[tuple, tuple[RunConfig, Grid]] = {}
+    for job, grid in jobs:
+        groups.setdefault((job.a, job.resolution), (job, grid))
     # the pool starts every worker at once: never more than jobs or cores
     workers = min(cfg.workers, len(jobs), os.cpu_count() or 1)
     pool_cm = ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext()
     with pool_cm as pool:
         run = map if pool is None else pool.map
-        shared = dict(zip(groups, run(_sweep_shared, groups.values())))
-        halves = [shared[job.a, job.resolution] for job in jobs]
-        outputs = list(run(_sweep_job, jobs, halves))
+        shared = dict(zip(groups, run(_sweep_shared, *zip(*groups.values()))))
+        halves = [shared[job.a, job.resolution] for job, _ in jobs]
+        outputs = list(run(_sweep_job, *zip(*jobs), halves))
 
     records = [o["record"] for o in outputs]
-    with open(out / "results.jsonl", "w") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec, sort_keys=True))
-            fh.write("\n")
-    with open(out / "timing.jsonl", "w") as fh:
-        for key, o in zip(keys, outputs):
-            fh.write(json.dumps({"job": list(key), "wall_time_ms": o["wall_time_ms"]}))
-            fh.write("\n")
+    _jsonl_dump(records, out / "results.jsonl")
+    _jsonl_dump(({"job": list(key), "wall_time_ms": o["wall_time_ms"]}
+                 for key, o in zip(keys, outputs)), out / "timing.jsonl")
 
     verdicts = dict(Counter(rec["verdict"] for rec in records))
     mu1s = [rec["mu1"] for rec in records if not math.isnan(rec["mu1"])]

@@ -53,6 +53,7 @@ __all__ = [
     "evolve",
     "decay_rate",
     "random_perturbation",
+    "component_distances",
     "state_distance",
 ]
 
@@ -251,15 +252,18 @@ def evolve(
     )
 
 
-def state_distance(u: Field, v: Field, reference: SteadyState) -> float:
-    """Combined L2 distance sqrt(‖u-u*‖² + ‖v-v*‖²), the grid's norm of
-    the bare differences of values; GridMismatchError off the reference's
-    grid."""
+def component_distances(u: Field, v: Field, reference: SteadyState) -> tuple[float, float]:
+    """(‖u-u*‖, ‖v-v*‖), the grid's norms of the bare differences of values;
+    GridMismatchError off the reference's grid."""
     grid = reference.u.grid
     if not (u.grid is v.grid is grid or u.grid == v.grid == grid):
         raise GridMismatchError("u and v must live on the reference's grid")
-    return math.hypot(grid.norm(u.values - reference.u.values),
-                      grid.norm(v.values - reference.v.values))
+    return grid.norm(u.values - reference.u.values), grid.norm(v.values - reference.v.values)
+
+
+def state_distance(u: Field, v: Field, reference: SteadyState) -> float:
+    """Combined L2 distance sqrt(‖u-u*‖² + ‖v-v*‖²) of component_distances."""
+    return math.hypot(*component_distances(u, v, reference))
 
 
 def decay_rate(traj: Trajectory, reference: SteadyState) -> DecayFit:

@@ -197,26 +197,21 @@ def coupled_eigenpairs(
 
 
 def predicted_spectrum(
-    grid: Grid, a: Field, theta: Field, b: float, c: float, k: int, tol: float = DEFAULT_TOL,
-    two: Spectrum | None = None,
+    grid: Grid, a: Field, theta: Field, b: float, c: float, two: Spectrum,
+    tol: float = DEFAULT_TOL,
 ) -> tuple[list[tuple[float, str, float]], dict[str, "object"]]:
     """k smallest predicted coupled eigenvalues as (value, family, residual)
     triples, the residual that of the scalar eigenpair the value comes from.
 
-    Families: "s1" (weight a - s₁θ, ratio z₁) and "two" (weight a - 2θ,
-    ratio z₂), both solved for every (b, c), on the degenerate locus too,
-    where s₁ = 2 and the two families coincide. The k smallest of the
-    union are found by merging k values from each family, which is always
-    enough. Also returns the scalar spectra keyed by family for reuse
-    (eigenfunctions feed the direct ansatz checks).
-
-    two: the a - 2θ family with exactly k values, already solved (it does
-    not depend on b and c); solved here when None.
+    Families: "s1" (weight a - s₁θ, ratio z₁), solved here, and "two"
+    (weight a - 2θ, ratio z₂), the caller's `two`, theta_half's in verify,
+    whose length is k; both for every (b, c), on the degenerate locus too,
+    where s₁ = 2 and the two families coincide. The k smallest of the union
+    are found by merging k values from each family, which is always enough.
+    Also returns the scalar spectra keyed by family for reuse (eigenfunctions
+    feed the direct ansatz checks).
     """
-    if two is None:
-        two = eigenpairs(WeightedOperator(grid, a - 2.0 * theta), k, tol)
-    elif len(two.pairs) != k:
-        raise ValueError(f"the a - 2θ family holds {len(two.pairs)} values, {k} needed")
+    k = len(two.pairs)
     spec1 = eigenpairs(WeightedOperator(grid, a - s_parameter(b, c) * theta), k, tol)
     tagged = [(p.lam, fam, p.residual) for fam, spec in (("s1", spec1), ("two", two))
               for p in spec.pairs]
@@ -312,7 +307,8 @@ class ThetaHalf:
 
 def theta_half(a: Field, grid: Grid, k: int, tol: float = DEFAULT_TOL) -> ThetaHalf:
     """Solve θ for growth rate a and the 2k smallest values of the a - 2θ
-    family that verify_theorem(…, k) predicts from.
+    family that verify_theorem(…, k) predicts from: the one producer of
+    that family, which predicted_spectrum takes from its caller.
 
     A subcritical a or a failed solve becomes the cause verify_theorem
     reports.
@@ -344,8 +340,8 @@ def verify_theorem(
     this params.a, taken instead of solved; a sweep solves one per (a,
     grid) for all its jobs. Without it, theta_half runs here, so a job and
     a plain call run the same solves and report the same cause. A shared
-    half solved for another growth rate raises ValueError, from
-    synchronized_state.
+    half solved for another k raises ValueError, and one solved for another
+    growth rate too, from synchronized_state.
     """
     b, c = params.b, params.c
     if shared is None:
@@ -353,12 +349,12 @@ def verify_theorem(
     if shared.cause is not None:
         return inconclusive_report(params, k, shared.cause)
     logistic = shared.logistic
+    if len(shared.two.pairs) != 2 * k:
+        raise ValueError(f"the a - 2θ family holds {len(shared.two.pairs)} values, {2 * k} needed")
     try:
         steady = synchronized_state(params, logistic)
         J = CoupledJacobian(grid, steady.u, steady.v, params)
-        predicted, _ = predicted_spectrum(
-            grid, logistic.a, logistic.theta, b, c, 2 * k, tol=tol, two=shared.two
-        )
+        predicted, _ = predicted_spectrum(grid, logistic.a, logistic.theta, b, c, shared.two, tol)
         coupled_vals, _, coupled_res = coupled_eigenpairs(J, 2 * k, tol=tol)
     except EigenSolveError as exc:
         return inconclusive_report(params, k, f"solver failure: {exc}")

@@ -177,9 +177,9 @@ def _shift_invert(
     """(values, vectors, residuals) of the k eigenpairs of A = -op.matrix nearest σ, for
     an operator with `grid` and `matrix`: ARPACK's eigen_window(k, n, …) on factorize(A, σ),
     sorted by (Re, Im), unit 2-norm vectors scaled in place to unit L2 norm, every pair
-    through check_residuals; an ARPACK failure, no convergence included, is an
-    EigenSolveError. ARPACK runs to machine precision: its tolerance 1e-12 left
-    residuals up to 4e-10 on the coupled defective eigenvalues of the 2D locus."""
+    through check_residuals; an ARPACK failure, no convergence included, is an EigenSolveError
+    with its message's first sentence. ARPACK runs to machine precision: its tolerance 1e-12
+    left residuals up to 4e-10 on the coupled defective eigenvalues of the 2D locus."""
     A = -op.matrix
     n = A.shape[0]
     m = eigen_window(k, n, extra=extra, symmetric=symmetric)
@@ -188,8 +188,9 @@ def _shift_invert(
     arpack = spla.eigsh if symmetric else spla.eigs
     try:
         w, V = arpack(A, m, sigma=sigma, which="LM", OPinv=OPinv, v0=v0)
-    except spla.ArpackError as exc:
-        raise EigenSolveError(str(exc)) from exc
+    except spla.ArpackError as exc:  # the rest is advice to ARPACK's own callers
+        first, stop, _ = str(exc).partition(". ")
+        raise EigenSolveError(first + stop.rstrip()) from exc
     order = np.lexsort((w.imag, w.real))[:k]
     w, V = w[order], V[:, order]
     V *= 1.0 / math.sqrt(op.grid.cell_volume)

@@ -50,6 +50,7 @@ from lvsync.linstab import (
     coupled_eigenpairs,
     predicted_spectrum,
     s_parameter,
+    theta_half,
 )
 
 A_DEFAULT, B_DEFAULT, C_DEFAULT = 2.0, 0.5, 1.0
@@ -104,8 +105,9 @@ def test_criterion_1_spectral_equivalence_two_families(
 ):
     J, vals, _, elapsed = coupled12
     t0 = time.perf_counter()
+    two = theta_half(theta200.a, grid200, 6, tol=1e-10).two
     predicted, _ = predicted_spectrum(
-        grid200, theta200.a, theta200.theta, B_DEFAULT, C_DEFAULT, 12, tol=1e-10
+        grid200, theta200.a, theta200.theta, B_DEFAULT, C_DEFAULT, two, tol=1e-10
     )
     elapsed += time.perf_counter() - t0
     pred_vals = np.array([p[0] for p in predicted])
@@ -153,8 +155,9 @@ def test_criterion_2_direct_ansatz_correct_pairing(
     # matrix-vector application out
     J, _, _, _ = coupled12
     b, c = params_default.b, params_default.c
+    two = theta_half(theta200.a, grid200, 6, tol=1e-10).two
     _, spectra = predicted_spectrum(
-        grid200, theta200.a, theta200.theta, b, c, 12, tol=1e-10
+        grid200, theta200.a, theta200.theta, b, c, two, tol=1e-10
     )
     worst = 0.0
     for family in ("s1", "two"):

@@ -361,27 +361,50 @@ class TestEvolve:
         assert ((tmp_path / "0.01" / "snapshot_u_000.csv").read_bytes()
                 == (tmp_path / "0.012" / "snapshot_u_000.csv").read_bytes())
 
-    @pytest.mark.parametrize("b, solves", [(0.5, 2), (1 / 3, 1)])
-    def test_each_distinct_family_solved_once(self, b, solves, tmp_path, monkeypatch):
-        # s₁ = (2 + c - b)/(1 + bc) is exactly 2 at b = 1/3, c = 1: the two
-        # families of μ₁ are one there
+    @pytest.mark.parametrize("b", [0.5, 0.1, 1 / 3])
+    def test_two_principal_solves(self, b, tmp_path, monkeypatch):
+        # the elliptic solve's λ₁(a) gate and one μ₁ solve, for s₁ below 2,
+        # above it and on the locus, where s₁ = (2 + c - b)/(1 + bc) is exactly 2
         import lvsync.cli
-        from lvsync.linstab import s_parameter
+        import lvsync.elliptic
 
-        assert (s_parameter(b, 1.0) == 2.0) == (solves == 1)
-        lams = []
+        calls = []
 
         def counted(op, **kwargs):
-            pair = principal_eigenpair(op, **kwargs)
-            lams.append(pair.lam)
-            return pair
+            calls.append(op)
+            return principal_eigenpair(op, **kwargs)
 
         monkeypatch.setattr(lvsync.cli, "principal_eigenpair", counted)
-        out = tmp_path / "o"
+        monkeypatch.setattr(lvsync.elliptic, "principal_eigenpair", counted)
         assert run("evolve", "--n", "40", "--b", repr(b), "--c", "1", "--t-end", "0.05",
-                   "--out", str(out)) == 0
-        assert len(lams) == solves
-        assert json.loads((out / "decay.json").read_text())["mu1_predicted"] == min(lams)
+                   "--out", str(tmp_path / "o")) == 0
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("domain, n, a", [
+        ("interval:0:pi", (40,), 2.0), ("rectangle:pi:pi", (12, 12), 4.0),
+    ], ids=["1d", "2d"])
+    @pytest.mark.parametrize("b, c", [
+        (0.5, 1.0), (0.1, 2.0), (1 / 3, 1.0), (1 / 3 + 1e-7, 1.0), (1 / 3 - 1e-7, 1.0),
+    ], ids=["s1-below-2", "s1-above-2", "locus", "locus+1e-7", "locus-1e-7"])
+    def test_mu1_is_the_smaller_family_value(self, domain, n, a, b, c, tmp_path):
+        # λ₁(a - sθ) increases strictly in s, so the one solve at min(s₁, 2)
+        # gives the smaller of the two families' principal eigenvalues, bit for bit
+        import scipy.linalg as sla
+
+        from lvsync.elliptic import solve_logistic
+        from lvsync.grid import WeightedOperator
+        from lvsync.linstab import s_parameter
+
+        out = tmp_path / "o"
+        assert run("evolve", "--domain", domain, "--n", ",".join(map(str, n)), "--a", repr(a),
+                   "--b", repr(b), "--c", repr(c), "--t-end", "0.05", "--out", str(out)) == 0
+        mu1 = json.loads((out / "decay.json").read_text())["mu1_predicted"]
+        grid = Grid(*parse_domain(domain), n)
+        sol = solve_logistic(grid, a, tol=1e-10)
+        ops = [WeightedOperator(grid, sol.a - s * sol.theta) for s in (s_parameter(b, c), 2.0)]
+        assert mu1 == min(principal_eigenpair(op, tol=1e-10).lam for op in ops)
+        dense = min(sla.eigvalsh((-op.matrix).toarray())[0] for op in ops)
+        assert np.isclose(mu1, dense, rtol=1e-9, atol=1e-9)
 
     def test_zero_amplitude_fit_unavailable(self, tmp_path):
         out = tmp_path / "o"

@@ -27,7 +27,7 @@ from lvsync.dynamics import (
     MAX_STEPS, MAX_STORED_VALUES, StepSchedule, Trajectory, state_distance, step_schedule,
 )
 from lvsync.grid import as_field, factorize, laplacian
-from lvsync.linstab import ansatz_coefficients, predicted_spectrum
+from lvsync.linstab import ansatz_coefficients, predicted_spectrum, theta_half
 
 
 def grid1d(n, length=math.pi):
@@ -444,8 +444,8 @@ class TestStackedStepMatchesTwoSolves:
 @pytest.fixture(scope="module")
 def mode_basis(grid200, theta200, params_default):
     predicted, spectra = predicted_spectrum(
-        grid200, theta200.a, theta200.theta,
-        params_default.b, params_default.c, 4, tol=1e-10,
+        grid200, theta200.a, theta200.theta, params_default.b, params_default.c,
+        theta_half(theta200.a, grid200, 2, tol=1e-10).two, tol=1e-10,
     )
     return predicted, spectra
 

@@ -222,8 +222,9 @@ class TestSpectralEquivalence:
         # the crown invariant: pure matrix-vector application, no eigensolver
         b, c = params_default.b, params_default.c
         J = CoupledJacobian(grid200, steady200.u, steady200.v, params_default)
+        two = theta_half(theta200.a, grid200, 6, tol=1e-10).two
         _, spectra = predicted_spectrum(
-            grid200, theta200.a, theta200.theta, b, c, 12, tol=1e-10
+            grid200, theta200.a, theta200.theta, b, c, two, tol=1e-10
         )
         factor = max(1.0 + c, 2.0)
         for family in ("s1", "two"):
@@ -235,8 +236,8 @@ class TestSpectralEquivalence:
         J = CoupledJacobian(grid200, steady200.u, steady200.v, params_default)
         mus, _, _ = coupled_eigenpairs(J, 12, tol=1e-10)
         predicted, _ = predicted_spectrum(
-            grid200, theta200.a, theta200.theta,
-            params_default.b, params_default.c, 12, tol=1e-10,
+            grid200, theta200.a, theta200.theta, params_default.b, params_default.c,
+            theta_half(theta200.a, grid200, 6, tol=1e-10).two, tol=1e-10,
         )
         pred_vals = np.array([p[0] for p in predicted])
         assert np.abs(mus.imag).max() <= 1e-8
@@ -380,7 +381,8 @@ class TestSpectralEquivalence:
         params = ModelParams(a=a, b=b, c=c)
         steady = synchronized_state(params, sol)
         J = CoupledJacobian(g, steady.u, steady.v, params)
-        _, spectra = predicted_spectrum(g, a, sol.theta, b, c, 8, tol=1e-10)
+        two = theta_half(a, g, 4, tol=1e-10).two
+        _, spectra = predicted_spectrum(g, a, sol.theta, b, c, two, tol=1e-10)
         factor = max(1.0 + c, 2.0)
         for family in ("s1", "two"):
             for pair in spectra[family].pairs[:4]:

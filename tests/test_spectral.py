@@ -252,6 +252,21 @@ class TestEigenpairs:
                                    2, tol=1e-10)
         assert err.value.__cause__ is arpack_error
 
+    def test_arpack_failure_keeps_the_first_sentence(self, monkeypatch):
+        # dneupd's error 1 goes on with advice to ARPACK's callers; the cause
+        # keeps the sentence that says what failed
+        from scipy.sparse.linalg._eigen.arpack.arpack import DNEUPD_ERRORS
+
+        def failing(*args, **kwargs):
+            raise spla.ArpackError(1, DNEUPD_ERRORS)
+
+        monkeypatch.setattr(spla, "eigsh", failing)
+        op, _ = zero_weight_op(40)
+        with pytest.raises(EigenSolveError) as err:
+            eigenpairs(op, 2, tol=1e-10)
+        assert str(err.value) == ("ARPACK error 1: The Schur form computed by LAPACK routine "
+                                  "dlahqr could not be reordered by LAPACK routine dtrsen.")
+
 
 class TestCheckResiduals:
     @pytest.mark.parametrize("where", ["vector", "value"])
