@@ -96,10 +96,20 @@ CASES = [
     ("verify-2d-locus-sliver", ["verify", "--domain", "rectangle:pi:pi", "--n", "12,12",
                                 "--a", "4", "--k", "3", "--b", "0.3333333333342333",
                                 "--c", "1"]),
-    # op 0 of perfbench verify-2d at seed 183, on the locus: the coupled eigs can stop in
-    # dneupd (ARPACK error 1), which ends inconclusive with report.json
+    # op 0 of perfbench verify-2d at seeds 183 and 195, on the locus: the coupled eigs
+    # can stop in dneupd (ARPACK error 1), which ends inconclusive with report.json
     ("verify-2d-locus-arpack-failure", ["verify", *SQUARE, "--b", "0.3437759627974551",
                                         "--c", "1.1002659032289266"]),
+    ("verify-2d-locus-seed-195", ["verify", *SQUARE, "--b", "0.43994768711467147",
+                                  "--c", "3.6630369920536006"]),
+    # the default 1D verify and the 30x30 square with extents times 10³ and a over 10⁶:
+    # every eigenvalue over 10⁶, the shifts at the matrices' own bounds
+    ("verify-1d-scaled-1e3", ["verify", "--domain", "interval:0:3141.592653589793",
+                              "--n", "200", "--a", "2e-06", "--b", "0.5", "--c", "1",
+                              "--k", "6"]),
+    ("verify-2d-scaled-1e3", ["verify", "--domain",
+                              "rectangle:3141.592653589793:3141.592653589793", "--n", "30,30",
+                              "--a", "4e-06", "--k", "6"]),
     ("verify-2d-k1-window", ["verify", "--domain", "rectangle:pi:pi", "--n", "30,30",
                              "--a", "4", "--b", "0.3", "--c", "1.7", "--k", "1"]),
     ("verify-fallback-start", ["verify", "--domain", "rectangle:1:1", "--n", "8,8",

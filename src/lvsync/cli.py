@@ -350,7 +350,7 @@ def field_from_csv(path, grid: Grid) -> Field:
         )
     if coords.shape[1] != grid.ndim:
         raise ValueError(f"field file {path} is {coords.shape[1]}D, grid is {grid.ndim}D")
-    if not np.allclose(coords, grid.coords(), rtol=1e-12, atol=1e-12):
+    if not np.allclose(coords, grid.coords(), rtol=1e-12, atol=0):
         raise ValueError(f"field file {path} coordinates do not match the grid")
     if not np.isfinite(values).all():
         raise ValueError(f"field file {path} holds a non-finite value")

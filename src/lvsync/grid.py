@@ -346,8 +346,8 @@ def factorize(A: sp.spmatrix, sigma: float = 0.0) -> LapackFactor | spla.SuperLU
     for every sparse solve and the one place that applies a shift;
     `.solve(b)` takes a vector or an (N, r) block. A is never changed: σ
     comes off the diagonal of LAPACK's band array, a copy, entry for entry
-    as in the scipy.sparse sum A - σ·I, which is SuperLU's matrix (a
-    diagonal entry that A lacks becomes -σ, and exact zeros drop).
+    as in the scipy.sparse sum A - σ·I, which is SuperLU's matrix for every
+    σ (a diagonal entry that A lacks becomes -σ, and exact zeros drop).
 
     An exactly symmetric A of bandwidth kd <= BAND_CHOLESKY_MAX_KD whose
     A - σI LAPACK finds positive definite, with a finite factor, gets a
@@ -383,10 +383,7 @@ def factorize(A: sp.spmatrix, sigma: float = 0.0) -> LapackFactor | spla.SuperLU
         # factors[0] is LDLᵀ's d or the band holding Cholesky's diagonal
         if info == 0 and np.isfinite(factors[0]).all():
             return LapackFactor(routine, *factors)
-    if sigma:  # the scipy.sparse sum, a new matrix
-        C = A.tocsc() - sigma * sp.identity(A.shape[0], format="csc")
-    else:  # a copy even of a CSC A, which splu's sum_duplicates may sort in place
-        C = A.tocsc(copy=True)
+    C = A.tocsc() - sigma * sp.identity(A.shape[0], format="csc")  # a new matrix
     return spla.splu(C, permc_spec="MMD_AT_PLUS_A")
 
 

@@ -177,8 +177,8 @@ def coupled_eigenpairs(
 
     `spectral._shift_invert`'s (values, vectors, residuals): values
     ascending by (Re, Im), vectors of unit combined L2 norm, each pair
-    checked; its shift is one unit below the Gershgorin lower bound on the
-    real parts.
+    checked; its shift is the Gershgorin lower bound on the real parts,
+    where -J - σI is weakly diagonally dominant (README, Numerical notes).
 
     A single-vector Krylov space can miss one copy of an exactly double
     eigenvalue (the 2D square's (i,j)/(j,i) pairs, or I₂⊗(Δ+a) at the
@@ -190,7 +190,7 @@ def coupled_eigenpairs(
     diag = Jm.diagonal()
     # -J's bound -diag - offsum, exactly; every row holds a Laplacian neighbour
     offsum = np.add.reduceat(np.abs(Jm.data), Jm.indptr[:-1]) - np.abs(diag)
-    sigma = -float((diag + offsum).max()) - 1.0
+    sigma = -float((diag + offsum).max())
     return _shift_invert(
         J, k, sigma, COUPLED_START_SEED, tol, symmetric=False, extra=COUPLED_EXTRA_VALUES
     )

@@ -83,7 +83,7 @@ def synchronized_state(params: ModelParams, theta: LogisticSolution) -> SteadySt
     """
     grid = theta.theta.grid
     a = as_field(grid, params.a)
-    if not np.allclose(a.values, theta.a.values, rtol=1e-13, atol=1e-13):
+    if not np.array_equal(a.values, theta.a.values):
         raise ValueError("theta was solved for a different growth rate than params.a")
     if not (theta.theta.min() > 0.0 and theta.theta.max() < np.inf):  # NaN fails both
         raise ValueError("theta must be finite and strictly positive")

@@ -16,8 +16,9 @@ admits. `grid.factorize(A, σ)` factors A - σI, A = -op.matrix, as ARPACK's
 inverse operator (``eigsh``, or ``eigs`` for the coupled matrix; fixed
 seeded start vector), whose eigenvalues σ + 1/ν are sorted by (Re, Im),
 the vectors scaled to unit discrete L2 norm and every pair checked; dense
-LAPACK is only the tests' oracle. Here σ = -max(m) - 1 lies strictly
-below the spectrum, so A - σI is positive definite.
+LAPACK is only the tests' oracle. Here σ = -max(m), so A - σI =
+-Δ + diag(max m - m) >= -Δ is positive definite: the Laplacian's λ₁ > 0
+is the margin, and it scales with the problem as every eigenvalue does.
 
 Each eigenvector's sign makes its inner product with the fixed positive
 weight exp(x/Lx + √2·y/Ly) positive (`_sign_weight`), so the sign of an
@@ -150,9 +151,8 @@ def principal_eigenpair(op: WeightedOperator, tol: float = DEFAULT_TOL) -> Eigen
 def eigenpairs(op: WeightedOperator, k: int, tol: float = DEFAULT_TOL) -> Spectrum:
     """k smallest eigenpairs of -(Δ + diag(m)), ascending, L2-orthonormal:
     `_shift_invert`'s with eigsh, each sign fixed by `_sign_weight`."""
-    # the Rayleigh quotient of -(Δ+m) is bounded below by -max(m), so this
-    # shift keeps A - sigma*I positive definite
-    sigma = -float(op.weight.values.max()) - 1.0
+    # A - σI = -Δ + diag(max m - m) >= -Δ, positive definite: the Laplacian is the margin
+    sigma = -float(op.weight.values.max())
     w, V, residuals = _shift_invert(op, k, sigma, SCALAR_START_SEED, tol, symmetric=True)
     V[:, _sign_weight(op.grid) @ V < 0] *= -1.0
     pairs = (EigenPair(float(lam), Field(op.grid, x), r) for lam, x, r in zip(w, V.T, residuals))

@@ -21,9 +21,11 @@ from lvsync import (
     Grid,
     ModelParams,
     WeightedOperator,
+    eigenpairs,
     solve_logistic,
     synchronized_state,
 )
+from lvsync.cli import RunConfig, build_growth_field
 from lvsync.grid import (
     BAND_CHOLESKY_MAX_KD, LapackFactor, as_field, factorize, laplacian, laplacian_pattern,
 )
@@ -106,10 +108,18 @@ def scipy_jacobian(J):
     return sp.kron(sp.identity(2, format="csr"), lap, format="csr") + reaction
 
 
+def stencil_kernel(grid):
+    """The kernel of a symmetric positive definite stencil matrix: tridiagonal
+    in 1D, banded in 2D, SuperLU where the band is wider than the limit."""
+    if grid.ndim == 1:
+        return dpttrs
+    return dpbtrs if grid.resolution[0] <= BAND_CHOLESKY_MAX_KD else spla.SuperLU
+
+
 def scipy_gershgorin_shift(M):
     diag = M.diagonal()
     offsum = np.asarray(np.abs(M).sum(axis=1)).ravel() - np.abs(diag)
-    return float((diag - offsum).min()) - 1.0
+    return float((diag - offsum).min())
 
 
 def jacobians(grid, a):
@@ -190,12 +200,50 @@ class TestRefillEqualsScipy:
         grid, a = GRIDS[name]
         J = jacobians(grid, a)["zero-state"]
         lu = factorize(-J.matrix, scipy_gershgorin_shift((-J.matrix).tocsr()))
-        if grid.ndim == 1:
-            assert kernel(lu) is dpttrs
-        elif grid.resolution[0] <= BAND_CHOLESKY_MAX_KD:
-            assert kernel(lu) is dpbtrs
-        else:
-            assert kernel(lu) is spla.SuperLU
+        assert kernel(lu) is stencil_kernel(grid)
+
+    @pytest.mark.parametrize("weight", ["constant", "profile:sin"])
+    def test_scalar_shift_reaches_lapack(self, name, weight, monkeypatch):
+        """eigenpairs shifts at σ = -max(m): A - σI = -Δ + diag(max m - m) is
+        positive definite, so it takes the stencil's LAPACK kernel."""
+        grid, a = GRIDS[name]
+        m = as_field(grid, a) if weight == "constant" else build_growth_field(
+            RunConfig(a=weight), grid)
+        factored = []
+
+        def spy(A, sigma):
+            lu = factorize(A, sigma)
+            factored.append((sigma, lu))
+            return lu
+
+        monkeypatch.setattr(lvsync.spectral, "factorize", spy)
+        eigenpairs(WeightedOperator(grid, m), 3)
+        ((sigma, lu),) = factored
+        assert sigma == -m.max()
+        assert kernel(lu) is stencil_kernel(grid)
+
+    def test_unshifted_superlu_factors_the_csc_copy(self, name, monkeypatch):
+        """factorize(A, 0.0), for A in CSR and in CSC, hands SuperLU the data,
+        indices and indptr of A.tocsc(copy=True) and leaves A as it was."""
+        grid, a = GRIDS[name]
+        A = -jacobians(grid, a)["synchronized"].matrix
+        handed = []
+        splu = spla.splu
+
+        def spy(C, **kwargs):
+            handed.append(C)
+            return splu(C, **kwargs)
+
+        monkeypatch.setattr(spla, "splu", spy)
+        for M in (A, A.tocsc()):
+            expected = M.tocsc(copy=True)
+            before = [x.copy() for x in (M.data, M.indices, M.indptr)]
+            assert kernel(factorize(M, 0.0)) is spla.SuperLU
+            C = handed.pop()
+            assert C.format == "csc"
+            assert_same_csr(C, expected)
+            for x, y in zip(before, (M.data, M.indices, M.indptr)):
+                assert np.array_equal(x, y)
 
 
 MUTATIONS = {

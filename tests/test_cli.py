@@ -88,6 +88,17 @@ class TestFieldFiles:
         with pytest.raises(ValueError, match="nodes"):
             field_from_csv(path, grid1d(8))
 
+    @pytest.mark.parametrize("length, moved", [(1e-9, 1.0005e-9), (1e6, 1e6 * (1 + 2e-12))])
+    def test_field_csv_coordinates_compare_relatively(self, tmp_path, length, moved):
+        """Coordinates match to a relative tolerance at every scale: a file for
+        (0, L) loads on its own grid and not on one whose nodes moved."""
+        g = grid1d(20, length)
+        path = tmp_path / "f.csv"
+        write_field_csv(Field.constant(g, 1.0), path)
+        assert np.array_equal(field_from_csv(path, g).values, np.ones(20))
+        with pytest.raises(ValueError, match="coordinates do not match"):
+            field_from_csv(path, grid1d(20, moved))
+
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     def test_field_csv_rejects_non_finite_values(self, tmp_path, bad):
         g = grid1d(7)

@@ -63,7 +63,7 @@ def assert_scales(kind, unit, n, a0, L):
     assert abs(scaled.mismatch_threshold - threshold) <= threshold * (2 * threshold + 16 * EPS)
 
 
-@pytest.mark.parametrize("L", [0.1, 0.25, 0.5, 2.0, 3.0])
+@pytest.mark.parametrize("L", [1e-3, 0.1, 0.25, 0.5, 2.0, 3.0, 1e3, 1e5])
 @pytest.mark.parametrize("n", [200, 400, 600])
 def test_1d_scaling(n, L):
     assert_scales("interval", (math.pi,), (n,), 2.0, L)
@@ -79,7 +79,7 @@ def test_1d_seeded_campaign():
         mu1(Grid("interval", (L,), (n,)), a)
 
 
-@pytest.mark.parametrize("L", [0.1, 0.25, 0.5, 2.0, 3.0])
+@pytest.mark.parametrize("L", [1e-3, 0.1, 0.25, 0.5, 2.0, 3.0, 1e3, 1e5])
 def test_2d_scaling(L):
     assert_scales("rectangle", (math.pi, math.pi), (40, 40), 4.0, L)
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -88,6 +90,15 @@ class TestSynchronizedState:
     def test_growth_rate_mismatch_rejected(self, theta200):
         with pytest.raises(ValueError, match="growth rate"):
             synchronized_state(ModelParams(a=3.0, b=0.5, c=1.0), theta200)
+
+    def test_growth_rate_compared_exactly(self):
+        """On (0, π·10⁷), where λ₁ ≈ 1e-14, growth rates twice apart differ by
+        less than 1e-13: a θ solved for a = 2e-14 is not the state of a = 4e-14."""
+        grid = Grid("interval", (math.pi * 1e7,), (200,))
+        theta = solve_logistic(grid, 2e-14)
+        synchronized_state(ModelParams(a=2e-14, b=0.5, c=1.0), theta)
+        with pytest.raises(ValueError, match="growth rate"):
+            synchronized_state(ModelParams(a=4e-14, b=0.5, c=1.0), theta)
 
 
 class TestSystemResidual:
