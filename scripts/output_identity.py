@@ -96,12 +96,19 @@ CASES = [
     ("verify-2d-locus-sliver", ["verify", "--domain", "rectangle:pi:pi", "--n", "12,12",
                                 "--a", "4", "--k", "3", "--b", "0.3333333333342333",
                                 "--c", "1"]),
-    # op 0 of perfbench verify-2d at seeds 183 and 195, on the locus: the coupled eigs
-    # can stop in dneupd (ARPACK error 1), which ends inconclusive with report.json
+    # op 0 of perfbench verify-2d at seeds 183, 195 and 556, on the locus: the coupled
+    # eigs has stopped in dneupd (ARPACK error 1) at some shift and window; one failure
+    # restarts it from a second seed, two end inconclusive with report.json
     ("verify-2d-locus-arpack-failure", ["verify", *SQUARE, "--b", "0.3437759627974551",
                                         "--c", "1.1002659032289266"]),
     ("verify-2d-locus-seed-195", ["verify", *SQUARE, "--b", "0.43994768711467147",
                                   "--c", "3.6630369920536006"]),
+    ("verify-2d-locus-seed-556", ["verify", *SQUARE, "--b", "0.34783427185678173",
+                                  "--c", "1.1429455111252134"]),
+    # k = 3 at b = 0.1, c = 4: the a - s₁θ family's (i,j)/(j,i) pair sits astride
+    # position 2k = 6 of the prediction, so the coupled solve asks for 7 values
+    ("verify-2d-window-straddle", ["verify", "--domain", "rectangle:pi:pi", "--n", "30,30",
+                                   "--a", "4", "--b", "0.1", "--c", "4", "--k", "3"]),
     # the default 1D verify and the 30x30 square with extents times 10³ and a over 10⁶:
     # every eigenvalue over 10⁶, the shifts at the matrices' own bounds
     ("verify-1d-scaled-1e3", ["verify", "--domain", "interval:0:3141.592653589793",

@@ -68,7 +68,6 @@ from .grid import (
     WeightedOperator,
 )
 from .linstab import (
-    COUPLED_EXTRA_VALUES,
     SUBCRITICAL_CAUSE,
     StabilityReport,
     ThetaHalf,
@@ -254,7 +253,7 @@ def validate_config(cfg: RunConfig, command: str) -> Grid:
             eigen_window(cfg.k, grid.size)
         elif command in ("verify", "sweep"):  # 2k values of each family, 2k coupled ones
             eigen_window(2 * cfg.k, grid.size)
-            eigen_window(2 * cfg.k, 2 * grid.size, extra=COUPLED_EXTRA_VALUES, symmetric=False)
+            eigen_window(2 * cfg.k, 2 * grid.size, symmetric=False)
     except ValueError as exc:
         raise ConfigError(str(exc))
     if cfg.tol <= 0:

@@ -362,14 +362,18 @@ def factorize(A: sp.spmatrix, sigma: float = 0.0) -> LapackFactor | spla.SuperLU
 
     Every other matrix (the coupled Jacobian, with blocks at ±N; an
     indefinite or nonsymmetric matrix; a wider band) gets SuperLU with the
-    minimum-degree ordering of the pattern of Aᵀ + A. COLAMD, SuperLU's
-    default, orders for unsymmetric patterns; the matrices that reach
-    SuperLU here have symmetric patterns, where the minimum-degree
-    ordering leaves less fill. As the ordering is symmetric and SuperLU's
-    threshold pivoting (diag_pivot_thresh 1.0) keeps a diagonal entry that
-    dominates its column, a strictly diagonally dominant M-matrix such as
-    I - dt·Δ, whose Schur complements are all one again, is factored with
-    no row interchanged. Raises RuntimeError on an exactly singular A - σI.
+    minimum-degree ordering of the pattern of Aᵀ + A, in SuperLU's
+    SymmetricMode. COLAMD, SuperLU's default, orders for unsymmetric
+    patterns; the matrices that reach SuperLU here have symmetric patterns,
+    where the minimum-degree ordering leaves less fill, and SymmetricMode
+    builds the elimination tree from that same pattern rather than from
+    AᵀA's, which makes the coupled factorization about a quarter faster at
+    30×30 (same fill; README, Numerical notes). Threshold pivoting stays at
+    its default, diag_pivot_thresh 1.0, which keeps a diagonal entry that
+    dominates its column: with the symmetric ordering, a strictly
+    diagonally dominant M-matrix such as I - dt·Δ, whose Schur complements
+    are all one again, is factored with no row interchanged. Raises
+    RuntimeError on an exactly singular A - σI.
     """
     ab = _symmetric_band(A)
     if ab is not None:
@@ -384,7 +388,7 @@ def factorize(A: sp.spmatrix, sigma: float = 0.0) -> LapackFactor | spla.SuperLU
         if info == 0 and np.isfinite(factors[0]).all():
             return LapackFactor(routine, *factors)
     C = A.tocsc() - sigma * sp.identity(A.shape[0], format="csc")  # a new matrix
-    return spla.splu(C, permc_spec="MMD_AT_PLUS_A")
+    return spla.splu(C, permc_spec="MMD_AT_PLUS_A", options=dict(SymmetricMode=True))
 
 
 class WeightedOperator:

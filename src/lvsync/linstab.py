@@ -31,6 +31,10 @@ the positive logistic state: the stability assertion this module verifies
 against the spectrum of -J itself, from `spectral`'s shift-invert route.
 The comparison has one rule, a bound from the measured residuals for each
 cluster of predicted values (`_cluster_errors`; README, Numerical notes).
+The prediction sizes the coupled solve's window and nothing more
+(`coupled_window`): ARPACK is asked for the 2k values compared plus the
+rest of a predicted cluster astride the window edge, so a coupled value
+that the prediction lacks still ends the verification inconclusive.
 """
 
 from __future__ import annotations
@@ -58,6 +62,7 @@ __all__ = [
     "s_parameter",
     "mode_ratios",
     "degenerate_distance",
+    "coupled_window",
     "coupled_eigenpairs",
     "predicted_spectrum",
     "ThetaHalf",
@@ -74,8 +79,6 @@ DEGENERATE_TOL = 1e-12
 # predicted values closer than CLUSTER_GAP·|λ| are compared as one cluster
 CLUSTER_GAP = 1e-6
 COUPLED_START_SEED = 0xC0
-# extra Ritz values ARPACK is asked for beyond the k kept (see coupled_eigenpairs)
-COUPLED_EXTRA_VALUES = 2
 # how the cause of a subcritical growth rate begins (theta_half); the CLI
 # exits 2 on it
 SUBCRITICAL_CAUSE = "no positive steady state"
@@ -170,8 +173,38 @@ class CoupledJacobian:
         return self._matrix
 
 
+def _joined(values: np.ndarray) -> np.ndarray:
+    """joined[i]: sorted values i and i + 1 fall in one cluster, their gap at most
+    CLUSTER_GAP·|λ| (a NaN gap splits); the one clustering rule of the window and the
+    comparison."""
+    return np.abs(np.diff(values)) <= CLUSTER_GAP * np.abs(values[1:])
+
+
+def coupled_window(k: int, spectra: dict[str, Spectrum]) -> int:
+    """How many coupled values ARPACK is asked for to keep the k smallest: the one
+    window rule, from the families `spectra` whose union is -J's spectrum
+    (predicted_spectrum's at the synchronized state).
+
+    A single-vector Krylov space can miss one copy of a multiple eigenvalue that the
+    window edge cuts (the 2D square's (i,j)/(j,i) pairs, or I₂⊗(Δ+a) at the zero
+    state), so the window takes the rest of the predicted cluster (_joined) that
+    straddles position k: k itself when none does. Only the window's size comes from
+    the prediction, never a coupled value. Where the prediction cannot bound that
+    cluster, when it reaches the last value a family computed, whose next value may
+    join it, the window is k + 2, or the cluster if that is longer.
+    """
+    union = np.sort(np.concatenate([spec.values for spec in spectra.values()]))
+    joined = _joined(union)
+    end = k
+    while end < len(union) and joined[end - 1]:
+        end += 1
+    if union[end - 1] >= min(spec.values[-1] for spec in spectra.values()):
+        return max(end, k + 2)
+    return end
+
+
 def coupled_eigenpairs(
-    J: CoupledJacobian, k: int, tol: float = DEFAULT_TOL
+    J: CoupledJacobian, k: int, window: int, tol: float = DEFAULT_TOL
 ) -> tuple[np.ndarray, np.ndarray, list[float]]:
     """k eigenvalues of -J with smallest real parts, plus eigenvectors.
 
@@ -180,11 +213,9 @@ def coupled_eigenpairs(
     checked; its shift is the Gershgorin lower bound on the real parts,
     where -J - σI is weakly diagonally dominant (README, Numerical notes).
 
-    A single-vector Krylov space can miss one copy of an exactly double
-    eigenvalue (the 2D square's (i,j)/(j,i) pairs, or I₂⊗(Δ+a) at the
-    zero state) when it sits at the edge of the requested window, so
-    ARPACK is asked for COUPLED_EXTRA_VALUES more values than k and only
-    the k smallest are kept.
+    ARPACK is asked for `window` >= k values, of which the k smallest are
+    kept; verify_theorem passes coupled_window(k, spectra), from its
+    prediction.
     """
     Jm = J.matrix
     diag = Jm.diagonal()
@@ -192,7 +223,7 @@ def coupled_eigenpairs(
     offsum = np.add.reduceat(np.abs(Jm.data), Jm.indptr[:-1]) - np.abs(diag)
     sigma = -float((diag + offsum).max())
     return _shift_invert(
-        J, k, sigma, COUPLED_START_SEED, tol, symmetric=False, extra=COUPLED_EXTRA_VALUES
+        J, k, sigma, COUPLED_START_SEED, tol, symmetric=False, extra=window - k
     )
 
 
@@ -354,8 +385,12 @@ def verify_theorem(
     try:
         steady = synchronized_state(params, logistic)
         J = CoupledJacobian(grid, steady.u, steady.v, params)
-        predicted, _ = predicted_spectrum(grid, logistic.a, logistic.theta, b, c, shared.two, tol)
-        coupled_vals, _, coupled_res = coupled_eigenpairs(J, 2 * k, tol=tol)
+        predicted, spectra = predicted_spectrum(
+            grid, logistic.a, logistic.theta, b, c, shared.two, tol
+        )
+        coupled_vals, _, coupled_res = coupled_eigenpairs(
+            J, 2 * k, coupled_window(2 * k, spectra), tol=tol
+        )
     except EigenSolveError as exc:
         return inconclusive_report(params, k, f"solver failure: {exc}")
 
@@ -422,8 +457,7 @@ def _cluster_errors(
     holds both and κ₂(S) is infinite or of order 1e16, which leaves
     max ρ_c + weyl.
     """
-    joined = np.abs(np.diff(pred)) <= CLUSTER_GAP * np.abs(pred[1:])  # a NaN gap splits
-    clusters = np.split(np.arange(len(pred)), np.flatnonzero(~joined) + 1)
+    clusters = np.split(np.arange(len(pred)), np.flatnonzero(~_joined(pred)) + 1)
     mismatch, bound, mean = [], [], []
     for idx in clusters:
         coupled_err = kappa * rho_c[idx].max()

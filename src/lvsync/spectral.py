@@ -15,8 +15,9 @@ Comp.* 35, 1980) to checked eigenpairs, for every k that `eigen_window`
 admits. `grid.factorize(A, σ)` factors A - σI, A = -op.matrix, as ARPACK's
 inverse operator (``eigsh``, or ``eigs`` for the coupled matrix; fixed
 seeded start vector), whose eigenvalues σ + 1/ν are sorted by (Re, Im),
-the vectors scaled to unit discrete L2 norm and every pair checked; dense
-LAPACK is only the tests' oracle. Here σ = -max(m), so A - σI =
+the vectors scaled to unit discrete L2 norm and every pair checked; an
+ARPACK failure gets one restart from a second fixed seed. Dense LAPACK is
+only the tests' oracle. Here σ = -max(m), so A - σI =
 -Δ + diag(max m - m) >= -Δ is positive definite: the Laplacian's λ₁ > 0
 is the margin, and it scales with the problem as every eigenvalue does.
 
@@ -58,6 +59,8 @@ __all__ = [
 
 DEFAULT_TOL = 1e-10
 SCALAR_START_SEED = 0xE16
+# the start of the one restart after an ARPACK failure, scalar or coupled (_shift_invert)
+RETRY_START_SEED = 0x5EED
 # Most float64 values one eigen solve may hold: ARPACK's basis at scipy's default ncv =
 # min(n, max(2k + 1, 20)) plus the vectors it returns, n values each, complex ones twice.
 # 0.8 GB, 25 times the repo's largest solve (the 150×150 verify's coupled one, k = 6: 43
@@ -162,12 +165,19 @@ def eigenpairs(op: WeightedOperator, k: int, tol: float = DEFAULT_TOL) -> Spectr
 def eigen_window(k: int, n: int, *, extra: int = 0, symmetric: bool = True) -> int:
     """The one eigen window rule: ValueError unless 1 <= k <= n - 2, the bound of eigsh and
     eigs, and the solve of k values of n unknowns (eigs if not symmetric) holds at most
-    MAX_EIGEN_VALUES values; returns the count ARPACK is asked for, k + extra up to n - 2."""
-    m = min(k + extra, n - 2)
-    n_values = (min(n, max(2 * m + 1, 20)) + m) * n * (1 if symmetric else 2)
-    if not (1 <= k <= n - 2 and n_values <= MAX_EIGEN_VALUES):
+    MAX_EIGEN_VALUES values; returns the count ARPACK is asked for, k + extra up to n - 2.
+    Extra values that alone break the bound are the solver's own need, not the caller's
+    error: an EigenSolveError, which verify reports as its cause."""
+    def held(m: int) -> int:
+        return (min(n, max(2 * m + 1, 20)) + m) * n * (1 if symmetric else 2)
+
+    if not (1 <= k <= n - 2 and held(k) <= MAX_EIGEN_VALUES):
         raise ValueError(f"{k} eigenvalues of {n} unknowns are outside the eigen window: 1 to "
-                         f"{n - 2}, holding {n_values:,} of at most {MAX_EIGEN_VALUES:,} values")
+                         f"{n - 2}, holding {held(k):,} of at most {MAX_EIGEN_VALUES:,} values")
+    m = min(k + extra, n - 2)
+    if held(m) > MAX_EIGEN_VALUES:
+        raise EigenSolveError(f"a window of {m} eigenvalues of {n} unknowns holds {held(m):,} "
+                              f"of at most {MAX_EIGEN_VALUES:,} values")
     return m
 
 
@@ -177,20 +187,27 @@ def _shift_invert(
     """(values, vectors, residuals) of the k eigenpairs of A = -op.matrix nearest σ, for
     an operator with `grid` and `matrix`: ARPACK's eigen_window(k, n, …) on factorize(A, σ),
     sorted by (Re, Im), unit 2-norm vectors scaled in place to unit L2 norm, every pair
-    through check_residuals; an ARPACK failure, no convergence included, is an EigenSolveError
-    with its message's first sentence. ARPACK runs to machine precision: its tolerance 1e-12
-    left residuals up to 4e-10 on the coupled defective eigenvalues of the 2D locus."""
+    through check_residuals. ARPACK starts from the caller's seed; after an ARPACK failure,
+    no convergence included, it runs once more on the same factorization from
+    RETRY_START_SEED, and a second failure is an EigenSolveError with its message's first
+    sentence. Nothing else restarts it: a failed residual check, or a mismatch its caller
+    finds, must stand. ARPACK runs to machine precision: its tolerance 1e-12 left
+    residuals up to 4e-10 on the coupled defective eigenvalues of the 2D locus."""
     A = -op.matrix
     n = A.shape[0]
     m = eigen_window(k, n, extra=extra, symmetric=symmetric)
     OPinv = spla.LinearOperator((n, n), matvec=factorize(A, sigma).solve, dtype=float)
-    v0 = np.random.default_rng(seed).standard_normal(n)
     arpack = spla.eigsh if symmetric else spla.eigs
-    try:
-        w, V = arpack(A, m, sigma=sigma, which="LM", OPinv=OPinv, v0=v0)
-    except spla.ArpackError as exc:  # the rest is advice to ARPACK's own callers
-        first, stop, _ = str(exc).partition(". ")
-        raise EigenSolveError(first + stop.rstrip()) from exc
+    for start in (seed, RETRY_START_SEED):
+        v0 = np.random.default_rng(start).standard_normal(n)
+        try:
+            w, V = arpack(A, m, sigma=sigma, which="LM", OPinv=OPinv, v0=v0)
+            break
+        except spla.ArpackError as exc:
+            error = exc
+    else:  # the rest of the message is advice to ARPACK's own callers
+        first, stop, _ = str(error).partition(". ")
+        raise EigenSolveError(first + stop.rstrip()) from error
     order = np.lexsort((w.imag, w.real))[:k]
     w, V = w[order], V[:, order]
     V *= 1.0 / math.sqrt(op.grid.cell_volume)

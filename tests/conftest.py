@@ -4,12 +4,14 @@ import pytest
 import scipy.sparse.linalg as spla
 
 from lvsync import (
+    Field,
     Grid,
     ModelParams,
     solve_logistic,
     synchronized_state,
     verify_theorem,
 )
+from lvsync.linstab import coupled_window, predicted_spectrum, theta_half
 
 
 @pytest.fixture(scope="session")
@@ -45,6 +47,19 @@ def steady200(params_default, theta200):
 @pytest.fixture(scope="session")
 def report200(params_default, grid200):
     return verify_theorem(params_default, grid200, 6, tol=1e-10)
+
+
+@pytest.fixture(scope="session")
+def predicted_window():
+    """window(grid, params, k): verify's coupled window for k = 2·(k / 2) coupled
+    values at the synchronized state, from the prediction of both families."""
+    def window(grid, params, k):
+        half = theta_half(Field.constant(grid, params.a), grid, k // 2, tol=1e-10)
+        _, spectra = predicted_spectrum(grid, half.logistic.a, half.logistic.theta,
+                                        params.b, params.c, half.two, tol=1e-10)
+        return coupled_window(k, spectra)
+
+    return window
 
 
 @pytest.fixture(params=["schur-reordering", "no-convergence"])

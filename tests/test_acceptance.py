@@ -67,10 +67,11 @@ def grid1d(n, length=math.pi):
 
 
 @pytest.fixture(scope="module")
-def coupled12(grid200, steady200, params_default):
+def coupled12(grid200, steady200, params_default, predicted_window):
     J = CoupledJacobian(grid200, steady200.u, steady200.v, params_default)
+    window = predicted_window(grid200, params_default, 12)
     t0 = time.perf_counter()
-    vals, vecs, _ = coupled_eigenpairs(J, 12, tol=1e-10)
+    vals, vecs, _ = coupled_eigenpairs(J, 12, window, tol=1e-10)
     elapsed = time.perf_counter() - t0
     return J, vals, vecs, elapsed
 
@@ -170,7 +171,7 @@ def test_criterion_2_direct_ansatz_correct_pairing(
     assert ok
 
 
-def test_criterion_3_degenerate_case(grid200):
+def test_criterion_3_degenerate_case(grid200, predicted_window):
     c = 1.0
     b = 1.0 / 3.0
     s = s_parameter(b, c)
@@ -180,7 +181,7 @@ def test_criterion_3_degenerate_case(grid200):
     params = ModelParams(a=A_DEFAULT, b=b, c=c)
     steady = synchronized_state(params, sol)
     J = CoupledJacobian(grid200, steady.u, steady.v, params)
-    vals, vecs, _ = coupled_eigenpairs(J, 12, tol=1e-10)
+    vals, vecs, _ = coupled_eigenpairs(J, 12, predicted_window(grid200, params, 12), tol=1e-10)
     scalar = eigenpairs(
         WeightedOperator(grid200, sol.a - 2.0 * sol.theta), 6, tol=1e-10
     ).values

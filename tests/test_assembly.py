@@ -187,7 +187,7 @@ class TestRefillEqualsScipy:
             return factorize(A, sigma)
 
         monkeypatch.setattr(lvsync.spectral, "factorize", spy)
-        coupled_eigenpairs(J, 4)
+        coupled_eigenpairs(J, 4, 4)
         M = (-scipy_jacobian(J)).tocsr()
         ((A, sigma),) = factored
         assert_same_csr(A, M)

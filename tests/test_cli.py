@@ -919,17 +919,16 @@ def test_window_past_the_memory_limit_is_a_config_error(tmp_path, monkeypatch, c
 
 def test_verify_checks_the_coupled_window_too(tmp_path, monkeypatch, capsys):
     # with a limit that both families of a k = 6 verify on n = 40 fit
-    # (12 values of 40 unknowns) but its coupled solve (12 + 2 values of
+    # (12 values of 40 unknowns) but its coupled solve (12 values of
     # 80 complex unknowns) does not, verify and sweep are rejected up front
     import lvsync.cli
     import lvsync.spectral
-    from lvsync.linstab import COUPLED_EXTRA_VALUES
     from lvsync.spectral import eigen_window
 
     monkeypatch.setattr(lvsync.spectral, "MAX_EIGEN_VALUES", 5000)
     assert eigen_window(12, 40) == 12
     with pytest.raises(ValueError, match="eigen window"):
-        eigen_window(12, 80, extra=COUPLED_EXTRA_VALUES, symmetric=False)
+        eigen_window(12, 80, symmetric=False)
     monkeypatch.setattr(lvsync.cli, "verify_theorem", refuse_to_solve)
     for command in (["verify"], ["sweep", "--sweep-b", "0.5"]):
         out = tmp_path / command[0]
@@ -946,3 +945,22 @@ def test_example_config_runs(command, tmp_path):
     extra = ["--t-end", "2"] if command == "evolve" else []
     assert run(command, "--config", str(EXAMPLE_CONFIG), "--n", "40", *extra,
                "--out", str(tmp_path / "o")) == 0
+
+
+def test_coupled_window_past_the_memory_limit_is_inconclusive(tmp_path, monkeypatch, capsys):
+    # on the 12x12 square at b = 0.1, c = 4 a predicted cluster straddles
+    # position 2k = 6, so the coupled solve asks for 7 values of 288 complex
+    # unknowns (15,552 held). With a limit of 15,000 the 6 values that
+    # validation checks fit (14,976 held) and the window does not: the run
+    # ends inconclusive with that cause and its report, not a traceback
+    import lvsync.spectral
+
+    monkeypatch.setattr(lvsync.spectral, "MAX_EIGEN_VALUES", 15_000)
+    out = tmp_path / "o"
+    assert run("verify", "--domain", "rectangle:pi:pi", "--n", "12,12", "--a", "4",
+               "--b", "0.1", "--c", "4", "--k", "3", "--out", str(out)) == 1
+    report = json.loads((out / "report.json").read_text())
+    assert report["verdict"] == "inconclusive"
+    assert report["cause"] == ("solver failure: a window of 7 eigenvalues of 288 unknowns "
+                               "holds 15,552 of at most 15,000 values")
+    assert "Traceback" not in capsys.readouterr().err

@@ -281,6 +281,43 @@ class TestFactorize:
         ref = np.linalg.solve(A.toarray(), rhs)
         assert np.linalg.norm(lu.solve(rhs) - ref) <= 1e-12 * np.linalg.norm(ref)
 
+    @pytest.mark.parametrize("name", ["coupled-30x30", "imex-110x3"])
+    def test_superlu_factors_in_symmetric_mode(self, name, monkeypatch):
+        # every matrix that reaches SuperLU has a symmetric pattern, so it is
+        # factored in SymmetricMode at the default threshold pivoting: the
+        # coupled -J - σI at the Gershgorin bound σ and I - dt·Δ past the band
+        # limit interchange no row and solve as spsolve does, to rounding
+        if name == "coupled-30x30":
+            g = square(30)
+            params = ModelParams(a=4.0, b=0.5, c=1.0)
+            steady = synchronized_state(params, solve_logistic(g, 4.0))
+            A = -CoupledJacobian(g, steady.u, steady.v, params).matrix
+            diag = A.diagonal()
+            sigma = float((diag - (abs(A).sum(axis=1).A1 - np.abs(diag))).min())
+        else:
+            A, sigma = imex_matrix(Grid("rectangle", (3.0, 1.0), (110, 3)), dt=1e-2), 0.0
+        handed = []
+        splu = spla.splu
+
+        def spy(C, **kwargs):
+            handed.append(kwargs)
+            return splu(C, **kwargs)
+
+        monkeypatch.setattr(spla, "splu", spy)
+        lu = factorize(A, sigma)
+        assert handed == [{"permc_spec": "MMD_AT_PLUS_A", "options": {"SymmetricMode": True}}]
+        assert np.array_equal(lu.perm_r, lu.perm_c)
+        shifted = (A - sigma * sp.identity(A.shape[0])).tocsc()
+        rhs = np.random.default_rng(7).standard_normal(A.shape[0])
+        ref = spla.spsolve(shifted, rhs)
+        assert np.abs(lu.solve(rhs) - ref).max() <= 1e-12 * np.abs(ref).max()
+        if name == "imex-110x3":
+            # an M-matrix factored with no interchange: L and U have the
+            # Cholesky factor's signs, so a nonnegative right-hand side gives
+            # a nonnegative solution, the basis of evolve's positivity
+            nonnegative = np.abs(rhs) * (np.arange(len(rhs)) % 3 == 0)
+            assert not np.signbit(lu.solve(nonnegative)).any()
+
     @pytest.mark.parametrize("name", ["scalar", "coupled"])
     def test_fill_below_colamd(self, name):
         # 30×30, COLAMD vs minimum degree with scipy 1.17.1: the symmetric

@@ -36,12 +36,14 @@ from lvsync.linstab import (
     ansatz_residual,
     component_projection,
     coupled_eigenpairs,
+    coupled_window,
     degenerate_distance,
     inconclusive_report,
     predicted_spectrum,
     theta_half,
 )
 from lvsync.model import ratio_coefficients
+from lvsync.spectral import RETRY_START_SEED, EigenPair, Spectrum
 
 valid_b = st.floats(0.01, 0.99)
 valid_c = st.floats(0.01, 20.0)
@@ -49,6 +51,13 @@ valid_c = st.floats(0.01, 20.0)
 
 def grid1d(n, length=math.pi):
     return Grid("interval", (length,), (n,))
+
+
+def zero_state_window(g, a, k):
+    """The coupled window at u = v = 0, where -J = I₂⊗(-(Δ + a)) holds two copies
+    of one scalar family."""
+    spec = eigenpairs(WeightedOperator(g, Field.constant(g, a)), k, tol=1e-10)
+    return coupled_window(k, {"u": spec, "v": spec})
 
 
 class TestParameterAlgebra:
@@ -155,7 +164,7 @@ class TestJacobianAssembly:
         params = ModelParams(a=2.0, b=0.5, c=1.0)
         zero = Field.constant(g, 0.0)
         J = CoupledJacobian(g, zero, zero, params)
-        mus = coupled_eigenpairs(J, 4, tol=1e-10)[0]
+        mus = coupled_eigenpairs(J, 4, zero_state_window(g, 2.0, 4), tol=1e-10)[0]
         scalar = eigenpairs(WeightedOperator(g, Field.constant(g, 2.0)), 2, tol=1e-10).values
         expected = np.repeat(scalar, 2)
         assert np.allclose([m.real for m in mus], expected, atol=1e-10)
@@ -234,11 +243,11 @@ class TestSpectralEquivalence:
 
     def test_union_multiset_matches_coupled(self, grid200, theta200, steady200, params_default):
         J = CoupledJacobian(grid200, steady200.u, steady200.v, params_default)
-        mus, _, _ = coupled_eigenpairs(J, 12, tol=1e-10)
-        predicted, _ = predicted_spectrum(
+        predicted, spectra = predicted_spectrum(
             grid200, theta200.a, theta200.theta, params_default.b, params_default.c,
             theta_half(theta200.a, grid200, 6, tol=1e-10).two, tol=1e-10,
         )
+        mus, _, _ = coupled_eigenpairs(J, 12, coupled_window(12, spectra), tol=1e-10)
         pred_vals = np.array([p[0] for p in predicted])
         assert np.abs(mus.imag).max() <= 1e-8
         rel = np.abs(np.sort(mus.real) - pred_vals) / np.abs(pred_vals)
@@ -249,23 +258,23 @@ class TestSpectralEquivalence:
         [
             (Grid("interval", (math.pi,), (120,)), 2.0, 8),
             # the square's (i,j)/(j,i) modes give exactly double eigenvalues;
-            # k=14 cuts the window between the two copies of one of them
+            # k=14 ends the window between two of them, so the window is 14
             (Grid("rectangle", (math.pi, math.pi), (12, 12)), 4.0, 14),
         ],
         ids=["1d-120", "2d-12x12"],
     )
-    def test_iterative_coupled_solver_matches_dense_oracle(self, g, a, k):
+    def test_iterative_coupled_solver_matches_dense_oracle(self, g, a, k, predicted_window):
         params = ModelParams(a=a, b=0.5, c=1.0)
         sol = solve_logistic(g, a, tol=1e-10)
         steady = synchronized_state(params, sol)
         J = CoupledJacobian(g, steady.u, steady.v, params)
-        arnoldi, _, _ = coupled_eigenpairs(J, k, tol=1e-10)
+        arnoldi, _, _ = coupled_eigenpairs(J, k, predicted_window(g, params, k), tol=1e-10)
         # independent oracle: raw LAPACK on the negated block matrix
         dense = np.sort(sla.eigvals((-J.matrix).toarray()).real)[:k]
         assert np.allclose(arnoldi.real, dense, rtol=1e-8)
 
     def test_window_edge_for_nearly_the_whole_spectrum(self):
-        # k = 2N - 2 is ARPACK's largest window, its extra values capped away;
+        # k = 2N - 2 is ARPACK's largest window, a wider window capped to it;
         # k = 2N - 1 and 2N lie outside the window
         g = grid1d(10)
         params = ModelParams(a=2.0, b=0.5, c=1.0)
@@ -274,23 +283,24 @@ class TestSpectralEquivalence:
         oracle = sla.eigvals((-J.matrix).toarray())
         oracle = oracle[np.lexsort((oracle.imag, oracle.real))]
         k = 2 * g.size - 2
-        vals, vecs, _ = coupled_eigenpairs(J, k, tol=1e-10)
+        vals, vecs, _ = coupled_eigenpairs(J, k, k + 2, tol=1e-10)
         assert vecs.shape == (2 * g.size, k)
         assert np.allclose(vals, oracle[:k], rtol=1e-12, atol=1e-12)
         for k in (2 * g.size - 1, 2 * g.size):
             with pytest.raises(ValueError, match="eigen window"):
-                coupled_eigenpairs(J, k, tol=1e-10)
+                coupled_eigenpairs(J, k, k, tol=1e-10)
 
     @pytest.mark.parametrize("g", [Grid("interval", (math.pi,), (40,)),
                                    Grid("rectangle", (math.pi, math.pi), (12, 12))],
                              ids=["1d-40", "2d-12x12"])
-    def test_values_come_lexsorted_by_real_then_imag(self, g):
+    def test_values_come_lexsorted_by_real_then_imag(self, g, predicted_window):
         # on the degenerate locus the defective pairs split into complex
         # conjugates with equal real parts, so the imaginary part decides
         # their order; verify_theorem and the eigenvalue table rely on it
         params = ModelParams(a=4.0 if g.ndim == 2 else 2.0, b=1.0 / 3.0, c=1.0)
         steady = synchronized_state(params, solve_logistic(g, params.a, tol=1e-10))
-        vals, _, _ = coupled_eigenpairs(CoupledJacobian(g, steady.u, steady.v, params), 12)
+        J = CoupledJacobian(g, steady.u, steady.v, params)
+        vals, _, _ = coupled_eigenpairs(J, 12, predicted_window(g, params, 12))
         assert np.count_nonzero(vals.imag) >= 4
         assert np.array_equal(np.lexsort((vals.imag, vals.real)), np.arange(12))
 
@@ -302,17 +312,17 @@ class TestSpectralEquivalence:
         g = Grid("rectangle", (math.pi, math.pi), (n, n))
         zero = Field.constant(g, 0.0)
         J = CoupledJacobian(g, zero, zero, ModelParams(a=4.0, b=0.5, c=1.0))
-        arnoldi, _, _ = coupled_eigenpairs(J, k, tol=1e-10)
+        arnoldi, _, _ = coupled_eigenpairs(J, k, zero_state_window(g, 4.0, k), tol=1e-10)
         dense = np.sort(sla.eigvals((-J.matrix).toarray()).real)[:k]
         assert np.allclose(arnoldi.real, dense, rtol=1e-8)
 
-    def test_degenerate_locus_spectrum_duplicated(self):
+    def test_degenerate_locus_spectrum_duplicated(self, predicted_window):
         g = grid1d(150)
         params = ModelParams(a=2.0, b=1.0 / 3.0, c=1.0)
         sol = solve_logistic(g, 2.0, tol=1e-10)
         steady = synchronized_state(params, sol)
         J = CoupledJacobian(g, steady.u, steady.v, params)
-        mus, _, _ = coupled_eigenpairs(J, 8, tol=1e-10)
+        mus, _, _ = coupled_eigenpairs(J, 8, predicted_window(g, params, 8), tol=1e-10)
         scalar = eigenpairs(
             WeightedOperator(g, sol.a - 2.0 * sol.theta), 4, tol=1e-10
         ).values
@@ -324,14 +334,14 @@ class TestSpectralEquivalence:
         rel = np.abs(coupled - np.repeat(scalar, 2)) / np.repeat(scalar, 2)
         assert rel.max() <= 1e-5
 
-    def test_degenerate_reduction_into_scalar_eigenspace(self):
+    def test_degenerate_reduction_into_scalar_eigenspace(self, predicted_window):
         g = grid1d(150)
         c = 1.0
         params = ModelParams(a=2.0, b=1.0 / 3.0, c=c)
         sol = solve_logistic(g, 2.0, tol=1e-10)
         steady = synchronized_state(params, sol)
         J = CoupledJacobian(g, steady.u, steady.v, params)
-        vals, vecs, _ = coupled_eigenpairs(J, 8, tol=1e-10)
+        vals, vecs, _ = coupled_eigenpairs(J, 8, predicted_window(g, params, 8), tol=1e-10)
         M2 = laplacian(g) + sp.diags(sol.a.values - 2.0 * sol.theta.values)
         scale = math.sqrt(g.cell_volume)
         for j in range(len(vals)):
@@ -349,14 +359,16 @@ class TestSpectralEquivalence:
         ],
         ids=["1d-200", "2d-30x30"],
     )
-    def test_generic_left_projections_split_families(self, g, a, b, c, n_values):
+    def test_generic_left_projections_split_families(self, g, a, b, c, n_values,
+                                                     predicted_window):
         # (1+c)phi - (1-b)psi lands in the s1 family, c*phi - b*psi in the
         # s=2 family; on eigenvectors of the other family both vanish
         params = ModelParams(a=a, b=b, c=c)
         sol = solve_logistic(g, a, tol=1e-10)
         steady = synchronized_state(params, sol)
         J = CoupledJacobian(g, steady.u, steady.v, params)
-        vals, vecs, _ = coupled_eigenpairs(J, n_values, tol=1e-10)
+        vals, vecs, _ = coupled_eigenpairs(J, n_values, predicted_window(g, params, n_values),
+                                           tol=1e-10)
         s1 = s_parameter(b, c)
         lap = laplacian(g)
         m_s1 = lap + sp.diags(sol.a.values - s1 * sol.theta.values)
@@ -537,16 +549,20 @@ class TestVerifyTheorem:
         assert report.verdict == "inconclusive"
         assert report.cause.startswith("solver failure: ARPACK error")
 
-    @pytest.mark.parametrize("b, c", [(0.3437759627974551, 1.1002659032289266),
-                                      (0.3575525844625929, 1.2550335964807262),
-                                      (0.43994768711467147, 3.6630369920536006),
-                                      (0.34783427185678173, 1.1429455111252134)],
+    @pytest.mark.parametrize("b, c, expect_stable",
+                             [(0.3437759627974551, 1.1002659032289266, False),
+                              (0.3575525844625929, 1.2550335964807262, False),
+                              (0.43994768711467147, 3.6630369920536006, True),
+                              (0.34783427185678173, 1.1429455111252134, True)],
                              ids=["seed-183", "seed-1048", "seed-195", "seed-556"])
-    def test_arpack_failing_locus_draws_give_a_report(self, b, c):
-        # draws of the 30x30 verify workload where the coupled eigs stops in
-        # dneupd (ARPACK error 1) at one shift or BLAS build: a report either way
+    def test_arpack_failing_locus_draws_give_a_report(self, b, c, expect_stable):
+        # draws of the 30x30 verify workload where the coupled eigs stopped in
+        # dneupd (ARPACK error 1) at one shift, window or BLAS build: a report
+        # either way, and a verdict for the draws that failed last
         g = Grid("rectangle", (math.pi, math.pi), (30, 30))
         report = verify_theorem(ModelParams(a=4.0, b=b, c=c), g, 6)
+        if expect_stable:
+            assert (report.verdict, report.cause) == ("stable", None)
         assert report.verdict in ("stable", "inconclusive")
         if report.verdict == "inconclusive":
             assert report.cause.startswith("solver failure: ARPACK error"), report.cause
@@ -759,3 +775,152 @@ class TestVerifyTheorem:
     def test_degenerate_distance_helper(self):
         assert degenerate_distance(0.4, 2.0) <= DEGENERATE_TOL
         assert degenerate_distance(0.5, 1.0) > 1e-2
+
+
+SQUARE12 = Grid("rectangle", (math.pi, math.pi), (12, 12))
+
+
+def spy_arpack(monkeypatch, name, fail_first=0, error=None):
+    """Record (count asked for, start vector) of every call of scipy's eigs or
+    eigsh; the first fail_first calls raise `error` instead of solving."""
+    import scipy.sparse.linalg as spla
+
+    solver, calls = getattr(spla, name), []
+
+    def spy(A, k, **kwargs):
+        calls.append((k, kwargs["v0"].copy()))
+        if len(calls) <= fail_first:
+            raise error
+        return solver(A, k, **kwargs)
+
+    monkeypatch.setattr(spla, name, spy)
+    return calls
+
+
+def values_spectrum(values):
+    return Spectrum(pairs=tuple(EigenPair(float(v), None, 0.0) for v in values))
+
+
+class TestCoupledWindow:
+    """ARPACK is asked for 2k coupled values plus the rest of a predicted cluster
+    that straddles position 2k, and for 2k + 2 where the prediction runs out."""
+
+    def test_default_verify_asks_for_exactly_2k(self, monkeypatch):
+        calls = spy_arpack(monkeypatch, "eigs")
+        g = Grid("rectangle", (math.pi, math.pi), (30, 30))
+        report = verify_theorem(ModelParams(a=4.0, b=0.5, c=1.0), g, 6)
+        assert report.verdict == "stable"
+        assert [k for k, _ in calls] == [12]
+
+    @staticmethod
+    def prediction(b, c, k):
+        half = theta_half(Field.constant(SQUARE12, 4.0), SQUARE12, k)
+        _, spectra = predicted_spectrum(SQUARE12, half.logistic.a, half.logistic.theta, b, c,
+                                        half.two)
+        union = sorted((v, fam) for fam, spec in spectra.items() for v in spec.values)
+        return union, spectra
+
+    def test_straddling_cluster_joins_the_window(self, monkeypatch):
+        # at b = 0.1, c = 4 the a - s₁θ family's (i,j)/(j,i) pair sits at
+        # positions 5 and 6 of the union, astride 2k = 6, below both families' ends
+        union, spectra = self.prediction(0.1, 4.0, 3)
+        (v4, _), (v5, f5), (v6, f6), (v7, _) = union[4:8]
+        assert f5 == f6 == "s1" and v6 - v5 <= CLUSTER_GAP * v6
+        assert v5 - v4 > CLUSTER_GAP * v5 and v7 - v6 > CLUSTER_GAP * v7
+        assert v6 < min(spec.values[-1] for spec in spectra.values())
+        assert coupled_window(6, spectra) == 7
+        calls = spy_arpack(monkeypatch, "eigs")
+        report = verify_theorem(ModelParams(a=4.0, b=0.1, c=4.0), SQUARE12, 3)
+        assert (report.verdict, report.cause) == ("stable", None)
+        assert [k for k, _ in calls] == [7]
+
+    def test_edge_at_a_family_end_asks_for_2k_plus_2(self, monkeypatch):
+        # at b = 0.05, c = 10 (s₁ ≈ 8) the a - s₁θ family lies above the first
+        # 2k = 6 values of the a - 2θ family, so the union's sixth value is the
+        # last one that family computed: its seventh, unknown, may equal it
+        union, spectra = self.prediction(0.05, 10.0, 3)
+        assert [fam for _, fam in union[:6]] == ["two"] * 6
+        assert union[5][0] == spectra["two"].values[-1]
+        assert coupled_window(6, spectra) == 8
+        calls = spy_arpack(monkeypatch, "eigs")
+        report = verify_theorem(ModelParams(a=4.0, b=0.05, c=10.0), SQUARE12, 3)
+        assert (report.verdict, report.cause) == ("stable", None)
+        assert [k for k, _ in calls] == [8]
+
+    @pytest.mark.parametrize("s1, two, window", [
+        ([1.0, 2.0, 3.0, 4.0], [1.5, 2.5, 3.5, 4.5], 4),  # no cluster at the edge
+        ([1.0, 2.0, 3.0, 9.0], [1.5, 3.0, 8.0, 9.5], 5),  # a pair astride position 4
+        ([1.0, 2.0, 3.0, 3.0], [1.5, 3.0, 8.0, 9.0], 6),  # a triple astride it, to s1's end
+        ([1.0, 2.0, 2.0, 2.0], [1.5, 2.0, 2.0, 9.0], 7),  # five copies, to s1's end
+        ([5.0, 6.0, 7.0, 8.0], [1.0, 2.0, 3.0, 4.0], 6),  # the edge is two's last value
+    ], ids=["none", "pair", "triple-at-end", "cluster-past-2k+2", "family-end"])
+    def test_window_rule(self, s1, two, window):
+        spectra = {"s1": values_spectrum(s1), "two": values_spectrum(two)}
+        assert coupled_window(4, spectra) == window
+
+    @pytest.mark.parametrize("g", [grid1d(40), SQUARE12], ids=["1d-40", "2d-12x12"])
+    def test_locus_window_holds_whole_pairs(self, monkeypatch, g):
+        # on the locus both families coincide: the union pairs up at positions
+        # (2i, 2i + 1), so the window is exactly 2k = 12, and each defective
+        # coupled pair at the edge, real or complex, lies inside it
+        params = ModelParams(a=4.0 if g.ndim == 2 else 2.0, b=1.0 / 3.0, c=1.0)
+        calls = spy_arpack(monkeypatch, "eigs")
+        report = verify_theorem(params, g, 6)
+        assert (report.verdict, report.cause) == ("stable", None)
+        assert [k for k, _ in calls] == [12]
+
+
+class TestArpackRetry:
+    """One restart from RETRY_START_SEED after an ARPACK failure, never after a
+    mismatch or a failed residual check."""
+
+    @pytest.mark.parametrize("solver", ["eigsh", "eigs"])
+    def test_one_failure_is_retried_and_ends_stable(self, monkeypatch, solver, arpack_error):
+        calls = spy_arpack(monkeypatch, solver, fail_first=1, error=arpack_error)
+        g = grid1d(40)
+        report = verify_theorem(ModelParams(a=2.0, b=0.5, c=1.0), g, 3, tol=1e-10)
+        assert (report.verdict, report.cause) == ("stable", None)
+        (k, first), (k_again, retry), *_ = calls
+        assert k_again == k
+        assert np.array_equal(retry, np.random.default_rng(RETRY_START_SEED).standard_normal(
+            len(retry)))
+        assert not np.array_equal(first, retry)
+
+    @pytest.mark.parametrize("solver", ["eigsh", "eigs"])
+    def test_two_failures_end_inconclusive(self, monkeypatch, solver, arpack_error):
+        calls = spy_arpack(monkeypatch, solver, fail_first=2, error=arpack_error)
+        report = verify_theorem(ModelParams(a=2.0, b=0.5, c=1.0), grid1d(40), 3, tol=1e-10)
+        assert report.verdict == "inconclusive"
+        first, stop, _ = str(arpack_error).partition(". ")
+        assert report.cause == f"solver failure: {first}{stop.rstrip()}"
+        assert len(calls) == 2
+
+    def test_no_retry_after_a_mismatch_or_a_failed_check(self, monkeypatch):
+        import lvsync.linstab
+
+        coupled = lvsync.linstab.coupled_eigenpairs
+
+        def scaled(*args, **kwargs):
+            vals, vecs, res = coupled(*args, **kwargs)
+            return vals * (1.0 + 1e-3), vecs, res
+
+        calls = spy_arpack(monkeypatch, "eigs")
+        with monkeypatch.context() as patch:
+            patch.setattr(lvsync.linstab, "coupled_eigenpairs", scaled)
+            report = verify_theorem(ModelParams(a=2.0, b=0.5, c=1.0), grid1d(40), 3, tol=1e-10)
+        assert report.cause.startswith("spectral mismatch")
+        assert len(calls) == 1
+        # a NaN eigenvector fails the residual gate after ARPACK returned
+        import scipy.sparse.linalg as spla
+
+        spied = spla.eigs
+
+        def nan_vector(*args, **kwargs):
+            vals, vecs = spied(*args, **kwargs)
+            vecs[:, 0] = np.nan
+            return vals, vecs
+
+        monkeypatch.setattr(spla, "eigs", nan_vector)
+        report = verify_theorem(ModelParams(a=2.0, b=0.5, c=1.0), grid1d(40), 3, tol=1e-10)
+        assert "residual nan" in report.cause
+        assert len(calls) == 2

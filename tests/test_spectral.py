@@ -188,7 +188,7 @@ class TestEigenpairs:
             else:
                 zero = Field.constant(g, 0.0)
                 coupled_eigenpairs(CoupledJacobian(g, zero, zero, ModelParams(2.0, 0.5, 1.0)),
-                                   2, tol=tol)
+                                   2, 2, tol=tol)
 
     def test_2d_square_degenerate_cluster(self):
         g = Grid("rectangle", (1.0, 1.0), (20, 20))
@@ -249,7 +249,7 @@ class TestEigenpairs:
             else:
                 zero = Field.constant(g, 0.0)
                 coupled_eigenpairs(CoupledJacobian(g, zero, zero, ModelParams(2.0, 0.5, 1.0)),
-                                   2, tol=1e-10)
+                                   2, 2, tol=1e-10)
         assert err.value.__cause__ is arpack_error
 
     def test_arpack_failure_keeps_the_first_sentence(self, monkeypatch):
