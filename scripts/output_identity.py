@@ -56,10 +56,10 @@ CASES = [
                               "--a", "profile:sin", "--a0", "1.5", "--a1", "0.5"]),
     ("theta-2d-json", ["theta", "--domain", "rectangle:1:1", "--n", "24,24", "--a", "25",
                        "--format", "json"]),
-    ("theta-fallback-start", ["theta", "--domain", "interval:0:pi", "--n", "20", "--a", "60"]),
-    # the eigenfunction start ends at a sign-changing root; the retry from max a converges
-    ("theta-2d-fallback-start", ["theta", "--domain", "rectangle:1:1", "--n", "8,8",
-                                 "--a", "200"]),
+    # large a on coarse grids, where Newton from the scaled principal eigenfunction
+    # ends at zero (1D) or at a sign-changing root (2D)
+    ("theta-large-a", ["theta", "--domain", "interval:0:pi", "--n", "20", "--a", "60"]),
+    ("theta-2d-large-a", ["theta", "--domain", "rectangle:1:1", "--n", "8,8", "--a", "200"]),
     ("theta-growth-file", ["theta", "--n", "20", "--a", "file:{data}/a20.csv"]),
     ("steady", ["steady", "--domain", "interval:0:pi", "--n", "200", "--a", "2",
                 "--b", "0.5", "--c", "1"]),
@@ -119,8 +119,11 @@ CASES = [
                               "--a", "4e-06", "--k", "6"]),
     ("verify-2d-k1-window", ["verify", "--domain", "rectangle:pi:pi", "--n", "30,30",
                              "--a", "4", "--b", "0.3", "--c", "1.7", "--k", "1"]),
-    ("verify-fallback-start", ["verify", "--domain", "rectangle:1:1", "--n", "8,8",
+    ("verify-2d-8x8-large-a", ["verify", "--domain", "rectangle:1:1", "--n", "8,8",
                                "--a", "200", "--k", "3"]),
+    # a/λ₁ = 20: Newton from the scaled principal eigenfunction fails
+    ("verify-2d-40x40-large-a", ["verify", "--domain", "rectangle:pi:pi", "--n", "40,40",
+                                 "--a", "40", "--k", "6"]),
     ("verify-subcritical", ["verify", "--n", "50", "--a", "0.5"]),
     ("verify-gate-failure", ["verify", "--n", "200", "--a", "2", "--tol", "1e-14"]),
     ("evolve-1d-op", [*EVOLVE_1D, "--t-end", "22", "--store-every", "100",

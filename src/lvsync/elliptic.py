@@ -8,10 +8,14 @@ problem and silently returning it would be misleading.
 
 Newton linearization: J(θ)δ = -(Δθ + θ(a-θ)) with J(θ) = Δ + diag(a - 2θ),
 damped by step halving whenever the residual fails to decrease. Each
-iteration factors -J and solves for the residual itself: at the positive
-solution, -J = -(Δ + a - θ) + diag(θ) has smallest eigenvalue above
-λ1(a - θ) = 0, so it is symmetric positive definite there, which
-`grid.factorize` factors without pivoting. The Newton loop, which
+iteration factors -J and solves for the residual itself. `solve_logistic`
+starts once, from the torsion supersolution θ₀ = min(A, (A/2)²·(-Δ)⁻¹1),
+A = max a (Sattinger, Indiana Univ. Math. J. 21, 1972). The reaction is
+concave, so F(θ_k + tδ) <= (1 - t)F(θ_k) <= 0: every damped iterate stays
+a supersolution above θ, where -J = -(Δ + a - θ) + diag(θ) + 2·diag(θ_k - θ)
+has smallest eigenvalue above λ1(a - θ) = 0. So -J is symmetric positive
+definite at every iterate, which `grid.factorize` factors without
+pivoting. The Newton loop, which
 `solve_logistic` and `uniqueness_probe` both run, accepts θ by the one
 gate, `spectral.residual_gate`, and classifies its limit by `_limit_kind`.
 """
@@ -23,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import Field, Grid, WeightedOperator, as_field, factorize, l2_norm, laplacian
-from .spectral import DEFAULT_TOL, EigenPair, principal_eigenpair, residual_gate
+from .spectral import DEFAULT_TOL, principal_eigenpair, residual_gate
 
 __all__ = [
     "LogisticSolution",
@@ -145,42 +149,33 @@ def _newton(
     )
 
 
-def _principal_start(grid: Grid, a: Field, amax: float, tol: float) -> tuple[EigenPair, np.ndarray]:
-    """Principal eigenpair of Δ + a (the gate on λ1) and its eigenfunction scaled to amax/2."""
-    principal = principal_eigenpair(WeightedOperator(grid, a), tol=tol)
-    return principal, principal.phi.values * (0.5 * amax / principal.phi.values.max())
-
-
 def solve_logistic(grid: Grid, a, tol: float = DEFAULT_TOL) -> LogisticSolution:
     """Unique positive steady state of the diffusive logistic equation.
 
-    a may be a constant or a Field on grid. Newton starts from the principal
-    eigenfunction of Δ + a scaled to half of max a and, only if that run
-    fails or ends at a limit that is not positive, from the constant max a,
-    a supersolution. Raises SubcriticalError when λ1(a) >= 0 and
-    NewtonDivergenceError with the residual trace on failure.
+    a may be a constant or a Field on grid. Newton runs once, from
+    θ₀ = min(A, (A/2)²·w) with A = max a and w the discrete torsion
+    function, -Δw = 1. θ₀ is a discrete supersolution, and for this
+    concave reaction Newton descends from it monotonically to θ. Raises
+    SubcriticalError when λ1(a) >= 0 and NewtonDivergenceError with the
+    residual trace on failure.
     """
     a = as_field(grid, a)
-    principal, start = _principal_start(grid, a, a.max(), tol)
+    principal = principal_eigenpair(WeightedOperator(grid, a), tol=tol)
     if principal.lam >= 0:
         raise SubcriticalError(principal.lam)
-
-    def newton_from(start: np.ndarray) -> tuple[np.ndarray, float, int]:
-        theta, res, iters, kind = _newton(grid, a.values, start, tol, a.max())
-        if kind != "positive":
-            # zero solves the equation too; silently returning it would
-            # be misleading for a supercritical growth rate
-            raise NewtonDivergenceError(f"Newton limit is {kind}, not strictly positive", [res])
-        return theta, res, iters
-
-    try:
-        theta, res, iters = newton_from(start)
-    except NewtonDivergenceError:
-        # the eigenfunction start is heuristic: for large a on coarse grids
-        # it can end at zero, at a sign-changing root or in a stall. The
-        # constant max(a) field is a discrete supersolution, and for this
-        # concave reaction Newton descends from it monotonically to θ
-        theta, res, iters = newton_from(np.full(grid.size, a.max()))
+    # w >= 0 and x(A - x) <= A²/4 give F(Kw) <= -K + A²/4 = 0 for
+    # K = (A/2)²; the constant A is a supersolution as a <= A, and so is
+    # the minimum of two, as Δ has no negative off-diagonal entry.
+    # (A/2)·((A/2)·w) never forms A², which over- or underflows at
+    # extreme scales
+    half = 0.5 * a.max()
+    w = factorize(-laplacian(grid)).solve(np.ones(grid.size))
+    theta, res, iters, kind = _newton(
+        grid, a.values, np.minimum(a.max(), half * (half * w)), tol, a.max())
+    if kind != "positive":
+        # zero solves the equation too; silently returning it would be
+        # misleading for a supercritical growth rate
+        raise NewtonDivergenceError(f"Newton limit is {kind}, not strictly positive", [res])
 
     if theta.max() >= a.max():
         raise NewtonDivergenceError(
@@ -235,7 +230,8 @@ def uniqueness_probe(
     if amax <= 0:
         amax = 1.0
 
-    starts = [_principal_start(grid, a, amax, tol)[1]]
+    phi = principal_eigenpair(WeightedOperator(grid, a), tol=tol).phi.values
+    starts = [phi * (0.5 * amax / phi.max())]
     n_const = max(0, (n_starts - 1) // 2)
     for j in range(n_const):
         starts.append(np.full(grid.size, amax * (j + 1) / n_const))

@@ -15,6 +15,7 @@ from lvsync import (
     solve_logistic,
     uniqueness_probe,
 )
+from lvsync.grid import laplacian
 
 # Richardson-extrapolated fine-grid oracle (n=2000/4000), a=2 on (0, pi);
 # regenerated by scripts/make_goldens.py. Discretization error at n=400 is
@@ -102,63 +103,106 @@ class TestSolveLogistic:
 
     @staticmethod
     def record_newton(monkeypatch):
-        """Patch elliptic._newton to record (max of start, iterations or error)."""
+        """Patch elliptic._newton to record (start, result) of each call."""
         import lvsync.elliptic as elliptic
 
-        outcomes = []
+        calls = []
         newton = elliptic._newton
 
         def recording_newton(grid, a_vals, theta0, tol, amax):
-            try:
-                result = newton(grid, a_vals, theta0, tol, amax)
-            except NewtonDivergenceError as exc:
-                outcomes.append((theta0.max(), str(exc)))
-                raise
-            outcomes.append((theta0.max(), result[2]))
+            result = newton(grid, a_vals, theta0, tol, amax)
+            calls.append((theta0.copy(), result))
             return result
 
         monkeypatch.setattr(elliptic, "_newton", recording_newton)
-        return outcomes
+        return calls
 
-    def test_supersolution_start_after_eigenfunction_start_collapses(self, monkeypatch):
-        # a=60 on n=20: Newton from the scaled eigenfunction collapses to
-        # zero, where it stops after 7 iterations (max θ 1.5e-16, below
-        # eps·max a); the constant max(a) start converges to θ
-        outcomes = self.record_newton(monkeypatch)
-        sol = solve_logistic(grid1d(20), 60.0, tol=1e-10)
-        assert [start for start, _ in outcomes] == [pytest.approx(30.0, rel=1e-12), 60.0]
-        assert outcomes[0][1] == 7
-        assert outcomes[1][1] == sol.newton_iterations == 5
-        assert sol.residual_norm <= 1e-10
-        assert logistic_residual(sol.theta, 60.0) <= 1e-10
-        assert 0.0 < sol.theta.min() and sol.theta.max() < 60.0
+    @pytest.mark.parametrize(
+        "g, a, iters",
+        [(grid1d(20), 60.0, 5),
+         (Grid("rectangle", (1.0, 1.0), (8, 8)), 200.0, 5),
+         (Grid("rectangle", (math.pi, math.pi), (30, 30)), 8.0, 4)],
+        ids=["1d-20-a60", "2d-8x8-a200", "2d-30x30-a8"],
+    )
+    def test_one_newton_run_from_the_torsion_start(self, monkeypatch, g, a, iters):
+        # the first two inputs once sent the eigenfunction start to zero
+        # and to a sign-changing root; at 30x30, a=8 its iterates had an
+        # indefinite -J. One Newton run from the supersolution gives θ
+        calls = self.record_newton(monkeypatch)
+        sol = solve_logistic(g, a, tol=1e-10)
+        [(start, (theta, res, n_iter, kind))] = calls
+        # θ₀ = min(a, (a/2)²·w) with -Δw = 1, here solved densely
+        w = np.linalg.solve(-laplacian(g).toarray(), np.ones(g.size))
+        np.testing.assert_allclose(start, np.minimum(a, (0.5 * a) ** 2 * w), rtol=1e-12, atol=0.0)
+        assert kind == "positive"
+        assert np.array_equal(sol.theta.values, theta)
+        assert sol.residual_norm == res
+        assert sol.newton_iterations == n_iter == iters
+        assert 0.0 < sol.theta.min() and sol.theta.max() < a
 
-    def test_supersolution_start_after_sign_changing_root(self, monkeypatch):
-        # a=200 on the 8x8 unit square: Newton from the scaled eigenfunction
-        # converges to a root with min θ ≈ -0.97; the retry from the
-        # constant 200 is exactly a bare Newton run from that start
-        from lvsync.elliptic import _newton
+    @pytest.mark.parametrize("ratio", [1.025, 2.0, 10.0, 100.0])
+    @pytest.mark.parametrize("profile", ["constant", "sin", "negative-in-places"])
+    @pytest.mark.parametrize(
+        "g", [grid1d(200), Grid("rectangle", (math.pi, math.pi), (30, 30)),
+              Grid("rectangle", (4.0, 1.0), (80, 20))],
+        ids=["1d-200", "2d-30x30", "2d-80x20"],
+    )
+    def test_torsion_start_is_a_supersolution_above_theta(self, monkeypatch, g, profile, ratio):
+        # F(θ₀) <= 0 up to the rounding of its evaluation, and θ₀ >= θ:
+        # the start of the monotone descent, for a/λ₁ from near the
+        # threshold to far above it
+        from lvsync.spectral import residual_gate
 
-        g = Grid("rectangle", (1.0, 1.0), (8, 8))
-        bare, res, iters, _ = _newton(
-            g, np.full(g.size, 200.0), np.full(g.size, 200.0), 1e-10, 200.0
-        )
-        outcomes = self.record_newton(monkeypatch)
-        sol = solve_logistic(g, 200.0, tol=1e-10)
-        assert [start for start, _ in outcomes] == [pytest.approx(100.0, rel=1e-12), 200.0]
-        assert outcomes[0][1] == 23
-        assert outcomes[1][1] == sol.newton_iterations == iters
-        assert np.array_equal(sol.theta.values, bare)
-        assert sol.residual_norm == res <= 1e-10
-        assert 0.0 < sol.theta.min() and sol.theta.max() < 200.0
+        x = g.coords()[:, 0] / g.extents[0]
+        shape = {"constant": np.ones_like(x), "sin": 1.0 + 0.5 * np.sin(math.pi * x),
+                 "negative-in-places": np.sin(math.pi * x) - 0.1}[profile]
+        lam1 = principal_eigenpair(WeightedOperator(g, Field(g, shape)), tol=1e-10).lam
+        # a = ratio·λ₁/(λ₁ - λ1(shape))·shape, with λ₁ = λ1(0) of -Δ: ratio·λ₁ for a
+        # constant, and λ1(a) <= (1 - ratio)·λ₁ < 0, as λ1(c·shape) is concave in c
+        lam0 = principal_eigenpair(WeightedOperator(g, Field.constant(g, 0.0)), tol=1e-10).lam
+        a = Field(g, shape * (ratio * lam0 / (lam0 - lam1)))
+        calls = self.record_newton(monkeypatch)
+        sol = solve_logistic(g, a, tol=1e-10)
+        [(start, _)] = calls
+        F = laplacian(g) @ start + start * (a.values - start)
+        rounding = residual_gate(laplacian(g), 1.0)(
+            0.0, np.abs(a.values - start).max(), np.abs(start).max())
+        assert F.max() <= rounding
+        assert np.all(start >= sol.theta.values)
+
+    @pytest.mark.parametrize(
+        "g, a",
+        [(grid1d(20), 60.0), (Grid("rectangle", (1.0, 1.0), (8, 8)), 200.0),
+         (Grid("rectangle", (math.pi, math.pi), (30, 30)), 8.0),
+         (Grid("rectangle", (math.pi, math.pi), (40, 40)), 40.0)],
+        ids=["1d-20-a60", "2d-8x8-a200", "2d-30x30-a8", "2d-40x40-a40"],
+    )
+    def test_every_factorization_goes_to_lapack(self, monkeypatch, g, a):
+        # from θ₀ no iterate has an indefinite -J, so within the band limit
+        # every factorization of the θ solve, the gate's included, is LAPACK's
+        import lvsync.elliptic as elliptic
+        import lvsync.spectral as spectral
+        from lvsync.grid import LapackFactor, factorize
+
+        factors = []
+
+        def spy(A, sigma=0.0):
+            factors.append(factorize(A, sigma))
+            return factors[-1]
+
+        monkeypatch.setattr(elliptic, "factorize", spy)
+        monkeypatch.setattr(spectral, "factorize", spy)
+        solve_logistic(g, a, tol=1e-10)
+        assert factors and all(isinstance(f, LapackFactor) for f in factors)
 
     def test_sign_changing_limit_of_every_start_is_newton_divergence(self, monkeypatch):
-        # each start's limit is classified: when both starts end at the
-        # sign-changing root, the retry's limit is rejected too
+        # the limit is classified: Newton from the scaled principal
+        # eigenfunction ends at a root with min θ ≈ -0.97, which is rejected
         import lvsync.elliptic as elliptic
 
         g = Grid("rectangle", (1.0, 1.0), (8, 8))
-        eig_start = elliptic._principal_start(g, elliptic.as_field(g, 200.0), 200.0, 1e-10)[1]
+        phi = principal_eigenpair(WeightedOperator(g, Field.constant(g, 200.0)), tol=1e-10).phi
+        eig_start = phi.values * (100.0 / phi.values.max())
         newton = elliptic._newton
         monkeypatch.setattr(elliptic, "_newton",
                             lambda grid, a_vals, theta0, tol, amax:

@@ -294,15 +294,39 @@ class TestSpectralEquivalence:
                                    Grid("rectangle", (math.pi, math.pi), (12, 12))],
                              ids=["1d-40", "2d-12x12"])
     def test_values_come_lexsorted_by_real_then_imag(self, g, predicted_window):
-        # on the degenerate locus the defective pairs split into complex
-        # conjugates with equal real parts, so the imaginary part decides
-        # their order; verify_theorem and the eigenvalue table rely on it
+        # on the degenerate locus rounding may split a defective pair into
+        # complex conjugates with equal real parts, whose imaginary parts
+        # then decide their order; verify_theorem and the eigenvalue table
+        # rely on it
         params = ModelParams(a=4.0 if g.ndim == 2 else 2.0, b=1.0 / 3.0, c=1.0)
         steady = synchronized_state(params, solve_logistic(g, params.a, tol=1e-10))
         J = CoupledJacobian(g, steady.u, steady.v, params)
         vals, _, _ = coupled_eigenpairs(J, 12, predicted_window(g, params, 12))
-        assert np.count_nonzero(vals.imag) >= 4
         assert np.array_equal(np.lexsort((vals.imag, vals.real)), np.arange(12))
+
+    @pytest.mark.parametrize("reverse", [False, True], ids=["arpack-order", "reversed"])
+    def test_exact_conjugate_pairs_come_lexsorted_by_real_then_imag(self, monkeypatch, reverse):
+        # -matrix holds the 2x2 blocks [[r, ω], [-ω, r]], exact pairs r ± iω
+        # with equal real parts by construction, then real values from 10 up.
+        # ARPACK returns the pairs by |λ - σ|, 2 ± i first and 1 ± 5i last,
+        # each r - iω first; reversed, r + iω comes first
+        import scipy.sparse.linalg as spla
+
+        from lvsync.spectral import _shift_invert
+
+        eigs = spla.eigs
+        if reverse:
+            monkeypatch.setattr(spla, "eigs", lambda *args, **kwargs: tuple(
+                x[..., ::-1] for x in eigs(*args, **kwargs)))
+        g = grid1d(40)
+        blocks = [np.array([[r, w], [-w, r]]) for r, w in [(3.0, 0.5), (1.0, 5.0), (2.0, 1.0)]]
+        A = sp.block_diag([*blocks, sp.diags(np.arange(10.0, 44.0))], format="csr")
+        stand_in = dataclasses.make_dataclass("StandIn", ["grid", "matrix"])(g, -A)
+        vals, _, _ = _shift_invert(stand_in, 6, 0.0, 0, 1e-10, symmetric=False)
+        assert np.count_nonzero(vals.imag) == 6
+        assert np.array_equal(np.lexsort((vals.imag, vals.real)), np.arange(6))
+        expected = [1 - 5j, 1 + 5j, 2 - 1j, 2 + 1j, 3 - 0.5j, 3 + 0.5j]
+        assert np.allclose(vals, expected, rtol=0.0, atol=1e-12)
 
     @pytest.mark.parametrize("n, k", [(10, 7), (14, 12)], ids=["10x10", "14x14"])
     def test_zero_state_window_edge_cuts_no_copy(self, n, k):
